@@ -224,7 +224,7 @@ def project_l0(x: np.ndarray, alphabet: QuantAlphabet, s: int) -> np.ndarray:
     n = len(x)
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= {n}, got {s}")
-    zero_idx = alphabet.index_of.get(0.0)
+    zero_idx = alphabet.zero_index()
     if zero_idx is None:
         raise ValueError("alphabet does not contain 0")
     q = nearest_index(alphabet, x)

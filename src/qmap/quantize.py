@@ -9,7 +9,7 @@ are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class QuantAlphabet:
     lo: float
     hi: float
     values: np.ndarray
-    index_of: dict[float, int] = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -56,8 +55,14 @@ class QuantAlphabet:
     def __len__(self) -> int:
         return len(self.values)
 
+    def zero_index(self) -> int | None:
+        """Index of the value 0.0, or None when the grid does not hold it."""
+        # values[j] = (i0 + j) * step exactly, so 0.0 sits at j = -i0
+        j = -int(self.values[0] * 2 ** self.b)
+        return j if 0 <= j < self.size else None
+
     def contains_zero(self) -> bool:
-        return 0.0 in self.index_of
+        return self.zero_index() is not None
 
 
 def build_alphabet(lo: float, hi: float, b: int) -> QuantAlphabet:
@@ -78,9 +83,8 @@ def build_alphabet(lo: float, hi: float, b: int) -> QuantAlphabet:
     i1 = math.floor(hb)
     if hb == i1:
         i1 -= 1  # hi on the grid: last cell starts one step below it
-    values = np.array([i / scale for i in range(i0, i1 + 1)], dtype=float)
-    index_of = {float(v): i for i, v in enumerate(values)}
-    return QuantAlphabet(b=b, lo=lo, hi=hi, values=values, index_of=index_of)
+    values = np.arange(i0, i1 + 1) / scale
+    return QuantAlphabet(b=b, lo=lo, hi=hi, values=values)
 
 
 def quantize_vector(x: np.ndarray, alphabet: QuantAlphabet) -> np.ndarray:

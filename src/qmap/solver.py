@@ -80,6 +80,13 @@ class PgdTrace:
 
     Estimates themselves are kept as compact content hashes so long runs
     stay cheap while still pinning down the exact iterate sequence.
+
+    status says why the run stopped: "converged" (the iterate change fell
+    to stop_tol), "cycle" (an iterate repeated exactly, so the rest of the
+    run up to max_iters is known), "max_iters", or "infeasible" (set on the
+    trace attached to the InfeasibleProjection raised by the projector).
+    After a cycle is found the rows up to max_iters are filled from its
+    period: they are exactly the rows the remaining iterations would record.
     """
 
     residuals: list[float] = field(default_factory=list)
@@ -168,7 +175,7 @@ def pgd_solve(
         if idx.shape != (A.n,):
             raise ValueError("start must give one symbol index per coordinate")
     else:
-        zero = alphabet.index_of.get(0.0)
+        zero = alphabet.zero_index()
         if zero is None:
             raise ValueError("alphabet has no zero value; supply an explicit start")
         idx = np.full(A.n, zero, dtype=np.int64)
@@ -183,9 +190,9 @@ def pgd_solve(
         trace.err_quantized = []
         trace.err_analog = []
 
-    def record(cur_idx: np.ndarray) -> np.ndarray:
-        est = alphabet.values[cur_idx]
-        trace.residuals.append(float(np.linalg.norm(y - A.entries @ est)))
+    def record(cur_idx: np.ndarray, est: np.ndarray) -> np.ndarray:
+        resid = y - A.entries @ est
+        trace.residuals.append(float(np.linalg.norm(resid)))
         trace.costs.append(complexity_cost(cur_idx, w))
         trace.estimate_hashes.append(
             hashlib.blake2b(cur_idx.tobytes(), digest_size=8).hexdigest()
@@ -193,24 +200,44 @@ def pgd_solve(
         if truth is not None:
             trace.err_quantized.append(float(np.linalg.norm(est - truth_q)))
             trace.err_analog.append(float(np.linalg.norm(est - truth)))
-        return est
+        return resid
 
-    est = record(idx)
-    for t in range(cfg.max_iters):
-        s_vec = est + mu * (A.entries.T @ (y - A.entries @ est))
+    # The step is a deterministic function of the symbol-index iterate, so
+    # an iterate seen before at t0 repeats the whole stretch since t0 forever.
+    # seen maps each distinct iterate to its first t, in order of t.
+    seen = {idx.tobytes(): 0}
+    est = alphabet.values[idx]
+    resid = record(idx, est)
+    for t in range(1, cfg.max_iters + 1):
+        s_vec = est + mu * (A.entries.T @ resid)
         try:
             new_idx = _project(s_vec, cfg.projector, w, alphabet)
         except InfeasibleProjection as exc:
             trace.status = "infeasible"
-            exc.iteration = t + 1
+            exc.iteration = t
             exc.trace = trace
             raise
         new_est = alphabet.values[new_idx]
         change = float(np.linalg.norm(new_est - est))
         idx, est = new_idx, new_est
-        record(idx)
+        resid = record(idx, est)
         if change <= cfg.stop_tol:
             trace.status = "converged"
+            break
+        t0 = seen.setdefault(idx.tobytes(), t)
+        if t0 < t:
+            # every change within the period exceeded stop_tol, so the
+            # period repeats up to max_iters; copy its rows one period back
+            period = t - t0
+            series = [trace.residuals, trace.costs, trace.estimate_hashes]
+            if truth is not None:
+                series += [trace.err_quantized, trace.err_analog]
+            for values in series:
+                for _ in range(cfg.max_iters - t):
+                    values.append(values[-period])
+            final = list(seen)[t0 + (cfg.max_iters - t0) % period]
+            est = alphabet.values[np.frombuffer(final, dtype=idx.dtype)]
+            trace.status = "cycle"
             break
     else:
         trace.status = "max_iters"

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .quantize import quantize_vector
 from .sources import SourceModel, ktuple_law, quantized_kernel, sample_path
@@ -316,6 +315,8 @@ def gaussian_projection_check(n: int, trials: int, seed: int) -> TailEstimate:
     v = rng.standard_normal((trials, n))
     norms = np.linalg.norm(u, axis=1)
     stat = (u * v).sum(axis=1) / norms
+    from scipy import stats  # only caller; importing it costs ~1 s per process
+
     ks = float(stats.kstest(stat, "norm").statistic)
     corr = float(np.corrcoef(stat, norms)[0, 1])
     # Dvoretzky-Kiefer-Wolfowitz 95% band around the empirical KS distance

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import qmap
 from qmap.cli import main
 
 RECOVER_CFG = {
@@ -131,3 +136,13 @@ def test_validate_failure_exits_1(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "run_validate", broken)
     cfg = write_cfg(tmp_path, "v.json", VALIDATE_CFG)
     assert run(["validate", "--config", cfg, "--out", tmp_path / "v.out"]) == 1
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import and only the
+    # gaussian_projection check needs it, so it is imported there
+    src = str(Path(qmap.__file__).resolve().parents[1])
+    code = "import sys, qmap.cli; assert 'scipy.stats' not in sys.modules"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr

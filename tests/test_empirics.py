@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_kernel, random_weight_table
 from qmap.empirics import (
@@ -134,6 +136,45 @@ def test_cost_infinite_on_forbidden_window(rng):
     w.w[0, 1] = math.inf
     u = np.array([0, 1, 2])
     assert complexity_cost(u, w) == math.inf
+
+
+def window_loop_cost(u, w):
+    """The cost as a loop over the k-type's windows in first-occurrence order."""
+    kt = k_type(u, w.k)
+    total = 0.0
+    for key, c in kt.counts.items():
+        weight = w[key]
+        if math.isinf(weight):
+            return math.inf
+        total += weight * c
+    return total / kt.total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    k=st.sampled_from([0, 1, 2]),
+    size=st.integers(1, 64),
+    used=st.integers(1, 64),
+    extra=st.integers(0, 300),
+    inf_frac=st.sampled_from([0.0, 0.02, 0.3]),
+)
+def test_complexity_cost_equals_window_loop(seed, k, size, used, extra, inf_frac):
+    # equality, not approx: the projectors compare the cost against gamma
+    rng = np.random.default_rng(seed)
+    w = random_weight_table(rng, size, k, inf_frac)
+    u = rng.integers(0, min(used, size), k + 1 + extra)
+    assert complexity_cost(u, w) == window_loop_cost(u, w)
+
+
+def test_complexity_cost_rejects_bad_symbols():
+    w = random_weight_table(np.random.default_rng(0), 3, 1)
+    with pytest.raises(ValueError, match="symbols"):
+        complexity_cost(np.array([0, 3, 1]), w)
+    with pytest.raises(ValueError, match="symbols"):
+        complexity_cost(np.array([0, -1, 1]), w)
+    with pytest.raises(ValueError, match="no windows"):
+        complexity_cost(np.array([0]), w)
 
 
 def test_cond_empirical_entropy_examples(rng):

@@ -218,17 +218,16 @@ def test_single_coordinate_bruteforce(rng):
 def test_runtime_scales_linearly_in_n(rng):
     w = random_weight_table(rng, 4, 1)
     ab = w.alphabet
-
-    def run(n):
-        x = rng.normal(0.5, 0.4, n)
+    xs = [rng.normal(0.5, 0.4, n) for n in (2 ** 10, 2 ** 11, 2 ** 12)]
+    for x in xs:
         project_lagrangian(x, w, ab, 0.3)  # warm up allocation paths
-        best = math.inf
-        for _ in range(3):
+    # interleaved rounds, so a slow phase of the host slows every size alike
+    best = [math.inf] * len(xs)
+    for _ in range(7):
+        for j, x in enumerate(xs):
             t0 = time.perf_counter()
             project_lagrangian(x, w, ab, 0.3)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    t10, t11, t12 = run(2 ** 10), run(2 ** 11), run(2 ** 12)
+            best[j] = min(best[j], time.perf_counter() - t0)
+    t10, t11, t12 = best
     assert t11 / t10 < 2.5
     assert t12 / t11 < 2.5

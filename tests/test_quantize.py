@@ -77,7 +77,13 @@ def test_alphabet_structure(rng):
         # the size bound is stated for grid-aligned bounds; lo snaps down
         assert ab.size <= (hi - quantize_scalar(lo, b)) * 2 ** b + 1
         assert ab.values[-1] < hi
-        assert [ab.index_of[float(v)] for v in ab.values] == list(range(ab.size))
+        # value v sits at index (v - values[0]) / step
+        assert [int((v - ab.values[0]) * 2 ** b) for v in ab.values] == list(range(ab.size))
+        zero = ab.zero_index()
+        if ab.values[0] <= 0.0 <= ab.values[-1]:
+            assert ab.values[zero] == 0.0 and ab.contains_zero()
+        else:
+            assert zero is None and not ab.contains_zero()
 
 
 def test_build_alphabet_rejects_bad_range():
@@ -94,7 +100,7 @@ def test_quantize_vector_examples():
     ab2 = build_alphabet(0, 1, 2)
     # per-coordinate oracle via quantize_scalar + index lookup
     x = np.array([0.26, 0.74, 0.5])
-    expect = [ab2.index_of[quantize_scalar(float(v), 2)] for v in x]
+    expect = [int((quantize_scalar(float(v), 2) - ab2.values[0]) * 4) for v in x]
     assert expect == [1, 2, 2]
     assert list(quantize_vector(x, ab2)) == expect
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 
 from conftest import random_weight_table
 from qmap.empirics import complexity_cost
-from qmap.projection import InfeasibleProjection, enumerate_sequences, sequence_costs
+from qmap.projection import (
+    InfeasibleProjection,
+    enumerate_sequences,
+    project_l0,
+    sequence_costs,
+)
 from qmap.quantize import build_alphabet, quantize_vector
 from qmap.sensing import SenseMatrix, gen_gaussian, measure
 from qmap.solver import (
@@ -290,3 +296,65 @@ def test_pc_markov_constrained_pgd_runs():
     idx = quantize_vector(est, ab)
     assert complexity_cost(idx, w) <= gamma
     assert trace.residuals[-1] <= trace.residuals[0]
+
+
+def plain_l0_pgd(A, y, w, ab, s, mu, max_iters, stop_tol, truth):
+    """PGD with the l0 projector and no cycle short-circuit: every iteration
+    runs.  Returns the estimate, the trace series and the iterate changes."""
+    truth_q = ab.values[quantize_vector(truth, ab)]
+    series = {name: [] for name in (
+        "residuals", "costs", "estimate_hashes", "err_quantized", "err_analog")}
+
+    def record(idx):
+        est = ab.values[idx]
+        series["residuals"].append(float(np.linalg.norm(y - A.entries @ est)))
+        series["costs"].append(complexity_cost(idx, w))
+        series["estimate_hashes"].append(
+            hashlib.blake2b(idx.tobytes(), digest_size=8).hexdigest())
+        series["err_quantized"].append(float(np.linalg.norm(est - truth_q)))
+        series["err_analog"].append(float(np.linalg.norm(est - truth)))
+        return est
+
+    est = record(np.full(A.n, ab.zero_index(), dtype=np.int64))
+    changes = []
+    for _ in range(max_iters):
+        s_vec = est + mu * (A.entries.T @ (y - A.entries @ est))
+        new_idx = project_l0(s_vec, ab, s)
+        changes.append(float(np.linalg.norm(ab.values[new_idx] - est)))
+        est = record(new_idx)
+        if changes[-1] <= stop_tol:
+            break
+    return est, series, changes
+
+
+def cycling_grow_stage():
+    """A homotopy grow stage of the criterion-6 cell m/n = 0.05 (n=128, p=0.1,
+    b=6, solve grid b=12, step 0.5/m, 300 iterations), where PGD enters an
+    exact 2-cycle within a few iterations."""
+    n, m, b, p = 128, 6, 6, 0.1
+    x, _, _, A, y, _ = spike_setup(n, b, p, 0, m=m)
+    w = weights_from_kernel(quantized_kernel(SpikeSlab(p), 12))
+    return A, y, w, w.alphabet, 0.5 / m, x
+
+
+@pytest.mark.parametrize("s", [4, 20])
+@pytest.mark.parametrize("tol_factor", [0.0, 0.5, 1.0])
+def test_cycle_short_circuit_matches_plain_loop(s, tol_factor):
+    A, y, w, ab, mu, x = cycling_grow_stage()
+    max_iters = 300
+    _, _, changes = plain_l0_pgd(A, y, w, ab, s, mu, max_iters, 0.0, x)
+    # below the smallest change the loop never stops; at it, it converges
+    stop_tol = tol_factor * min(changes)
+    est_ref, series, _ = plain_l0_pgd(A, y, w, ab, s, mu, max_iters, stop_tol, x)
+    cfg = PgdConfig(projector=L0Projector(s), b=12, k=0, mu=mu, max_iters=max_iters,
+                    stop_tol=stop_tol, allow_unpaired_mu=True)
+    est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
+    if tol_factor < 1.0:
+        assert trace.status == "cycle"
+        assert trace.iters == max_iters
+    else:
+        assert trace.status == "converged"
+        assert trace.iters < max_iters
+    assert np.array_equal(est, est_ref)
+    for name, values in series.items():
+        assert getattr(trace, name) == values, name
