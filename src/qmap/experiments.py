@@ -38,6 +38,7 @@ from .solver import (
     PgdConfig,
     contraction_fraction,
     contraction_floor,
+    default_gamma,
     pgd_solve,
 )
 from .sources import (
@@ -97,8 +98,7 @@ def build_projector(spec: dict, kernel):
     if kind == "constrained":
         if "gamma" in spec:
             return ConstrainedProjector(float(spec["gamma"]))
-        delta = float(spec.get("delta", 0.1))
-        return ConstrainedProjector(cond_entropy(kernel) + delta * kernel.alphabet.b)
+        return ConstrainedProjector(default_gamma(kernel, float(spec.get("delta", 0.1))))
     raise ValueError(f"unknown projector kind {kind!r}")
 
 

@@ -6,14 +6,16 @@ project_lagrangian solves
                                  + alpha * sum_{i>k} w[u_{i-k}..u_i]
 
 exactly with a Viterbi dynamic program over the alphabet^k context states
-(the first k positions incur distortion only).  project_constrained sweeps
-alpha by bisection to satisfy a hard complexity budget, project_l0 is the
-exact fast path for memoryless spike-and-slab weights, and
-project_bruteforce enumerates everything at toy scale.
+(the first k positions incur distortion only).  project_constrained meets
+a hard complexity budget by an exact search over the breakpoints of alpha
+(Everett's generalized Lagrange multipliers), project_l0 is the exact fast
+path for memoryless spike-and-slab weights, and project_bruteforce
+enumerates everything at toy scale.  Every projector requires finite x.
 
 Ties are always broken toward the lexicographically smallest symbol-index
-sequence: the dynamic program runs backward over suffix costs and the path
-is rebuilt forward choosing the smallest symbol that preserves optimality.
+sequence: the dynamic program runs backward over suffix costs, keeping for
+every (position, context) the smallest optimal symbol as a back-pointer,
+and the path is rebuilt forward by following them.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +32,8 @@ from .quantize import QuantAlphabet
 from .sources import WeightTable
 
 MAX_STATES = 2 ** 20          # alphabet^k context states
-MAX_TRELLIS_CELLS = 2 ** 24   # n * alphabet^k suffix-cost floats kept alive
+MAX_TRELLIS_CELLS = 2 ** 24   # n * alphabet^k back-pointers kept alive
 MAX_BRUTEFORCE = 10 ** 6      # alphabet^n sequences
-BISECTION_ITERS = 40
 
 
 class InfeasibleProjection(ValueError):
@@ -51,7 +53,10 @@ class ProblemTooLarge(ValueError):
 
 @dataclass
 class SweepInfo:
-    """Telemetry from the constrained bisection sweep."""
+    """Telemetry from the constrained breakpoint search: alpha, cost and
+    distortion of every Viterbi pass in order (alpha 0 for the rounding and
+    for its alpha -> 0+ limit, inf for the minimum-cost path), the alpha of
+    the returned pass, and how many passes were feasible."""
 
     alphas: list[float]
     costs: list[float]
@@ -67,12 +72,19 @@ def _scaled_weights(w: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(np.isinf(w), np.inf, alpha * w)
 
 
+def _finite_vector(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite: NaN or inf cannot be projected")
+    return x
+
+
 def _check_trellis_size(n: int, s: int, k: int) -> None:
     if s ** k > MAX_STATES:
         raise ProblemTooLarge(f"trellis needs {s}^{k} states; limit is {MAX_STATES}")
     if n * s ** k > MAX_TRELLIS_CELLS:
         raise ProblemTooLarge(
-            f"trellis needs {n} x {s}^{k} suffix cells; limit is {MAX_TRELLIS_CELLS}"
+            f"trellis needs {n} x {s}^{k} back-pointers; limit is {MAX_TRELLIS_CELLS}"
         )
 
 
@@ -87,7 +99,7 @@ def project_lagrangian(
     weights, as symbol indices.  dist_scale multiplies the distortion term
     (used internally to realize a pure minimum-cost pass with dist_scale=0).
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite_vector(x)
     n = len(x)
     k = w.k
     s = alphabet.size
@@ -106,42 +118,66 @@ def project_lagrangian(
         return np.argmin(stage, axis=1).astype(np.int64)
 
     aw = _scaled_weights(w.w, alpha).reshape(s ** k, s)  # cost of (state, symbol)
-    # state id encodes the context base-s, most recent symbol in the low digit
+    # state id encodes the context base-s, most recent symbol in the low digit;
+    # after symbol a the next state is (state mod s^(k-1)) * s + a
     states = s ** k
-    next_state = (
-        (np.arange(states)[:, None] % s ** (k - 1)) * s + np.arange(s)[None, :]
-    )
+    low_states = s ** (k - 1)
+    rows = np.arange(states)
 
-    suffix = np.zeros((n + 1, states))
+    # backward pass: suffix[state] is the best cost of positions i..n-1 after
+    # the context state; back[i - k, state] is the first (smallest) symbol
+    # attaining it.  total is (dist + aw) + suffix[next state], summed in
+    # that order; a state's next-state row depends on its low k-1 digits only
+    suffix = np.zeros(states)
+    back = np.empty((n - k, states), dtype=np.min_scalar_type(s - 1))
+    total = np.empty((states, s))
+    by_low_digits = total.reshape(s, low_states, s)
     for i in range(n - 1, k - 1, -1):
-        total = dist[i][None, :] + aw + suffix[i + 1][next_state]
-        suffix[i] = total.min(axis=1)
+        np.add(dist[i], aw, out=total)
+        by_low_digits += suffix.reshape(low_states, s)
+        best_symbol = total.argmin(axis=1)
+        back[i - k] = best_symbol
+        suffix = total[rows, best_symbol]
 
     # fold the first k (distortion-only) positions into the initial context
     prefix_dist = np.zeros(states)
     for j in range(k):
-        digit = (np.arange(states) // s ** (k - 1 - j)) % s
+        digit = (rows // s ** (k - 1 - j)) % s
         prefix_dist += dist[j][digit]
-    start_cost = prefix_dist + suffix[k]
-    best = start_cost.min()
-    if math.isinf(best):
+    start_cost = prefix_dist + suffix
+    state = int(start_cost.argmin())  # lex-smallest context
+    if math.isinf(start_cost[state]):
         raise InfeasibleProjection("every length-n path has infinite cost")
 
     out = np.empty(n, dtype=np.int64)
-    state = int(np.flatnonzero(start_cost == best)[0])  # lex-smallest context
     for j in range(k):
         out[j] = (state // s ** (k - 1 - j)) % s
     for i in range(k, n):
-        row = dist[i] + aw[state] + suffix[i + 1][next_state[state]]
-        a = int(np.flatnonzero(row == suffix[i][state])[0])
+        a = back.item(i - k, state)
         out[i] = a
-        state = int(next_state[state][a])
+        state = (state % low_states) * s + a
     return out
 
 
 def _min_cost_path(x: np.ndarray, w: WeightTable, alphabet: QuantAlphabet) -> np.ndarray:
     """A sequence of minimum achievable complexity cost (distortion ignored)."""
     return project_lagrangian(x, w, alphabet, alpha=1.0, dist_scale=0.0)
+
+
+def _finite_cost_rounding(x: np.ndarray, w: WeightTable, alphabet: QuantAlphabet) -> np.ndarray:
+    """The alpha -> 0+ limit of the Lagrangian projection: the nearest
+    sequence among those of finite cost (every finite weight set to 0)."""
+    allowed = WeightTable(alphabet=alphabet, k=w.k, w=np.where(np.isinf(w.w), np.inf, 0.0))
+    return project_lagrangian(x, allowed, alphabet, alpha=1.0)
+
+
+class _SweepPoint(NamedTuple):
+    """One pass of the breakpoint search: its sequence and where it lies."""
+
+    u: np.ndarray
+    alpha: float
+    cost: float
+    distortion: float
 
 
 def project_constrained(
@@ -152,60 +188,72 @@ def project_constrained(
     full_output: bool = False,
 ):
     """Feasible sequence (complexity cost <= gamma) of smallest distortion
-    found by a bisection sweep of the Lagrangian projection.
+    among the Lagrangian solutions, found by a breakpoint search.
 
-    The sweep is monotone (distortion up, cost down in alpha) but the
-    Lagrangian path can skip constrained optima when the trade-off curve is
-    non-convex; the returned point is the best feasible one encountered.
+    The Lagrangian solutions are the vertices of the lower convex hull of
+    (cost, distortion) (Everett 1963; Shoham & Gersho 1988).  The alpha = 0
+    pass is returned if feasible.  Otherwise the search brackets gamma by an
+    infeasible left end L and a feasible right end R: the alpha_max pass is
+    R if feasible, else it is L and the minimum-cost path is R; L is
+    otherwise the alpha = 0 pass, or its alpha -> 0+ limit when the
+    rounding has cost +inf (returned if feasible: it is then the nearest
+    feasible sequence).  Every further pass is at the alpha where L and R
+    tie,
+
+        alpha = (d_R - d_L) / ((c_L - c_R) * (n - k)),
+
+    and a result strictly inside the bracket, or of lower distortion at an
+    end's cost, replaces the end on its side of gamma.  Otherwise L-R is a
+    hull edge and R is returned.  Every pass shrinks the bracket, so the
+    search is exact and finite.  When the constrained optimum is not a hull
+    vertex (a duality gap) the best feasible vertex is returned instead.
     """
-    x = np.asarray(x, dtype=float)
-    u0 = project_lagrangian(x, w, alphabet, 0.0)
-    c0 = complexity_cost(u0, w)
-    info = SweepInfo(alphas=[0.0], costs=[c0], distortions=[_distortion(x, u0, alphabet)],
-                     best_alpha=0.0, n_feasible=0)
-    if c0 <= gamma:
-        info.n_feasible = 1
-        return (u0, info) if full_output else u0
+    x = _finite_vector(x)
+    info = SweepInfo(alphas=[], costs=[], distortions=[], best_alpha=0.0, n_feasible=0)
 
-    alpha_max = 2.0 * w.max_finite() * len(x)
-    if alpha_max <= 0:
-        alpha_max = 1.0
-    best_u = None
-    best_dist = math.inf
-    best_alpha = math.nan
-
-    def consider(u: np.ndarray, alpha: float) -> bool:
-        nonlocal best_u, best_dist, best_alpha
-        cost = complexity_cost(u, w)
-        d = _distortion(x, u, alphabet)
+    def sweep_pass(u: np.ndarray, alpha: float) -> _SweepPoint:
+        point = _SweepPoint(u, alpha, complexity_cost(u, w), _distortion(x, u, alphabet))
         info.alphas.append(alpha)
-        info.costs.append(cost)
-        info.distortions.append(d)
-        feasible = cost <= gamma
-        if feasible:
-            info.n_feasible += 1
-            if d < best_dist:
-                best_u, best_dist, best_alpha = u, d, alpha
-        return feasible
+        info.costs.append(point.cost)
+        info.distortions.append(point.distortion)
+        info.n_feasible += point.cost <= gamma
+        return point
 
-    hi = alpha_max
-    if not consider(project_lagrangian(x, w, alphabet, hi), hi):
-        u_min = _min_cost_path(x, w, alphabet)
-        if not consider(u_min, math.inf):
-            raise InfeasibleProjection(
-                f"no sequence attains cost <= {gamma}",
-                min_cost=complexity_cost(u_min, w),
-            )
-    lo = 0.0
-    for _ in range(BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        if consider(project_lagrangian(x, w, alphabet, mid), mid):
-            hi = mid
+    left = sweep_pass(project_lagrangian(x, w, alphabet, 0.0), 0.0)
+    right = left
+    if left.cost > gamma:
+        alpha_max = 2.0 * w.max_finite() * len(x)
+        if alpha_max <= 0:
+            alpha_max = 1.0
+        right = sweep_pass(project_lagrangian(x, w, alphabet, alpha_max), alpha_max)
+        if right.cost > gamma:
+            left = right
+            right = sweep_pass(_min_cost_path(x, w, alphabet), math.inf)
+            if right.cost > gamma:
+                raise InfeasibleProjection(
+                    f"no sequence attains cost <= {gamma}", min_cost=right.cost
+                )
+        elif math.isinf(left.cost):
+            # the rounding uses a forbidden window: the left end is the
+            # alpha -> 0+ limit instead, the nearest sequence of finite cost
+            left = sweep_pass(_finite_cost_rounding(x, w, alphabet), 0.0)
+            if left.cost <= gamma:
+                right = left
+
+    windows = len(x) - w.k
+    while right.distortion > left.distortion:
+        alpha = (right.distortion - left.distortion) / ((left.cost - right.cost) * windows)
+        point = sweep_pass(project_lagrangian(x, w, alphabet, alpha), alpha)
+        end = right if point.cost <= gamma else left
+        inside = right.cost < point.cost < left.cost
+        if not (inside or (point.cost == end.cost and point.distortion < end.distortion)):
+            break
+        if end is right:
+            right = point
         else:
-            lo = mid
-
-    info.best_alpha = best_alpha
-    return (best_u, info) if full_output else best_u
+            left = point
+    info.best_alpha = right.alpha
+    return (right.u, info) if full_output else right.u
 
 
 def _distortion(x: np.ndarray, u: np.ndarray, alphabet: QuantAlphabet) -> float:
@@ -220,7 +268,7 @@ def project_l0(x: np.ndarray, alphabet: QuantAlphabet, s: int) -> np.ndarray:
     are zeroed.  This is the exact constrained projection for memoryless
     spike-and-slab weights.
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite_vector(x)
     n = len(x)
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= {n}, got {s}")

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_weight_table
 from qmap.empirics import complexity_cost
@@ -15,9 +17,17 @@ from qmap.projection import (
     project_constrained,
     project_l0,
     project_lagrangian,
+    sequence_costs,
 )
 from qmap.quantize import build_alphabet
-from qmap.sources import SpikeSlab, quantized_kernel, weight_gap, weights_from_kernel
+from qmap.sources import (
+    PiecewiseConstant,
+    SpikeSlab,
+    WeightTable,
+    quantized_kernel,
+    weight_gap,
+    weights_from_kernel,
+)
 
 
 def lagrangian_objective(x, u, w, alphabet, alpha):
@@ -51,15 +61,23 @@ def test_grid_sequence_is_fixed_point_for_small_alpha(rng):
 
 
 def test_lagrangian_matches_bruteforce(rng):
-    for trial in range(80):
+    for trial in range(160):
         n = int(rng.integers(3, 9))
         size = int(rng.integers(2, 4))
         k = int(rng.integers(0, 3))
         if n <= k:
             continue
         w = random_weight_table(rng, size, k, inf_frac=0.2)
-        x = rng.normal(0.3, 0.6, n)
-        alpha = float(rng.exponential(0.5))
+        if trial % 2:
+            x = rng.normal(0.3, 0.6, n)
+            alpha = float(rng.exponential(0.5))
+        else:
+            # tie-heavy: grid points and midpoints, small integer weights and
+            # dyadic alpha keep every objective exact, so exact ties are
+            # common and only the tie-break decides the sequence
+            x = w.alphabet.values[rng.integers(0, size, n)] + rng.choice([0.0, 0.125], n)
+            w.w[np.isfinite(w.w)] = rng.integers(0, 3, np.isfinite(w.w).sum())
+            alpha = float(rng.choice([0.0, 0.125, 0.5, 1.0, 4.0]))
         u_dp = project_lagrangian(x, w, w.alphabet, alpha)
         u_bf = project_bruteforce(x, w, w.alphabet, alpha=alpha)
         o_dp = lagrangian_objective(x, u_dp, w, w.alphabet, alpha)
@@ -129,8 +147,9 @@ def test_constrained_matches_l0_on_spike_slab(rng):
 
 
 def test_constrained_vs_exhaustive_at_toy_scale(rng):
-    # the bisection sweep attains the exhaustive constrained optimum except
-    # on duality-gap instances, which are recorded and excluded
+    # the breakpoint search returns the best feasible Lagrangian solution,
+    # which is the exhaustive constrained optimum except on duality-gap
+    # instances (optimum off the convex hull); those are counted
     gaps = 0
     for _ in range(40):
         n = int(rng.integers(3, 7))
@@ -149,8 +168,122 @@ def test_constrained_vs_exhaustive_at_toy_scale(rng):
         assert complexity_cost(u_sw, w) <= gamma
         assert d_sw >= d_bf - 1e-12
         if d_sw > d_bf + 1e-9:
-            gaps += 1  # Lagrangian path skipped the constrained optimum
-    assert gaps < 20  # the sweep attains the optimum on most instances
+            gaps += 1  # the constrained optimum is not a hull vertex
+    assert gaps < 20  # the search attains the optimum on most instances
+
+
+def lagrangian_hull(raws, dists, collinear=False):
+    """Vertices (raw cost, distortion) of the lower convex hull of the
+    points, from the least-cost one to the least-distortion one: the
+    solutions of the Lagrangian projection as alpha runs from inf to 0.
+    collinear=True also keeps the points that lie on the hull's edges."""
+    hull = []
+    for p in sorted(set(zip(raws, dists))):
+        while len(hull) >= 2:
+            turn = ((hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+                    - (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0]))
+            if turn > 0 or (collinear and turn == 0):
+                break
+            hull.pop()
+        hull.append(p)
+    d_min = min(d for _, d in hull)
+    return hull[: next(i for i, (_, d) in enumerate(hull) if d == d_min) + 1]
+
+
+def hull_value(hull, raw):
+    """The hull's distortion at a raw cost (flat right of the last vertex)."""
+    for (c0, d0), (c1, d1) in zip(hull, hull[1:]):
+        if c0 <= raw <= c1:
+            return d0 + (d1 - d0) * (raw - c0) / (c1 - c0)
+    return hull[-1][1] if raw >= hull[-1][0] else math.inf
+
+
+@st.composite
+def constrained_cases(draw):
+    k = draw(st.sampled_from([0, 1, 2]))
+    size = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(k + 1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = random_weight_table(rng, size, k, inf_frac=draw(st.sampled_from([0.0, 0.2, 0.5])))
+    # dyadic weights keep every raw cost exact, so the projector's cost and
+    # the enumeration's agree to the bit at the budget; small weights put
+    # breakpoints above alpha_max, where the minimum-cost path takes over
+    scale = draw(st.sampled_from([4.0, 64.0]))
+    w.w[np.isfinite(w.w)] = np.round(w.w[np.isfinite(w.w)] * 4) / scale
+    if draw(st.booleans()):
+        x = w.alphabet.values[rng.integers(0, size, n)] + rng.choice([0.0, 0.125], n)
+    else:
+        x = rng.normal(0.3, 0.5, n)
+    if draw(st.booleans()):
+        # forbid a window of the plain rounding (its context row keeps a
+        # finite entry), so the alpha = 0 pass has cost +inf
+        u0 = nearest_index(w.alphabet, x)
+        window = tuple(u0[:k + 1])
+        row = w.w[window[:-1]]
+        if np.isfinite(np.delete(row, window[-1])).any():
+            w.w[window] = np.inf
+    seqs = enumerate_sequences(size, n)
+    costs = sequence_costs(seqs, w) / (n - k)
+    finite = costs[np.isfinite(costs)]
+    frac = draw(st.floats(-0.2, 1.2))
+    gamma = float(finite.min() + frac * (finite.max() - finite.min()))
+    return x, w, gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(constrained_cases())
+@example((  # the rounding [0, 1, 1] uses the forbidden window (1, 1)
+    np.array([0.0, 0.25, 0.25]),
+    WeightTable(build_alphabet(0.0, 0.5, 2), 1, np.array([[0.0, 1.0], [0.5, np.inf]])),
+    0.5,
+))
+def test_constrained_is_best_feasible_hull_vertex(case):
+    x, w, gamma = case
+    windows = len(x) - w.k
+    seqs = enumerate_sequences(w.alphabet.size, len(x))
+    raws = sequence_costs(seqs, w)
+    dists = ((w.alphabet.values[seqs] - x[None, :]) ** 2).sum(axis=1)
+    finite = np.isfinite(raws)
+    # raw costs are exact (dyadic weights), and so are the distortions of
+    # grid-point x: collinear points are then dropped exactly, leaving only
+    # true vertices
+    hull = lagrangian_hull(raws[finite].tolist(), dists[finite].tolist())
+    feasible = [d for raw, d in hull if raw / windows <= gamma]
+    if not feasible:
+        with pytest.raises(InfeasibleProjection) as exc:
+            project_constrained(x, w, w.alphabet, gamma)
+        assert exc.value.min_cost == float(raws.min()) / windows
+        return
+    u, info = project_constrained(x, w, w.alphabet, gamma, full_output=True)
+    cost = complexity_cost(u, w)
+    d = float(((w.alphabet.values[u] - x) ** 2).sum())
+    assert cost <= gamma
+    # the feasible vertex of least distortion, or a point of the hull edge
+    # through it when the edge holds further (collinear) points
+    assert d <= min(feasible) + 1e-12
+    assert d <= hull_value(hull, cost * windows) + 1e-12
+    # every pass that moves an end finds a new hull point: a vertex, or a
+    # point on an edge when points are collinear
+    boundary = lagrangian_hull(raws[finite].tolist(), dists[finite].tolist(), collinear=True)
+    assert len(info.alphas) <= len(boundary) + 3
+
+
+def test_constrained_pass_count_on_piecewise_constant_path():
+    # a noisy piecewise-constant path whose budget allows the clean path's
+    # jumps plus half a jump, as in the project benchmark, at S=64, n=1024
+    n, p, b = 1024, 0.1, 6
+    rng = np.random.default_rng(7)
+    values = rng.random(n)
+    jumps = rng.random(n) < p
+    jumps[0] = True
+    clean = values[np.maximum.accumulate(np.where(jumps, np.arange(n), 0))]
+    x = clean + 0.05 * rng.standard_normal(n)
+    w = weights_from_kernel(quantized_kernel(PiecewiseConstant(p), b))
+    half_jump = 0.5 * (w.w[0, 1] - w.w[0, 0]) / (n - 1)
+    gamma = complexity_cost(nearest_index(w.alphabet, clean), w) + half_jump
+    u, info = project_constrained(x, w, w.alphabet, gamma, full_output=True)
+    assert complexity_cost(u, w) <= gamma
+    assert len(info.alphas) <= 20
 
 
 def test_infeasible_carries_min_cost(rng):
@@ -162,6 +295,25 @@ def test_infeasible_carries_min_cost(rng):
     assert exc.value.min_cost == pytest.approx(
         -math.log2(1 - p + p * 2.0 ** -b), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("projector", ["lagrangian", "constrained", "l0"])
+def test_projectors_reject_non_finite_input(projector, bad):
+    # NaN used to raise a stray IndexError in the trellis (or return a
+    # wrong sequence at k=0), inf was reported as InfeasibleProjection, and
+    # project_l0 returned a wrong projection for either
+    x = np.array([0.1, 0.6, bad, 0.3, 0.9, 0.2])
+    for w in (weights_from_kernel(quantized_kernel(SpikeSlab(0.3), 2)),
+              weights_from_kernel(quantized_kernel(PiecewiseConstant(0.3), 2))):
+        project = {
+            "lagrangian": lambda: project_lagrangian(x, w, w.alphabet, 0.5),
+            "constrained": lambda: project_constrained(x, w, w.alphabet, 0.5),
+            "l0": lambda: project_l0(x, w.alphabet, 3),
+        }[projector]
+        with pytest.raises(ValueError, match="finite") as exc:
+            project()
+        assert not isinstance(exc.value, InfeasibleProjection)
 
 
 def test_project_l0_examples(rng):
