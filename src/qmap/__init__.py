@@ -28,7 +28,6 @@ from .empirics import (
     k_type,
     kl_divergence,
     l1_distance,
-    lz78_length,
 )
 from .projection import (
     InfeasibleProjection,
@@ -38,7 +37,7 @@ from .projection import (
     project_l0,
     project_lagrangian,
 )
-from .sensing import SenseMatrix, gen_gaussian, load_matrix, measure, save_matrix, sigma_max
+from .sensing import SenseMatrix, gen_gaussian, measure
 from .solver import (
     ConstrainedProjector,
     L0Projector,
@@ -67,10 +66,10 @@ __all__ = [
     "sample_path", "quantized_kernel", "weights_from_kernel", "cond_entropy",
     "info_dimension_curve", "weight_gap",
     "KType", "k_type", "complexity_cost", "cond_empirical_entropy", "count_jumps",
-    "l1_distance", "kl_divergence", "lz78_length",
+    "l1_distance", "kl_divergence",
     "InfeasibleProjection", "ProblemTooLarge", "project_lagrangian",
     "project_constrained", "project_bruteforce", "project_l0",
-    "SenseMatrix", "gen_gaussian", "measure", "sigma_max", "save_matrix", "load_matrix",
+    "SenseMatrix", "gen_gaussian", "measure",
     "PgdConfig", "PgdTrace", "ConstrainedProjector", "LagrangianProjector",
     "L0Projector", "pgd_solve", "default_gamma", "qmap_bruteforce",
     "qmap_lagrangian_bruteforce",

@@ -108,7 +108,7 @@ def cmd_infodim(config: dict, out: str, jobs: int) -> int:
 
 
 def cmd_validate(config: dict, out: str, jobs: int) -> int:
-    report = experiments.run_validate(config, jobs=jobs)
+    report = experiments.run_validate(config)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

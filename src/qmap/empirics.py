@@ -1,6 +1,6 @@
 """Empirical statistics of quantized sequences: k-types, the weighted
-complexity cost, conditional empirical entropy, divergences, jump counts,
-and the LZ78 codelength."""
+complexity cost, conditional empirical entropy, divergences and jump
+counts."""
 
 from __future__ import annotations
 
@@ -127,54 +127,3 @@ def kl_divergence(p: Mapping, q: Mapping) -> float:
             return math.inf
         total += pv * math.log2(pv / qv)
     return total
-
-
-def lz78_length(u: np.ndarray, alphabet_size: int) -> int:
-    """LZ78 codelength of u in bits.
-
-    The sequence is parsed incrementally into phrases, each the shortest
-    phrase not seen before; phrase j costs ceil(log2 j) bits for a pointer
-    into the j previous parse-tree nodes (the empty root included) plus one
-    literal of ceil(log2 alphabet_size) bits.  A final phrase that repeats
-    an existing node is charged the same way, which keeps the code uniquely
-    decodable given the length.
-    """
-    u = np.asarray(u, dtype=np.int64)
-    if len(u) < 1:
-        raise ValueError("need a nonempty sequence")
-    if alphabet_size < 1 or (u.min() < 0 or u.max() >= alphabet_size):
-        raise ValueError("symbols must lie in [0, alphabet_size)")
-    literal_bits = math.ceil(math.log2(alphabet_size))
-    dictionary: dict[tuple[int, ...], int] = {}
-    bits = 0
-    phrases = 0
-    phrase: tuple[int, ...] = ()
-    for symbol in u:
-        candidate = phrase + (int(symbol),)
-        if candidate in dictionary:
-            phrase = candidate
-            continue
-        phrases += 1
-        dictionary[candidate] = phrases
-        bits += _pointer_bits(phrases) + literal_bits
-        phrase = ()
-    if phrase:
-        # input ended inside a known phrase: emit it as one more phrase
-        phrases += 1
-        bits += _pointer_bits(phrases) + literal_bits
-    return bits
-
-
-def _pointer_bits(j: int) -> int:
-    return math.ceil(math.log2(j)) if j > 1 else 0
-
-
-def lz78_entropy_slack(n: int, b: int, k: int) -> float:
-    """Per-symbol slack between the LZ78 rate and the order-k empirical
-    entropy for alphabets of size 2^b; +inf where the bound is vacuous."""
-    log_n = math.log2(n)
-    eps = (2 * b + math.log2(2.0 ** b + (2.0 ** b - 1.0) / b * log_n - 2.0)) / log_n
-    denom = (1.0 - eps) * log_n - b
-    if denom <= 0:
-        return math.inf
-    return b * (k * b + b + 3) / denom

@@ -118,6 +118,9 @@ def run_recovery_trial(config: dict, index: int) -> dict:
     sigma = float(config.get("sigma", 0.0))
     scale = config.get("scale", "unit")
     model = build_model(config["model"])
+    kernel = quantized_kernel(model, b)
+    if k != kernel.k:
+        raise ValueError(f"config k={k} differs from the model's memory order k={kernel.k}")
     seeds = trial_seed(int(config["seed"]), index).spawn(3)
     seed_x, seed_a, seed_z = (int(s.generate_state(1)[0]) for s in seeds)
 
@@ -128,7 +131,6 @@ def run_recovery_trial(config: dict, index: int) -> dict:
     target = truth_q if config.get("measure_quantized", True) else x
     y = measure(A, target, sigma, seed_z)
 
-    kernel = quantized_kernel(model, b)
     w = weights_from_kernel(kernel)
     projector = build_projector(config["projector"], kernel)
     schedule = config.get(
@@ -141,8 +143,7 @@ def run_recovery_trial(config: dict, index: int) -> dict:
     def run_stage(proj, stage_alphabet, stage_w, mu, max_iters, start, stop_tol=0.0):
         nonlocal iters
         cfg = PgdConfig(
-            projector=proj, b=stage_alphabet.b, k=k, mu=mu, max_iters=max_iters,
-            stop_tol=stop_tol, allow_unpaired_mu=True, start=start,
+            projector=proj, mu=mu, max_iters=max_iters, stop_tol=stop_tol, start=start,
         )
         est, trace = pgd_solve(A, y, stage_w, stage_alphabet, cfg, truth=x)
         iters += trace.iters
@@ -152,9 +153,8 @@ def run_recovery_trial(config: dict, index: int) -> dict:
 
     if schedule == "single":
         mu = config.get("mu")
-        cfg_mu = float(mu) if mu is not None else A.paired_step
         est, trace = run_stage(
-            projector, alphabet, w, cfg_mu,
+            projector, alphabet, w, None if mu is None else float(mu),
             int(config.get("max_iters", 200)), None,
             stop_tol=float(config.get("stop_tol", 0.0)),
         )
@@ -280,7 +280,7 @@ def run_infodim(config: dict) -> list[dict]:
 INFODIM_COLUMNS = ["b", "ratio", "k", "spike_slab_limit"]
 
 
-def run_validate(config: dict, jobs: int = 1) -> dict:
+def run_validate(config: dict) -> dict:
     """Run the configured validation suites and aggregate the estimates."""
     seed = int(config["seed"])
     suites = config["suites"]

@@ -276,7 +276,9 @@ def project_l0(x: np.ndarray, alphabet: QuantAlphabet, s: int) -> np.ndarray:
     if zero_idx is None:
         raise ValueError("alphabet does not contain 0")
     q = nearest_index(alphabet, x)
-    gains = x ** 2 - (x - alphabet.values[q]) ** 2
+    v = alphabet.values[q]
+    # half of x^2 - (x - v)^2, which would overflow for |x| near 1e300
+    gains = v * (x - 0.5 * v)
     order = np.argsort(-gains, kind="stable")
     out = np.full(n, zero_idx, dtype=np.int64)
     keep = order[:s]
@@ -286,12 +288,9 @@ def project_l0(x: np.ndarray, alphabet: QuantAlphabet, s: int) -> np.ndarray:
 
 def nearest_index(alphabet: QuantAlphabet, x: np.ndarray) -> np.ndarray:
     """Index of the closest grid value to each coordinate (lower on ties)."""
-    x = np.asarray(x, dtype=float)
-    lo_idx = np.clip(
-        np.floor((x - alphabet.values[0]) * 2.0 ** alphabet.b).astype(np.int64),
-        0,
-        alphabet.size - 1,
-    )
+    # clipped first, so the scaled offset stays in [0, size - 1] for any x
+    x = np.clip(np.asarray(x, dtype=float), alphabet.values[0], alphabet.values[-1])
+    lo_idx = np.floor((x - alphabet.values[0]) * 2.0 ** alphabet.b).astype(np.int64)
     hi_idx = np.minimum(lo_idx + 1, alphabet.size - 1)
     d_lo = np.abs(x - alphabet.values[lo_idx])
     d_hi = np.abs(x - alphabet.values[hi_idx])

@@ -48,21 +48,11 @@ class QuantAlphabet:
     def size(self) -> int:
         return len(self.values)
 
-    @property
-    def step(self) -> float:
-        return 2.0 ** -self.b
-
-    def __len__(self) -> int:
-        return len(self.values)
-
     def zero_index(self) -> int | None:
         """Index of the value 0.0, or None when the grid does not hold it."""
         # values[j] = (i0 + j) * step exactly, so 0.0 sits at j = -i0
         j = -int(self.values[0] * 2 ** self.b)
         return j if 0 <= j < self.size else None
-
-    def contains_zero(self) -> bool:
-        return self.zero_index() is not None
 
 
 def build_alphabet(lo: float, hi: float, b: int) -> QuantAlphabet:

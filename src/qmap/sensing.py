@@ -1,23 +1,13 @@
-"""Gaussian design matrices, noisy linear measurement, and spectral utilities."""
+"""Gaussian design matrices and noisy linear measurement."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 SCALES = ("unit", "normalized")
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; last_estimate holds the final iterate."""
-
-    def __init__(self, message: str, last_estimate: float):
-        super().__init__(message)
-        self.last_estimate = last_estimate
 
 
 @dataclass(frozen=True)
@@ -32,7 +22,6 @@ class SenseMatrix:
     n: int
     entries: np.ndarray
     scale: str
-    seed: int
 
     def __post_init__(self):
         if self.scale not in SCALES:
@@ -56,7 +45,7 @@ def gen_gaussian(m: int, n: int, scale: str, seed: int) -> SenseMatrix:
     entries = np.random.default_rng(seed).standard_normal((m, n))
     if scale == "normalized":
         entries = entries / math.sqrt(n)
-    return SenseMatrix(m=m, n=n, entries=entries, scale=scale, seed=seed)
+    return SenseMatrix(m=m, n=n, entries=entries, scale=scale)
 
 
 def measure(A: SenseMatrix, x: np.ndarray, sigma: float, seed: int) -> np.ndarray:
@@ -70,51 +59,3 @@ def measure(A: SenseMatrix, x: np.ndarray, sigma: float, seed: int) -> np.ndarra
     if sigma > 0:
         y = y + sigma * np.random.default_rng(seed).standard_normal(A.m)
     return y
-
-
-def sigma_max(A: SenseMatrix, tol: float = 1e-8, max_iters: int = 10_000) -> float:
-    """Largest singular value via power iteration on A^T A.
-
-    Only the top singular value is needed anywhere, so a full SVD is avoided.
-    """
-    B = A.entries
-    v = np.random.default_rng(0xA11CE).standard_normal(A.n)
-    v /= np.linalg.norm(v)
-    est = float(np.linalg.norm(B @ v))
-    for _ in range(max_iters):
-        w = B.T @ (B @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        new_est = float(np.linalg.norm(B @ v))
-        if abs(new_est - est) <= tol * max(new_est, 1e-300):
-            return new_est
-        est = new_est
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iters} iterations", last_estimate=est
-    )
-
-
-def save_matrix(A: SenseMatrix, path: str | Path) -> None:
-    """Raw little-endian float64 row-major binary plus a JSON sidecar."""
-    path = Path(path)
-    path.write_bytes(A.entries.astype("<f8").tobytes(order="C"))
-    sidecar = {"m": A.m, "n": A.n, "scale": A.scale, "seed": A.seed}
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def load_matrix(path: str | Path) -> SenseMatrix:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text(encoding="utf-8"))
-    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-    entries = raw.reshape(sidecar["m"], sidecar["n"]).astype(float)
-    return SenseMatrix(
-        m=int(sidecar["m"]),
-        n=int(sidecar["n"]),
-        entries=entries,
-        scale=str(sidecar["scale"]),
-        seed=int(sidecar["seed"]),
-    )

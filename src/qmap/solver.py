@@ -13,14 +13,12 @@ the zero vector itself is infeasible.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
-from .empirics import complexity_cost
 from .projection import (
     InfeasibleProjection,
     enumerate_sequences,
@@ -56,21 +54,16 @@ ProjectorSpec = Union[ConstrainedProjector, LagrangianProjector, L0Projector]
 class PgdConfig:
     """Solver knobs.
 
-    mu = None derives the step size paired with the matrix scaling (1/m for
-    unit-variance entries, n/m for 1/n-variance entries); an explicit
-    mismatched mu is refused unless allow_unpaired_mu is set.  stop_tol is
+    mu = None takes the step size paired with the matrix scaling (1/m for
+    unit-variance entries, n/m for 1/n-variance entries).  stop_tol is
     compared against the iterate change, so 0 still stops at an exact fixed
     point.
     """
 
     projector: ProjectorSpec
-    b: int
-    k: int
     mu: Optional[float] = None
     max_iters: int = 200
     stop_tol: float = 0.0
-    seed: int = 0
-    allow_unpaired_mu: bool = False
     start: Optional[np.ndarray] = None  # symbol indices; default all-zero values
 
 
@@ -78,20 +71,16 @@ class PgdConfig:
 class PgdTrace:
     """Per-iteration telemetry; index t = 0 is the initial state.
 
-    Estimates themselves are kept as compact content hashes so long runs
-    stay cheap while still pinning down the exact iterate sequence.
-
     status says why the run stopped: "converged" (the iterate change fell
     to stop_tol), "cycle" (an iterate repeated exactly, so the rest of the
     run up to max_iters is known), "max_iters", or "infeasible" (set on the
     trace attached to the InfeasibleProjection raised by the projector).
-    After a cycle is found the rows up to max_iters are filled from its
-    period: they are exactly the rows the remaining iterations would record.
+    After a cycle is found the series up to max_iters are filled from its
+    period: they are exactly the values the remaining iterations would
+    record.
     """
 
     residuals: list[float] = field(default_factory=list)
-    costs: list[float] = field(default_factory=list)
-    estimate_hashes: list[str] = field(default_factory=list)
     err_quantized: Optional[list[float]] = None
     err_analog: Optional[list[float]] = None
     status: str = "max_iters"
@@ -99,29 +88,6 @@ class PgdTrace:
     @property
     def iters(self) -> int:
         return len(self.residuals) - 1
-
-    def rows(self) -> list[dict]:
-        out = []
-        for t in range(len(self.residuals)):
-            row = {"t": t, "residual": self.residuals[t], "cost": self.costs[t]}
-            row["err_quantized"] = self.err_quantized[t] if self.err_quantized else ""
-            row["err_analog"] = self.err_analog[t] if self.err_analog else ""
-            out.append(row)
-        return out
-
-    def to_csv(self, path) -> None:
-        """Write the per-iteration telemetry as a CSV file."""
-        lines = ["t,residual,cost,err_quantized,err_analog"]
-        for row in self.rows():
-            lines.append(
-                ",".join(
-                    repr(v) if isinstance(v, float) else str(v)
-                    for v in (row["t"], row["residual"], row["cost"],
-                              row["err_quantized"], row["err_analog"])
-                )
-            )
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def default_gamma(kernel: QuantKernel, delta: float = 0.1) -> float:
@@ -158,13 +124,6 @@ def pgd_solve(
     if y.shape != (A.m,):
         raise ValueError(f"y has shape {y.shape}, expected ({A.m},)")
     mu = cfg.mu if cfg.mu is not None else A.paired_step
-    if cfg.mu is not None and not cfg.allow_unpaired_mu:
-        paired = A.paired_step
-        if abs(cfg.mu - paired) > 1e-9 * paired:
-            raise ValueError(
-                f"mu={cfg.mu} is not the step paired with scale={A.scale!r} "
-                f"({paired}); set allow_unpaired_mu to override"
-            )
     if cfg.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if cfg.stop_tol < 0:
@@ -190,13 +149,9 @@ def pgd_solve(
         trace.err_quantized = []
         trace.err_analog = []
 
-    def record(cur_idx: np.ndarray, est: np.ndarray) -> np.ndarray:
+    def record(est: np.ndarray) -> np.ndarray:
         resid = y - A.entries @ est
         trace.residuals.append(float(np.linalg.norm(resid)))
-        trace.costs.append(complexity_cost(cur_idx, w))
-        trace.estimate_hashes.append(
-            hashlib.blake2b(cur_idx.tobytes(), digest_size=8).hexdigest()
-        )
         if truth is not None:
             trace.err_quantized.append(float(np.linalg.norm(est - truth_q)))
             trace.err_analog.append(float(np.linalg.norm(est - truth)))
@@ -207,7 +162,7 @@ def pgd_solve(
     # seen maps each distinct iterate to its first t, in order of t.
     seen = {idx.tobytes(): 0}
     est = alphabet.values[idx]
-    resid = record(idx, est)
+    resid = record(est)
     for t in range(1, cfg.max_iters + 1):
         s_vec = est + mu * (A.entries.T @ resid)
         try:
@@ -220,16 +175,16 @@ def pgd_solve(
         new_est = alphabet.values[new_idx]
         change = float(np.linalg.norm(new_est - est))
         idx, est = new_idx, new_est
-        resid = record(idx, est)
+        resid = record(est)
         if change <= cfg.stop_tol:
             trace.status = "converged"
             break
         t0 = seen.setdefault(idx.tobytes(), t)
         if t0 < t:
             # every change within the period exceeded stop_tol, so the
-            # period repeats up to max_iters; copy its rows one period back
+            # period repeats up to max_iters; copy its values one period back
             period = t - t0
-            series = [trace.residuals, trace.costs, trace.estimate_hashes]
+            series = [trace.residuals]
             if truth is not None:
                 series += [trace.err_quantized, trace.err_analog]
             for values in series:

@@ -1,5 +1,5 @@
 """Stationary source models: samplers, exact quantized kernels, weight tables,
-information-dimension curves, and mixing-coefficient bounds.
+and information-dimension curves.
 
 Built-in models fix the slab distribution to Unif[0,1) (density floor 1), so
 their quantized kernels have closed forms.  Arbitrary quantized chains enter
@@ -29,10 +29,6 @@ class SpikeSlab:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
 
-    @property
-    def order(self) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
 class PiecewiseConstant:
@@ -46,10 +42,6 @@ class PiecewiseConstant:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         if self.f_min <= 0:
             raise ValueError("f_min must be positive")
-
-    @property
-    def order(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -78,20 +70,12 @@ class QuantKernel:
         if abs(total - 1.0) > _ROW_TOL:
             raise ValueError(f"context marginal sums to {total!r}, not 1")
 
-    def prob(self, context: tuple[int, ...], symbol: int) -> float:
-        row = self.rows.get(tuple(context))
-        return 0.0 if row is None else float(row[symbol])
-
 
 @dataclass(frozen=True)
 class TableMarkov:
     """Source given directly by an explicit quantized kernel."""
 
     kernel: QuantKernel
-
-    @property
-    def order(self) -> int:
-        return self.kernel.k
 
 
 SourceModel = Union[SpikeSlab, PiecewiseConstant, TableMarkov]
@@ -111,9 +95,6 @@ class WeightTable:
             raise ValueError(f"weight array shape {self.w.shape} != {(s,) * (self.k + 1)}")
         if np.any(self.w[np.isfinite(self.w)] < -1e-12):
             raise ValueError("weights must be nonnegative")
-
-    def __getitem__(self, window: tuple[int, ...]) -> float:
-        return float(self.w[tuple(window)])
 
     def max_finite(self) -> float:
         finite = self.w[np.isfinite(self.w)]
@@ -289,22 +270,6 @@ def weight_gap(p: float, b: int) -> float:
     return math.log2(((1.0 - p) + cell) / cell)
 
 
-def pc_psi1_upper_bound(p: float, f_min: float, b: int, g: int) -> float:
-    """Upper bound on the gap-g mixing coefficient of the quantized
-    piecewise-constant chain: (1-(1-p)^g) + (1-p)^g * 2^b / f_min."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    if f_min <= 0 or b < 1 or g < 1:
-        raise ValueError("need f_min > 0, b >= 1, g >= 1")
-    hold = (1.0 - p) ** g
-    return (1.0 - hold) + hold * 2.0 ** b / f_min
-
-
-def pc_psi2() -> float:
-    """Second mixing functional of the piecewise-constant chain; exactly 1."""
-    return 1.0
-
-
 def stationary_context_law(
     rows: dict[tuple[int, ...], np.ndarray], size: int, k: int
 ) -> dict[tuple[int, ...], float]:
@@ -349,16 +314,3 @@ def kernel_from_json(doc: dict) -> QuantKernel:
         rows[ctx] = np.asarray(entry["probs"], dtype=float)
     marginal = stationary_context_law(rows, alphabet.size, k)
     return QuantKernel(alphabet=alphabet, k=k, rows=rows, marginal=marginal)
-
-
-def kernel_to_json(kernel: QuantKernel) -> dict:
-    return {
-        "b": kernel.alphabet.b,
-        "k": kernel.k,
-        "lo": kernel.alphabet.lo,
-        "hi": kernel.alphabet.hi,
-        "rows": [
-            {"context": list(ctx), "probs": [float(v) for v in row]}
-            for ctx, row in sorted(kernel.rows.items())
-        ],
-    }

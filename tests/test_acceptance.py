@@ -284,8 +284,7 @@ def test_criterion_10_bruteforce_qmap_consistency():
         resid = np.linalg.norm(ab.values[seqs] @ A.entries.T - y[None, :], axis=1)
         if not np.all(r_orc <= resid[feasible] + 1e-12):
             bad.append(f"oracle beaten at instance {i}")
-        cfg = PgdConfig(projector=ConstrainedProjector(gamma), b=b, k=0,
-                        max_iters=25, stop_tol=0.0)
+        cfg = PgdConfig(projector=ConstrainedProjector(gamma), max_iters=25, stop_tol=0.0)
         est, _ = pgd_solve(A, y, w, ab, cfg)
         idx = quantize_vector(est, ab)
         if complexity_cost(idx, w) > gamma:

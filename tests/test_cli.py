@@ -127,10 +127,19 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_k_differing_from_model_order_exits_1(tmp_path, capsys):
+    # k only labels the k column; the solver takes the order from the model
+    for command, cfg in (("recover", RECOVER_CFG), ("phase", PHASE_CFG)):
+        path = write_cfg(tmp_path, f"{command}_k.json", dict(cfg, k=1))
+        assert run([command, "--config", path, "--out", tmp_path / "k.out", "--jobs", 1]) == 1
+        err = capsys.readouterr().err
+        assert "error: ValueError: config k=1 differs from the model's memory order k=0" in err
+
+
 def test_validate_failure_exits_1(tmp_path, monkeypatch):
     import qmap.experiments as experiments
 
-    def broken(config, jobs=1):
+    def broken(config):
         return {"config": config, "results": [], "ok": False}
 
     monkeypatch.setattr(experiments, "run_validate", broken)

@@ -34,7 +34,7 @@ def lagrangian_objective(x, u, w, alphabet, alpha):
     dist = float(((alphabet.values[u] - x) ** 2).sum())
     if alpha == 0.0:
         return dist
-    raw = sum(w[tuple(u[i - w.k: i + 1])] for i in range(w.k, len(u)))
+    raw = sum(float(w.w[tuple(u[i - w.k: i + 1])]) for i in range(w.k, len(u)))
     return dist + alpha * raw
 
 
@@ -332,6 +332,20 @@ def test_project_l0_examples(rng):
     ab2 = build_alphabet(0, 1, 3)
     assert np.array_equal(project_l0(x, ab2, 10), nearest_index(ab2, x))
     assert np.all(ab2.values[project_l0(x, ab2, 0)] == 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("huge", [1e300, 1.7e308])
+def test_project_l0_keeps_huge_coordinates(huge):
+    # x^2 and the grid offset scaled by 2^b overflow at these sizes; the
+    # huge coordinate still has the largest gain and must be kept
+    ab01 = build_alphabet(0, 1, 2)
+    assert list(project_l0(np.array([0.3, huge, 0.6, 0.9]), ab01, 1)) == [0, 3, 0, 0]
+    assert list(project_l0(np.array([0.3, -huge, 0.6, 0.9]), ab01, 1)) == [0, 0, 0, 3]
+    ab11 = build_alphabet(-1, 1, 2)
+    assert list(project_l0(np.array([0.3, -huge, 0.6, 0.9]), ab11, 1)) == [4, 0, 4, 4]
+    assert list(project_l0(np.array([0.3, huge, 0.6, 0.9]), ab11, 1)) == [4, 7, 4, 4]
+    assert list(nearest_index(ab11, np.array([-huge, huge]))) == [0, 7]
 
 
 def test_project_l0_is_exact_constrained_projection(rng):

@@ -81,9 +81,9 @@ def test_alphabet_structure(rng):
         assert [int((v - ab.values[0]) * 2 ** b) for v in ab.values] == list(range(ab.size))
         zero = ab.zero_index()
         if ab.values[0] <= 0.0 <= ab.values[-1]:
-            assert ab.values[zero] == 0.0 and ab.contains_zero()
+            assert ab.values[zero] == 0.0
         else:
-            assert zero is None and not ab.contains_zero()
+            assert zero is None
 
 
 def test_build_alphabet_rejects_bad_range():

@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -50,9 +49,9 @@ def spike_setup(n, b, p, seed, m=None, sigma=0.0, scale="unit"):
 def test_identity_design_recovers_in_one_step():
     n, b, p = 16, 4, 0.3
     x, xq, ab, A, y, w = spike_setup(n, b, p, 7)
-    A = SenseMatrix(n, n, np.eye(n), "unit", 0)
+    A = SenseMatrix(n, n, np.eye(n), "unit")
     y = A.entries @ xq
-    cfg = PgdConfig(projector=L0Projector(n), b=b, k=0, mu=1.0, allow_unpaired_mu=True)
+    cfg = PgdConfig(projector=L0Projector(n), mu=1.0)
     est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
     assert np.array_equal(est, xq)
     assert trace.err_quantized[1] == 0.0
@@ -62,15 +61,14 @@ def test_identity_design_recovers_in_one_step():
 def test_feasibility_invariant_l0_and_constrained():
     n, b, p = 24, 2, 0.2
     x, xq, ab, A, y, w = spike_setup(n, b, p, 11, m=16)
-    cfg = PgdConfig(projector=L0Projector(5), b=b, k=0, max_iters=12)
+    cfg = PgdConfig(projector=L0Projector(5), max_iters=12)
     est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
     assert np.count_nonzero(est) <= 5
     gamma = default_gamma(quantized_kernel(SpikeSlab(p), b), delta=0.15)
-    cfg = PgdConfig(projector=ConstrainedProjector(gamma), b=b, k=0, max_iters=12)
+    cfg = PgdConfig(projector=ConstrainedProjector(gamma), max_iters=12)
     est, trace = pgd_solve(A, y, w, ab, cfg)
     idx = quantize_vector(est, ab)
     assert complexity_cost(idx, w) <= gamma
-    assert all(c <= gamma for c in trace.costs[1:])
 
 
 def test_noiseless_fixed_point_is_stationary():
@@ -78,8 +76,7 @@ def test_noiseless_fixed_point_is_stationary():
     x, xq, ab, A, y, w = spike_setup(n, b, p, 23)
     start = quantize_vector(xq, ab)
     cfg = PgdConfig(
-        projector=L0Projector(int(np.count_nonzero(xq)) + 1), b=b, k=0,
-        max_iters=5, start=start,
+        projector=L0Projector(int(np.count_nonzero(xq)) + 1), max_iters=5, start=start,
     )
     est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
     assert np.array_equal(est, xq)
@@ -90,10 +87,7 @@ def test_noiseless_fixed_point_is_stationary():
 def test_residual_mostly_nonincreasing_noiseless():
     n, b, p = 64, 4, 0.1
     x, xq, ab, A, y, w = spike_setup(n, b, p, 31, m=48)
-    cfg = PgdConfig(
-        projector=L0Projector(12), b=b, k=0, max_iters=40,
-        mu=0.4 / 48, allow_unpaired_mu=True,
-    )
+    cfg = PgdConfig(projector=L0Projector(12), max_iters=40, mu=0.4 / 48)
     est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
     drops = sum(
         1 for r0, r1 in zip(trace.residuals[1:], trace.residuals[2:]) if r1 <= r0 + 1e-12
@@ -102,14 +96,19 @@ def test_residual_mostly_nonincreasing_noiseless():
     assert total == 0 or drops / total >= 0.9  # telemetry, not a theorem
 
 
-def test_paired_step_enforced():
-    n, b, p = 8, 2, 0.3
-    x, xq, ab, A, y, w = spike_setup(n, b, p, 5, m=4)
-    cfg = PgdConfig(projector=L0Projector(3), b=b, k=0, mu=0.123)
-    with pytest.raises(ValueError, match="paired"):
-        pgd_solve(A, y, w, ab, cfg)
-    cfg = PgdConfig(projector=L0Projector(3), b=b, k=0, mu=0.123, allow_unpaired_mu=True)
-    pgd_solve(A, y, w, ab, cfg)  # override accepted
+def test_default_step_is_the_paired_step():
+    # mu = None takes 1/m for unit entries and n/m for 1/n-variance entries
+    for scale in ("unit", "normalized"):
+        n, b, p = 8, 2, 0.3
+        x, xq, ab, A, y, w = spike_setup(n, b, p, 5, m=4, scale=scale)
+        paired = pgd_solve(A, y, w, ab, PgdConfig(L0Projector(3), mu=A.paired_step),
+                           truth=x)
+        default = pgd_solve(A, y, w, ab, PgdConfig(L0Projector(3)), truth=x)
+        assert np.array_equal(default[0], paired[0])
+        assert default[1] == paired[1]
+    # an explicit step is used as given
+    other = pgd_solve(A, y, w, ab, PgdConfig(L0Projector(3), mu=0.123), truth=x)
+    assert other[1] != paired[1]
 
 
 def test_infeasible_projection_carries_iteration():
@@ -118,7 +117,7 @@ def test_infeasible_projection_carries_iteration():
     w = weights_from_kernel(quantized_kernel(SpikeSlab(0.3), b))
     A = gen_gaussian(4, n, "unit", 2)
     y = A.entries @ np.full(n, 0.75)
-    cfg = PgdConfig(projector=ConstrainedProjector(-1.0), b=b, k=0, max_iters=3)
+    cfg = PgdConfig(projector=ConstrainedProjector(-1.0), max_iters=3)
     with pytest.raises(InfeasibleProjection) as exc:
         pgd_solve(A, y, w, ab, cfg)
     assert exc.value.iteration == 1
@@ -130,27 +129,9 @@ def test_zero_not_in_alphabet_requires_start():
     w = random_weight_table(np.random.default_rng(0), ab.size, 0)
     w2 = type(w)(alphabet=ab, k=0, w=w.w)
     A = gen_gaussian(3, 4, "unit", 0)
-    cfg = PgdConfig(projector=LagrangianProjector(0.0), b=2, k=0)
+    cfg = PgdConfig(projector=LagrangianProjector(0.0))
     with pytest.raises(ValueError, match="zero"):
         pgd_solve(A, np.zeros(3), w2, ab, cfg)
-
-
-def test_trace_rows_export(tmp_path):
-    n, b, p = 10, 2, 0.5
-    x, xq, ab, A, y, w = spike_setup(n, b, p, 3, m=8)
-    assert np.count_nonzero(xq) > 0  # a moving iterate, not an instant fix point
-    cfg = PgdConfig(projector=L0Projector(4), b=b, k=0, max_iters=4)
-    est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
-    rows = trace.rows()
-    assert [r["t"] for r in rows] == list(range(len(trace.residuals)))
-    assert set(rows[0]) == {"t", "residual", "cost", "err_quantized", "err_analog"}
-    assert len(trace.estimate_hashes) == len(trace.residuals)
-    assert len(set(trace.estimate_hashes)) > 1  # the iterate actually moved
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,residual,cost,err_quantized,err_analog"
-    assert len(lines) == len(rows) + 1
 
 
 def test_qmap_bruteforce_unconstrained_square():
@@ -231,10 +212,7 @@ def test_pgd_feasible_and_dominated_by_oracle():
         xq = ab.values[quantize_vector(x, ab)]
         y = A.entries @ xq
         oracle = qmap_bruteforce(A, y, w, ab, gamma)
-        cfg = PgdConfig(
-            projector=ConstrainedProjector(gamma), b=b, k=0, max_iters=25,
-            stop_tol=0.0,
-        )
+        cfg = PgdConfig(projector=ConstrainedProjector(gamma), max_iters=25, stop_tol=0.0)
         est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
         idx = quantize_vector(est, ab)
         assert complexity_cost(idx, w) <= gamma
@@ -255,7 +233,7 @@ def test_noisy_contraction_telemetry():
     y = measure(A, xq, sigma, 999)
     kern = quantized_kernel(model, b)
     w = weights_from_kernel(kern)
-    cfg = PgdConfig(projector=L0Projector(20), b=b, k=0, max_iters=30)
+    cfg = PgdConfig(projector=L0Projector(20), max_iters=30)
     est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
     dbar = cond_entropy(kern) / b
     floor = contraction_floor(n, m, b, sigma, dbar, 0.1, "normalized")
@@ -288,10 +266,7 @@ def test_pc_markov_constrained_pgd_runs():
     kern = quantized_kernel(model, b)
     w = weights_from_kernel(kern)
     gamma = default_gamma(kern, delta=0.4)
-    cfg = PgdConfig(
-        projector=ConstrainedProjector(gamma), b=b, k=1, max_iters=15,
-        mu=0.5 / m, allow_unpaired_mu=True,
-    )
+    cfg = PgdConfig(projector=ConstrainedProjector(gamma), max_iters=15, mu=0.5 / m)
     est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
     idx = quantize_vector(est, ab)
     assert complexity_cost(idx, w) <= gamma
@@ -302,15 +277,11 @@ def plain_l0_pgd(A, y, w, ab, s, mu, max_iters, stop_tol, truth):
     """PGD with the l0 projector and no cycle short-circuit: every iteration
     runs.  Returns the estimate, the trace series and the iterate changes."""
     truth_q = ab.values[quantize_vector(truth, ab)]
-    series = {name: [] for name in (
-        "residuals", "costs", "estimate_hashes", "err_quantized", "err_analog")}
+    series = {name: [] for name in ("residuals", "err_quantized", "err_analog")}
 
     def record(idx):
         est = ab.values[idx]
         series["residuals"].append(float(np.linalg.norm(y - A.entries @ est)))
-        series["costs"].append(complexity_cost(idx, w))
-        series["estimate_hashes"].append(
-            hashlib.blake2b(idx.tobytes(), digest_size=8).hexdigest())
         series["err_quantized"].append(float(np.linalg.norm(est - truth_q)))
         series["err_analog"].append(float(np.linalg.norm(est - truth)))
         return est
@@ -346,8 +317,7 @@ def test_cycle_short_circuit_matches_plain_loop(s, tol_factor):
     # below the smallest change the loop never stops; at it, it converges
     stop_tol = tol_factor * min(changes)
     est_ref, series, _ = plain_l0_pgd(A, y, w, ab, s, mu, max_iters, stop_tol, x)
-    cfg = PgdConfig(projector=L0Projector(s), b=12, k=0, mu=mu, max_iters=max_iters,
-                    stop_tol=stop_tol, allow_unpaired_mu=True)
+    cfg = PgdConfig(projector=L0Projector(s), mu=mu, max_iters=max_iters, stop_tol=stop_tol)
     est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
     if tol_factor < 1.0:
         assert trace.status == "cycle"

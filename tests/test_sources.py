@@ -13,10 +13,7 @@ from qmap.sources import (
     cond_entropy,
     info_dimension_curve,
     kernel_from_json,
-    kernel_to_json,
     ktuple_law,
-    pc_psi1_upper_bound,
-    pc_psi2,
     quantized_kernel,
     sample_path,
     weight_gap,
@@ -75,19 +72,19 @@ def test_pc_kernel_rows_sum_to_one():
 
 def test_weights_examples():
     w = weights_from_kernel(quantized_kernel(SpikeSlab(0.5), 1))
-    assert w[(0,)] == pytest.approx(math.log2(4 / 3), abs=1e-15)
-    assert w[(1,)] == 2.0
+    assert w.w[0] == pytest.approx(math.log2(4 / 3), abs=1e-15)
+    assert w.w[1] == 2.0
     wpc = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.5), 1))
-    assert wpc[(0, 0)] == pytest.approx(math.log2(4 / 3), abs=1e-15)
-    assert wpc[(0, 1)] == 2.0
+    assert wpc.w[0, 0] == pytest.approx(math.log2(4 / 3), abs=1e-15)
+    assert wpc.w[0, 1] == 2.0
 
 
 def test_weights_deterministic_row():
     ab = build_alphabet(0, 1, 1)
     kern = quantized_kernel(SpikeSlab(0.0), 1)
     w = weights_from_kernel(kern)
-    assert w[(0,)] == 0.0
-    assert math.isinf(w[(1,)])
+    assert w.w[0] == 0.0
+    assert math.isinf(w.w[1])
 
 
 def test_weight_kernel_duality(rng):
@@ -95,7 +92,7 @@ def test_weight_kernel_duality(rng):
     w = weights_from_kernel(kern)
     for ctx, row in kern.rows.items():
         for a, prob in enumerate(row):
-            assert 2.0 ** -w[ctx + (a,)] == pytest.approx(prob, abs=1e-12)
+            assert 2.0 ** -w.w[ctx + (a,)] == pytest.approx(prob, abs=1e-12)
 
 
 def test_cond_entropy_examples():
@@ -114,7 +111,7 @@ def test_expected_complexity_equals_entropy(rng):
         kern = random_kernel(rng, 3, k)
         w = weights_from_kernel(kern)
         law = ktuple_law(kern, k + 1)
-        total = sum(prob * w[key] for key, prob in law.items() if prob > 0)
+        total = sum(prob * w.w[key] for key, prob in law.items() if prob > 0)
         assert total == pytest.approx(cond_entropy(kern), abs=1e-10)
 
 
@@ -154,36 +151,14 @@ def test_weight_gap_examples():
         weight_gap(0.0, 3)
 
 
-def test_psi_bounds():
-    assert pc_psi1_upper_bound(0.5, 1.0, 4, 10) == pytest.approx(
-        (1 - 2.0 ** -10) + 2.0 ** -10 * 16, abs=1e-15
-    )
-    # large gap drives the bound to 1
-    assert pc_psi1_upper_bound(0.5, 1.0, 4, 200) == pytest.approx(1.0, abs=1e-12)
-    assert pc_psi2() == 1.0
-    assert pc_psi1_upper_bound(0.5, 1.0, 4, 10) * pc_psi2() == pc_psi1_upper_bound(
-        0.5, 1.0, 4, 10
-    )
-
-
-def test_psi1_converges_under_theorem_scaling():
-    # b = ceil(r loglog n), g = floor(gamma r loglog n), gamma > -1/log2(1-p)
-    p, r = 0.5, 2.0
-    gamma = 2.0 * (-1.0 / math.log2(1 - p))
-    values = []
-    for exp in (3, 6, 12, 24, 48, 96):
-        ll = math.log2(exp * math.log2(10))
-        b = math.ceil(r * ll)
-        g = max(1, math.floor(gamma * r * ll))
-        values.append(pc_psi1_upper_bound(p, 1.0, b, g))
-    # ceil/floor jitter aside, the bound settles at 1 as n grows
-    assert values[-1] < values[0]
-    assert values[-1] - 1.0 < 1e-3
-
-
 def test_table_kernel_json_round_trip(rng):
     kern = random_kernel(rng, 4, 1)
-    doc = kernel_to_json(kern)
+    ab = kern.alphabet
+    doc = {
+        "b": ab.b, "k": kern.k, "lo": ab.lo, "hi": ab.hi,
+        "rows": [{"context": list(ctx), "probs": [float(v) for v in row]}
+                 for ctx, row in sorted(kern.rows.items())],
+    }
     again = kernel_from_json(json.loads(json.dumps(doc)))
     assert again.k == kern.k
     assert again.alphabet.size == kern.alphabet.size
