@@ -39,15 +39,11 @@ from .projection import (
 )
 from .sensing import SenseMatrix, gen_gaussian, measure
 from .solver import (
-    ConstrainedProjector,
-    L0Projector,
-    LagrangianProjector,
     PgdConfig,
     PgdTrace,
     default_gamma,
     pgd_solve,
     qmap_bruteforce,
-    qmap_lagrangian_bruteforce,
 )
 from .validation import (
     TailEstimate,
@@ -70,9 +66,7 @@ __all__ = [
     "InfeasibleProjection", "ProblemTooLarge", "project_lagrangian",
     "project_constrained", "project_bruteforce", "project_l0",
     "SenseMatrix", "gen_gaussian", "measure",
-    "PgdConfig", "PgdTrace", "ConstrainedProjector", "LagrangianProjector",
-    "L0Projector", "pgd_solve", "default_gamma", "qmap_bruteforce",
-    "qmap_lagrangian_bruteforce",
+    "PgdConfig", "PgdTrace", "pgd_solve", "default_gamma", "qmap_bruteforce",
     "TailEstimate", "mc_empirical_deviation", "chi_square_tail",
     "inner_product_tail", "f_minimax", "gaussian_projection_check",
     "__version__",

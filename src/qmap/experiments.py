@@ -23,20 +23,21 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 from numpy.random import SeedSequence
 
-from .empirics import complexity_cost
-from .projection import nearest_index
+from .projection import (
+    nearest_index,
+    project_constrained,
+    project_l0,
+    project_lagrangian,
+)
 from .quantize import build_alphabet, quantize_vector
 from .sensing import gen_gaussian, measure
 from .solver import (
-    ConstrainedProjector,
-    L0Projector,
-    LagrangianProjector,
     PgdConfig,
-    contraction_fraction,
     contraction_floor,
     default_gamma,
     pgd_solve,
@@ -78,7 +79,7 @@ def build_model(spec: dict) -> SourceModel:
     if kind == "spike_slab":
         return SpikeSlab(float(spec["p"]))
     if kind == "pc_markov":
-        return PiecewiseConstant(float(spec["p"]), float(spec.get("f_min", 1.0)))
+        return PiecewiseConstant(float(spec["p"]))
     if kind == "table_markov":
         if "path" in spec:
             with open(spec["path"], "r", encoding="utf-8") as fh:
@@ -89,16 +90,22 @@ def build_model(spec: dict) -> SourceModel:
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def build_projector(spec: dict, kernel):
+def build_projector(spec: dict, kernel, alphabet):
+    """The projection map of a projector config, from a step vector to
+    symbol indices of alphabet.  Only the Viterbi projectors read the weight
+    table of kernel, so an l0 projector builds none."""
     kind = spec["kind"]
     if kind == "l0":
-        return L0Projector(int(spec["s"]))
+        return partial(project_l0, alphabet=alphabet, s=int(spec["s"]))
+    w = weights_from_kernel(kernel)
     if kind == "lagrangian":
-        return LagrangianProjector(float(spec["alpha"]))
+        return partial(project_lagrangian, w=w, alphabet=alphabet, alpha=float(spec["alpha"]))
     if kind == "constrained":
         if "gamma" in spec:
-            return ConstrainedProjector(float(spec["gamma"]))
-        return ConstrainedProjector(default_gamma(kernel, float(spec.get("delta", 0.1))))
+            gamma = float(spec["gamma"])
+        else:
+            gamma = default_gamma(kernel, float(spec.get("delta", 0.1)))
+        return partial(project_constrained, w=w, alphabet=alphabet, gamma=gamma)
     raise ValueError(f"unknown projector kind {kind!r}")
 
 
@@ -110,7 +117,8 @@ def _homotopy_stages(s_final: int) -> list[tuple[int, float, int]]:
 
 
 def run_recovery_trial(config: dict, index: int) -> dict:
-    """One seeded recovery run; returns the result row plus telemetry."""
+    """One seeded recovery run; returns the result row, the error path
+    against the quantized truth over all stages, and the contraction floor."""
     n = int(config["n"])
     m = int(config["m"])
     b = int(config["b"])
@@ -131,21 +139,19 @@ def run_recovery_trial(config: dict, index: int) -> dict:
     target = truth_q if config.get("measure_quantized", True) else x
     y = measure(A, target, sigma, seed_z)
 
-    w = weights_from_kernel(kernel)
-    projector = build_projector(config["projector"], kernel)
-    schedule = config.get(
-        "schedule", "homotopy" if isinstance(projector, L0Projector) else "single"
-    )
+    spec = config["projector"]
+    projector = build_projector(spec, kernel, alphabet)
+    schedule = config.get("schedule", "homotopy" if spec["kind"] == "l0" else "single")
 
     err_path: list[float] = []
     iters = 0
 
-    def run_stage(proj, stage_alphabet, stage_w, mu, max_iters, start, stop_tol=0.0):
+    def run_stage(proj, stage_alphabet, mu, max_iters, start, stop_tol=0.0):
         nonlocal iters
         cfg = PgdConfig(
             projector=proj, mu=mu, max_iters=max_iters, stop_tol=stop_tol, start=start,
         )
-        est, trace = pgd_solve(A, y, stage_w, stage_alphabet, cfg, truth=x)
+        est, trace = pgd_solve(A, y, stage_alphabet, cfg, truth=x)
         iters += trace.iters
         skip = 1 if err_path else 0  # stage start repeats the previous record
         err_path.extend(trace.err_quantized[skip:])
@@ -154,29 +160,28 @@ def run_recovery_trial(config: dict, index: int) -> dict:
     if schedule == "single":
         mu = config.get("mu")
         est, trace = run_stage(
-            projector, alphabet, w, None if mu is None else float(mu),
+            projector, alphabet, None if mu is None else float(mu),
             int(config.get("max_iters", 200)), None,
             stop_tol=float(config.get("stop_tol", 0.0)),
         )
     elif schedule == "homotopy":
-        if not isinstance(projector, L0Projector):
+        if spec["kind"] != "l0":
             raise ValueError("the homotopy schedule requires the l0 projector")
         solve_b = int(config.get("solve_b", max(b, HOMOTOPY_SOLVE_B)))
         ab_f = build_alphabet(0.0, 1.0, solve_b)
-        w_f = weights_from_kernel(quantized_kernel(model, solve_b))
         start = None
         est = None
-        for s_j, mu_c, t_j in _homotopy_stages(projector.s):
-            est, _ = run_stage(L0Projector(s_j), ab_f, w_f, mu_c / m, t_j, start)
+        for s_j, mu_c, t_j in _homotopy_stages(int(spec["s"])):
+            stage = partial(project_l0, alphabet=ab_f, s=s_j)
+            est, _ = run_stage(stage, ab_f, mu_c / m, t_j, start)
             start = nearest_index(ab_f, est)
         start = nearest_index(alphabet, est)
         for mu_c, t_j in HOMOTOPY_POLISH:
-            est, trace = run_stage(projector, alphabet, w, mu_c / m, t_j, start)
+            est, trace = run_stage(projector, alphabet, mu_c / m, t_j, start)
             start = nearest_index(alphabet, est)
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
 
-    est_idx = nearest_index(alphabet, est)  # est is on the grid; recover indices
     floor = contraction_floor(
         n, m, b, sigma, cond_entropy(kernel) / b, float(config.get("delta", 0.1)), scale
     )
@@ -191,10 +196,8 @@ def run_recovery_trial(config: dict, index: int) -> dict:
     }
     return {
         "row": row,
-        "cost": complexity_cost(est_idx, w),
         "err_path": err_path,
         "contraction_floor": floor,
-        "contraction_frac": contraction_fraction(err_path, floor),
     }
 
 
@@ -335,8 +338,6 @@ def run_validate(config: dict) -> dict:
 
 def run_project(config: dict) -> list[dict]:
     """One-shot projection of a vector read from a single-column CSV."""
-    from .projection import project_constrained, project_lagrangian
-
     x = _read_vector(config["input"])
     b = int(config["b"])
     lo = float(config.get("lo", 0.0))
@@ -346,14 +347,7 @@ def run_project(config: dict) -> list[dict]:
     kernel = quantized_kernel(model, b)
     if kernel.alphabet.values[0] != alphabet.values[0] or kernel.alphabet.size != alphabet.size:
         raise ValueError("model kernel alphabet does not match the requested lo/hi/b")
-    w = weights_from_kernel(kernel)
-    proj = config["projector"]
-    if proj["kind"] == "lagrangian":
-        u = project_lagrangian(x, w, alphabet, float(proj["alpha"]))
-    elif proj["kind"] == "constrained":
-        u = project_constrained(x, w, alphabet, float(proj["gamma"]))
-    else:
-        raise ValueError("project supports the lagrangian and constrained projectors")
+    u = build_projector(config["projector"], kernel, alphabet)(x)
     return [
         {"i": i, "x": float(x[i]), "value": float(alphabet.values[u[i]]),
          "symbol": int(u[i])}

@@ -6,25 +6,23 @@ One iteration moves the estimate toward the measurement hyperplane,
     S(t+1) = Xhat(t) + mu * A^T (y - A Xhat(t)),
 
 then projects S(t+1) back onto the chosen feasible set (hard complexity
-budget, Lagrangian penalty, or sparsity budget).  The iteration starts from
-the all-zero vector; the first projection restores feasibility even when
-the zero vector itself is infeasible.
+budget, Lagrangian penalty, or sparsity budget).  The projection is one
+fixed map from the step vector to the grid, built by the caller.  The
+iteration starts from the all-zero vector; the first projection restores
+feasibility even when the zero vector itself is infeasible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .projection import (
     InfeasibleProjection,
     enumerate_sequences,
-    project_constrained,
-    project_l0,
-    project_lagrangian,
     sequence_costs,
 )
 from .quantize import QuantAlphabet, quantize_vector
@@ -32,27 +30,14 @@ from .sensing import SenseMatrix
 from .sources import QuantKernel, WeightTable, cond_entropy
 
 
-@dataclass(frozen=True)
-class ConstrainedProjector:
-    gamma: float
-
-
-@dataclass(frozen=True)
-class LagrangianProjector:
-    alpha: float
-
-
-@dataclass(frozen=True)
-class L0Projector:
-    s: int
-
-
-ProjectorSpec = Union[ConstrainedProjector, LagrangianProjector, L0Projector]
-
-
 @dataclass
 class PgdConfig:
     """Solver knobs.
+
+    projector receives the gradient-step vector S(t+1) (n floats) and
+    returns n symbol indices into the alphabet given to pgd_solve; it may
+    raise InfeasibleProjection.  Bind its alphabet, weights and budget in
+    beforehand, e.g. partial(project_l0, alphabet=alphabet, s=8).
 
     mu = None takes the step size paired with the matrix scaling (1/m for
     unit-variance entries, n/m for 1/n-variance entries).  stop_tol is
@@ -60,7 +45,7 @@ class PgdConfig:
     point.
     """
 
-    projector: ProjectorSpec
+    projector: Callable[[np.ndarray], np.ndarray]
     mu: Optional[float] = None
     max_iters: int = 200
     stop_tol: float = 0.0
@@ -95,21 +80,9 @@ def default_gamma(kernel: QuantKernel, delta: float = 0.1) -> float:
     return cond_entropy(kernel) + delta * kernel.alphabet.b
 
 
-def _project(s_vec: np.ndarray, proj: ProjectorSpec, w: WeightTable,
-             alphabet: QuantAlphabet) -> np.ndarray:
-    if isinstance(proj, L0Projector):
-        return project_l0(s_vec, alphabet, proj.s)
-    if isinstance(proj, LagrangianProjector):
-        return project_lagrangian(s_vec, w, alphabet, proj.alpha)
-    if isinstance(proj, ConstrainedProjector):
-        return project_constrained(s_vec, w, alphabet, proj.gamma)
-    raise TypeError(f"unknown projector {proj!r}")
-
-
 def pgd_solve(
     A: SenseMatrix,
     y: np.ndarray,
-    w: WeightTable,
     alphabet: QuantAlphabet,
     cfg: PgdConfig,
     truth: Optional[np.ndarray] = None,
@@ -123,7 +96,11 @@ def pgd_solve(
     y = np.asarray(y, dtype=float)
     if y.shape != (A.m,):
         raise ValueError(f"y has shape {y.shape}, expected ({A.m},)")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite: NaN or inf measurements cannot be fitted")
     mu = cfg.mu if cfg.mu is not None else A.paired_step
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
     if cfg.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if cfg.stop_tol < 0:
@@ -166,7 +143,7 @@ def pgd_solve(
     for t in range(1, cfg.max_iters + 1):
         s_vec = est + mu * (A.entries.T @ resid)
         try:
-            new_idx = _project(s_vec, cfg.projector, w, alphabet)
+            new_idx = cfg.projector(s_vec)
         except InfeasibleProjection as exc:
             trace.status = "infeasible"
             exc.iteration = t
@@ -252,23 +229,3 @@ def qmap_bruteforce(
     resid = np.linalg.norm(alphabet.values[seqs] @ A.entries.T - y[None, :], axis=1)
     resid = np.where(feasible, resid, np.inf)
     return seqs[int(np.flatnonzero(resid == resid.min())[0])]
-
-
-def qmap_lagrangian_bruteforce(
-    A: SenseMatrix,
-    y: np.ndarray,
-    w: WeightTable,
-    alphabet: QuantAlphabet,
-    lam: float,
-) -> np.ndarray:
-    """Exhaustive minimizer of cost + (lam / n^2) * residual^2."""
-    y = np.asarray(y, dtype=float)
-    n = A.n
-    seqs = enumerate_sequences(alphabet.size, n)
-    cost = sequence_costs(seqs, w) / (n - w.k)
-    resid2 = ((alphabet.values[seqs] @ A.entries.T - y[None, :]) ** 2).sum(axis=1)
-    objective = cost + (lam / n ** 2) * resid2
-    best = objective.min()
-    if math.isinf(best):
-        raise InfeasibleProjection("every sequence has infinite objective")
-    return seqs[int(np.flatnonzero(objective == best)[0])]

@@ -35,13 +35,10 @@ class PiecewiseConstant:
     """First-order chain: hold the value w.p. 1-p, else redraw from Unif[0,1)."""
 
     p: float
-    f_min: float = 1.0  # density floor of the slab; 1 for the uniform slab
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if self.f_min <= 0:
-            raise ValueError("f_min must be positive")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ through the experiment layer (the same code path as the CLI).
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 
@@ -15,13 +16,13 @@ from qmap.experiments import run_phase, run_recover
 from qmap.projection import (
     enumerate_sequences,
     project_bruteforce,
+    project_constrained,
     project_lagrangian,
     sequence_costs,
 )
 from qmap.quantize import build_alphabet, quantize_vector
 from qmap.sensing import gen_gaussian
 from qmap.solver import (
-    ConstrainedProjector,
     PgdConfig,
     default_gamma,
     pgd_solve,
@@ -274,6 +275,7 @@ def test_criterion_10_bruteforce_qmap_consistency():
     seqs = enumerate_sequences(ab.size, n)
     costs = sequence_costs(seqs, w) / (n - w.k)
     feasible = costs <= gamma
+    projector = partial(project_constrained, w=w, alphabet=ab, gamma=gamma)
     bad = []
     for i in range(50):
         x = sample_path(SpikeSlab(p), n, 1000 + i)
@@ -284,8 +286,8 @@ def test_criterion_10_bruteforce_qmap_consistency():
         resid = np.linalg.norm(ab.values[seqs] @ A.entries.T - y[None, :], axis=1)
         if not np.all(r_orc <= resid[feasible] + 1e-12):
             bad.append(f"oracle beaten at instance {i}")
-        cfg = PgdConfig(projector=ConstrainedProjector(gamma), max_iters=25, stop_tol=0.0)
-        est, _ = pgd_solve(A, y, w, ab, cfg)
+        cfg = PgdConfig(projector=projector, max_iters=25, stop_tol=0.0)
+        est, _ = pgd_solve(A, y, ab, cfg)
         idx = quantize_vector(est, ab)
         if complexity_cost(idx, w) > gamma:
             bad.append(f"PGD infeasible at instance {i}")

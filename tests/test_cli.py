@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qmap
 from qmap.cli import main
 
@@ -108,6 +110,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert run(["recover", "--config", unknown]) == 2
     assert "bogus_key" in capsys.readouterr().err
 
+    f_min = dict(RECOVER_CFG, model={"kind": "pc_markov", "p": 0.1, "f_min": 0.25}, k=1)
+    assert run(["recover", "--config", write_cfg(tmp_path, "f.json", f_min)]) == 2
+    assert "'f_min' was unexpected" in capsys.readouterr().err
+
     missing = dict(RECOVER_CFG)
     del missing["m"]
     assert run(["recover", "--config", write_cfg(tmp_path, "m.json", missing)]) == 2
@@ -115,6 +121,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "'m' is a required property" in err
 
     assert run(["recover", "--config", tmp_path / "absent.json"]) == 2
+
+
+PROJECT_CFG = {"model": {"kind": "pc_markov", "p": 0.3}, "b": 2}
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("recover", dict(RECOVER_CFG, projector={"kind": "l0"}), "s"),
+    ("recover", dict(RECOVER_CFG, projector={"kind": "lagrangian"}), "alpha"),
+    ("recover", dict(RECOVER_CFG, model={"kind": "spike_slab"}), "p"),
+    ("phase", dict(PHASE_CFG, model={"kind": "pc_markov"}), "p"),
+    ("infodim", dict(INFODIM_CFG, model={"kind": "table_markov"}), "path"),
+    ("project", dict(PROJECT_CFG, projector={"kind": "constrained"}), "gamma"),
+    ("project", dict(PROJECT_CFG, projector={"kind": "lagrangian"}), "alpha"),
+])
+def test_missing_per_kind_field_is_a_config_error(tmp_path, capsys, command, cfg, key):
+    if command == "project":
+        vec = tmp_path / "vec.csv"
+        vec.write_text("0.1\n0.6\n")
+        cfg = dict(cfg, input=str(vec))
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert run([command, "--config", path, "--out", tmp_path / "c.out", "--jobs", 1]) == 2
+    assert f"'{key}' is a required property" in capsys.readouterr().err
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -73,8 +72,7 @@ def test_single_schedule_and_projectors():
     assert row["iters"] <= 10
     cfg = dict(RECOVER_CFG, schedule="single", max_iters=8,
                projector={"kind": "constrained", "delta": 0.3}, mu=0.004)
-    result = run_recovery_trial(cfg, 0)
-    assert math.isfinite(result["cost"])
+    assert run_recovery_trial(cfg, 0)["row"]["iters"] <= 8
     with pytest.raises(ValueError):
         run_recovery_trial(dict(RECOVER_CFG, schedule="bogus"), 0)
     with pytest.raises(ValueError):  # homotopy needs the l0 projector
@@ -82,6 +80,24 @@ def test_single_schedule_and_projectors():
             dict(RECOVER_CFG, schedule="homotopy",
                  projector={"kind": "lagrangian", "alpha": 0.1}), 0
         )
+
+
+def test_l0_trial_builds_no_weight_table(monkeypatch):
+    # the l0 projector never reads complexity weights, at b or at solve_b
+    import qmap.experiments as experiments
+
+    expected = run_recovery_trial(RECOVER_CFG, 0)
+
+    def refuse(kernel):
+        raise AssertionError("an l0 trial built a weight table")
+
+    monkeypatch.setattr(experiments, "weights_from_kernel", refuse)
+    result = run_recovery_trial(RECOVER_CFG, 0)
+    assert result["row"] == expected["row"]
+    assert result["err_path"] == expected["err_path"]
+    with pytest.raises(AssertionError, match="weight table"):
+        run_recovery_trial(dict(RECOVER_CFG, schedule="single", projector={
+            "kind": "constrained", "delta": 0.3}), 0)
 
 
 def test_measure_quantized_flag():

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,22 +9,20 @@ from qmap.empirics import complexity_cost
 from qmap.projection import (
     InfeasibleProjection,
     enumerate_sequences,
+    project_constrained,
     project_l0,
+    project_lagrangian,
     sequence_costs,
 )
 from qmap.quantize import build_alphabet, quantize_vector
 from qmap.sensing import SenseMatrix, gen_gaussian, measure
 from qmap.solver import (
-    ConstrainedProjector,
-    L0Projector,
-    LagrangianProjector,
     PgdConfig,
     contraction_floor,
     contraction_fraction,
     default_gamma,
     pgd_solve,
     qmap_bruteforce,
-    qmap_lagrangian_bruteforce,
 )
 from qmap.sources import (
     PiecewiseConstant,
@@ -51,8 +50,8 @@ def test_identity_design_recovers_in_one_step():
     x, xq, ab, A, y, w = spike_setup(n, b, p, 7)
     A = SenseMatrix(n, n, np.eye(n), "unit")
     y = A.entries @ xq
-    cfg = PgdConfig(projector=L0Projector(n), mu=1.0)
-    est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
+    cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=n), mu=1.0)
+    est, trace = pgd_solve(A, y, ab, cfg, truth=x)
     assert np.array_equal(est, xq)
     assert trace.err_quantized[1] == 0.0
     assert trace.status == "converged"
@@ -61,12 +60,14 @@ def test_identity_design_recovers_in_one_step():
 def test_feasibility_invariant_l0_and_constrained():
     n, b, p = 24, 2, 0.2
     x, xq, ab, A, y, w = spike_setup(n, b, p, 11, m=16)
-    cfg = PgdConfig(projector=L0Projector(5), max_iters=12)
-    est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
+    cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=5), max_iters=12)
+    est, trace = pgd_solve(A, y, ab, cfg, truth=x)
     assert np.count_nonzero(est) <= 5
     gamma = default_gamma(quantized_kernel(SpikeSlab(p), b), delta=0.15)
-    cfg = PgdConfig(projector=ConstrainedProjector(gamma), max_iters=12)
-    est, trace = pgd_solve(A, y, w, ab, cfg)
+    cfg = PgdConfig(
+        projector=partial(project_constrained, w=w, alphabet=ab, gamma=gamma), max_iters=12,
+    )
+    est, trace = pgd_solve(A, y, ab, cfg)
     idx = quantize_vector(est, ab)
     assert complexity_cost(idx, w) <= gamma
 
@@ -75,10 +76,9 @@ def test_noiseless_fixed_point_is_stationary():
     n, b, p = 12, 3, 0.25
     x, xq, ab, A, y, w = spike_setup(n, b, p, 23)
     start = quantize_vector(xq, ab)
-    cfg = PgdConfig(
-        projector=L0Projector(int(np.count_nonzero(xq)) + 1), max_iters=5, start=start,
-    )
-    est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
+    s = int(np.count_nonzero(xq)) + 1
+    cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=s), max_iters=5, start=start)
+    est, trace = pgd_solve(A, y, ab, cfg, truth=x)
     assert np.array_equal(est, xq)
     assert trace.status == "converged"
     assert trace.residuals[-1] == 0.0
@@ -87,8 +87,8 @@ def test_noiseless_fixed_point_is_stationary():
 def test_residual_mostly_nonincreasing_noiseless():
     n, b, p = 64, 4, 0.1
     x, xq, ab, A, y, w = spike_setup(n, b, p, 31, m=48)
-    cfg = PgdConfig(projector=L0Projector(12), max_iters=40, mu=0.4 / 48)
-    est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
+    cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=12), max_iters=40, mu=0.4 / 48)
+    est, trace = pgd_solve(A, y, ab, cfg, truth=x)
     drops = sum(
         1 for r0, r1 in zip(trace.residuals[1:], trace.residuals[2:]) if r1 <= r0 + 1e-12
     )
@@ -101,13 +101,13 @@ def test_default_step_is_the_paired_step():
     for scale in ("unit", "normalized"):
         n, b, p = 8, 2, 0.3
         x, xq, ab, A, y, w = spike_setup(n, b, p, 5, m=4, scale=scale)
-        paired = pgd_solve(A, y, w, ab, PgdConfig(L0Projector(3), mu=A.paired_step),
-                           truth=x)
-        default = pgd_solve(A, y, w, ab, PgdConfig(L0Projector(3)), truth=x)
+        l0 = partial(project_l0, alphabet=ab, s=3)
+        paired = pgd_solve(A, y, ab, PgdConfig(l0, mu=A.paired_step), truth=x)
+        default = pgd_solve(A, y, ab, PgdConfig(l0), truth=x)
         assert np.array_equal(default[0], paired[0])
         assert default[1] == paired[1]
     # an explicit step is used as given
-    other = pgd_solve(A, y, w, ab, PgdConfig(L0Projector(3), mu=0.123), truth=x)
+    other = pgd_solve(A, y, ab, PgdConfig(l0, mu=0.123), truth=x)
     assert other[1] != paired[1]
 
 
@@ -117,9 +117,11 @@ def test_infeasible_projection_carries_iteration():
     w = weights_from_kernel(quantized_kernel(SpikeSlab(0.3), b))
     A = gen_gaussian(4, n, "unit", 2)
     y = A.entries @ np.full(n, 0.75)
-    cfg = PgdConfig(projector=ConstrainedProjector(-1.0), max_iters=3)
+    cfg = PgdConfig(
+        projector=partial(project_constrained, w=w, alphabet=ab, gamma=-1.0), max_iters=3,
+    )
     with pytest.raises(InfeasibleProjection) as exc:
-        pgd_solve(A, y, w, ab, cfg)
+        pgd_solve(A, y, ab, cfg)
     assert exc.value.iteration == 1
     assert exc.value.trace.status == "infeasible"
 
@@ -129,9 +131,28 @@ def test_zero_not_in_alphabet_requires_start():
     w = random_weight_table(np.random.default_rng(0), ab.size, 0)
     w2 = type(w)(alphabet=ab, k=0, w=w.w)
     A = gen_gaussian(3, 4, "unit", 0)
-    cfg = PgdConfig(projector=LagrangianProjector(0.0))
+    cfg = PgdConfig(projector=partial(project_lagrangian, w=w2, alphabet=ab, alpha=0.0))
     with pytest.raises(ValueError, match="zero"):
-        pgd_solve(A, np.zeros(3), w2, ab, cfg)
+        pgd_solve(A, np.zeros(3), ab, cfg)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_measurements_are_refused(bad):
+    x, xq, ab, A, y, w = spike_setup(8, 2, 0.3, 3, m=6)
+    y[2] = bad
+    cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=3))
+    with pytest.raises(ValueError, match="y must be finite"):
+        pgd_solve(A, y, ab, cfg)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
+def test_step_size_must_be_finite_and_positive(mu):
+    # mu = -1 steps away from the data and mu = 0 never moves; both would
+    # otherwise end as "converged"
+    x, xq, ab, A, y, w = spike_setup(8, 2, 0.3, 3, m=6)
+    cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=3), mu=mu)
+    with pytest.raises(ValueError, match="mu must be finite and > 0"):
+        pgd_solve(A, y, ab, cfg)
 
 
 def test_qmap_bruteforce_unconstrained_square():
@@ -163,43 +184,6 @@ def test_qmap_bruteforce_is_exhaustive_minimum(rng):
         assert np.all(r_got <= resid[feasible] + 1e-12)
 
 
-def test_qmap_lagrangian_bruteforce_limits(rng):
-    n, m, b, p = 5, 3, 1, 0.3
-    ab = build_alphabet(0, 1, b)
-    w = weights_from_kernel(quantized_kernel(SpikeSlab(p), b))
-    u_true = np.array([1, 0, 0, 1, 0])
-    A = gen_gaussian(m, n, "unit", 77)
-    y = A.entries @ ab.values[u_true]
-    # huge lambda forces an exact interpolation of the noiseless data
-    got = qmap_lagrangian_bruteforce(A, y, w, ab, lam=1e12)
-    assert np.linalg.norm(A.entries @ ab.values[got] - y) < 1e-4
-    # lambda = 0 minimizes the complexity cost alone: the all-zero sequence
-    got0 = qmap_lagrangian_bruteforce(A, y, w, ab, lam=0.0)
-    assert np.array_equal(got0, np.zeros(n, dtype=np.int64))
-
-
-def test_qmap_lagrangian_matches_permuted_enumeration(rng):
-    n, m, b, p = 6, 4, 1, 0.35
-    ab = build_alphabet(0, 1, b)
-    w = weights_from_kernel(quantized_kernel(SpikeSlab(p), b))
-    A = gen_gaussian(m, n, "unit", 13)
-    y = A.entries @ rng.uniform(0, 1, n)
-    lam = 4.0
-    got = qmap_lagrangian_bruteforce(A, y, w, ab, lam)
-    # independent enumeration in a permuted order, lex tie-break made explicit
-    seqs = enumerate_sequences(ab.size, n)
-    costs = sequence_costs(seqs, w) / (n - w.k)
-    resid2 = ((ab.values[seqs] @ A.entries.T - y) ** 2).sum(axis=1)
-    objective = costs + lam / n ** 2 * resid2
-    order = rng.permutation(len(seqs))
-    best = None
-    for i in order:
-        cand = (objective[i], tuple(seqs[i]))
-        if best is None or cand[0] < best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-            best = cand
-    assert tuple(got) == best[1]
-
-
 def test_pgd_feasible_and_dominated_by_oracle():
     n, m, b, p = 6, 4, 1, 0.3
     ab = build_alphabet(0, 1, b)
@@ -212,8 +196,9 @@ def test_pgd_feasible_and_dominated_by_oracle():
         xq = ab.values[quantize_vector(x, ab)]
         y = A.entries @ xq
         oracle = qmap_bruteforce(A, y, w, ab, gamma)
-        cfg = PgdConfig(projector=ConstrainedProjector(gamma), max_iters=25, stop_tol=0.0)
-        est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
+        proj = partial(project_constrained, w=w, alphabet=ab, gamma=gamma)
+        cfg = PgdConfig(projector=proj, max_iters=25, stop_tol=0.0)
+        est, trace = pgd_solve(A, y, ab, cfg, truth=x)
         idx = quantize_vector(est, ab)
         assert complexity_cost(idx, w) <= gamma
         r_pgd = float(np.linalg.norm(A.entries @ est - y))
@@ -232,9 +217,8 @@ def test_noisy_contraction_telemetry():
     A = gen_gaussian(m, n, "normalized", 4321)
     y = measure(A, xq, sigma, 999)
     kern = quantized_kernel(model, b)
-    w = weights_from_kernel(kern)
-    cfg = PgdConfig(projector=L0Projector(20), max_iters=30)
-    est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
+    cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=20), max_iters=30)
+    est, trace = pgd_solve(A, y, ab, cfg, truth=x)
     dbar = cond_entropy(kern) / b
     floor = contraction_floor(n, m, b, sigma, dbar, 0.1, "normalized")
     assert contraction_fraction(trace.err_quantized, floor) >= 0.9
@@ -266,14 +250,15 @@ def test_pc_markov_constrained_pgd_runs():
     kern = quantized_kernel(model, b)
     w = weights_from_kernel(kern)
     gamma = default_gamma(kern, delta=0.4)
-    cfg = PgdConfig(projector=ConstrainedProjector(gamma), max_iters=15, mu=0.5 / m)
-    est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
+    proj = partial(project_constrained, w=w, alphabet=ab, gamma=gamma)
+    cfg = PgdConfig(projector=proj, max_iters=15, mu=0.5 / m)
+    est, trace = pgd_solve(A, y, ab, cfg, truth=x)
     idx = quantize_vector(est, ab)
     assert complexity_cost(idx, w) <= gamma
     assert trace.residuals[-1] <= trace.residuals[0]
 
 
-def plain_l0_pgd(A, y, w, ab, s, mu, max_iters, stop_tol, truth):
+def plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol, truth):
     """PGD with the l0 projector and no cycle short-circuit: every iteration
     runs.  Returns the estimate, the trace series and the iterate changes."""
     truth_q = ab.values[quantize_vector(truth, ab)]
@@ -304,21 +289,21 @@ def cycling_grow_stage():
     exact 2-cycle within a few iterations."""
     n, m, b, p = 128, 6, 6, 0.1
     x, _, _, A, y, _ = spike_setup(n, b, p, 0, m=m)
-    w = weights_from_kernel(quantized_kernel(SpikeSlab(p), 12))
-    return A, y, w, w.alphabet, 0.5 / m, x
+    return A, y, build_alphabet(0, 1, 12), 0.5 / m, x
 
 
 @pytest.mark.parametrize("s", [4, 20])
 @pytest.mark.parametrize("tol_factor", [0.0, 0.5, 1.0])
 def test_cycle_short_circuit_matches_plain_loop(s, tol_factor):
-    A, y, w, ab, mu, x = cycling_grow_stage()
+    A, y, ab, mu, x = cycling_grow_stage()
     max_iters = 300
-    _, _, changes = plain_l0_pgd(A, y, w, ab, s, mu, max_iters, 0.0, x)
+    _, _, changes = plain_l0_pgd(A, y, ab, s, mu, max_iters, 0.0, x)
     # below the smallest change the loop never stops; at it, it converges
     stop_tol = tol_factor * min(changes)
-    est_ref, series, _ = plain_l0_pgd(A, y, w, ab, s, mu, max_iters, stop_tol, x)
-    cfg = PgdConfig(projector=L0Projector(s), mu=mu, max_iters=max_iters, stop_tol=stop_tol)
-    est, trace = pgd_solve(A, y, w, ab, cfg, truth=x)
+    est_ref, series, _ = plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol, x)
+    proj = partial(project_l0, alphabet=ab, s=s)
+    cfg = PgdConfig(projector=proj, mu=mu, max_iters=max_iters, stop_tol=stop_tol)
+    est, trace = pgd_solve(A, y, ab, cfg, truth=x)
     if tol_factor < 1.0:
         assert trace.status == "cycle"
         assert trace.iters == max_iters
