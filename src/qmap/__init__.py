@@ -27,7 +27,6 @@ from .empirics import (
     count_jumps,
     k_type,
     kl_divergence,
-    l1_distance,
 )
 from .projection import (
     InfeasibleProjection,
@@ -62,7 +61,7 @@ __all__ = [
     "sample_path", "quantized_kernel", "weights_from_kernel", "cond_entropy",
     "info_dimension_curve", "weight_gap",
     "KType", "k_type", "complexity_cost", "cond_empirical_entropy", "count_jumps",
-    "l1_distance", "kl_divergence",
+    "kl_divergence",
     "InfeasibleProjection", "ProblemTooLarge", "project_lagrangian",
     "project_constrained", "project_bruteforce", "project_l0",
     "SenseMatrix", "gen_gaussian", "measure",

@@ -110,12 +110,6 @@ def count_jumps(u: np.ndarray) -> int:
     return int(np.count_nonzero(u[1:] != u[:-1]))
 
 
-def l1_distance(p: Mapping, q: Mapping) -> float:
-    """Total variation style l1 distance between two discrete distributions."""
-    keys = set(p) | set(q)
-    return float(sum(abs(p.get(key, 0.0) - q.get(key, 0.0)) for key in keys))
-
-
 def kl_divergence(p: Mapping, q: Mapping) -> float:
     """KL divergence in bits; +inf when absolute continuity fails."""
     total = 0.0

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -109,10 +110,33 @@ def build_projector(spec: dict, kernel, alphabet):
     raise ValueError(f"unknown projector kind {kind!r}")
 
 
-def _homotopy_stages(s_final: int) -> list[tuple[int, float, int]]:
-    steps = sorted({max(1, math.ceil(s_final * j / 10)) for j in range(1, 11)})
-    stages = [(s, HOMOTOPY_GROW_MU, HOMOTOPY_GROW_ITERS) for s in steps]
-    stages.append((s_final, HOMOTOPY_GROW_MU, HOMOTOPY_FINAL_ITERS))
+def _stages(config: dict, spec: dict, projector, kernel, alphabet, m: int) -> list:
+    """The PGD runs of one trial, in order, as (alphabet, PgdConfig) pairs.
+
+    "single" is one run of projector on the target grid.  "homotopy" grows
+    the l0 budget s stepwise on the solve grid (12 bits, or b if finer), then
+    polishes with projector on the target grid at a rising step size."""
+    schedule = config.get("schedule", "homotopy" if spec["kind"] == "l0" else "single")
+    if schedule == "single":
+        mu = config.get("mu")
+        return [(alphabet, PgdConfig(
+            projector, None if mu is None else float(mu),
+            int(config.get("max_iters", 200)), float(config.get("stop_tol", 0.0)),
+        ))]
+    if schedule != "homotopy":
+        raise ValueError(f"unknown schedule {schedule!r}")
+    if spec["kind"] != "l0":
+        raise ValueError("the homotopy schedule requires the l0 projector")
+    fine = build_alphabet(0.0, 1.0, max(alphabet.b, HOMOTOPY_SOLVE_B))
+    s_final = int(spec["s"])
+    grow = sorted({max(1, math.ceil(s_final * j / 10)) for j in range(1, 11)})
+    budgets = [(s, HOMOTOPY_GROW_ITERS) for s in grow] + [(s_final, HOMOTOPY_FINAL_ITERS)]
+    stages = [
+        (fine, PgdConfig(build_projector({"kind": "l0", "s": s}, kernel, fine),
+                         HOMOTOPY_GROW_MU / m, iters))
+        for s, iters in budgets
+    ]
+    stages += [(alphabet, PgdConfig(projector, mu / m, iters)) for mu, iters in HOMOTOPY_POLISH]
     return stages
 
 
@@ -141,49 +165,19 @@ def run_recovery_trial(config: dict, index: int) -> dict:
 
     spec = config["projector"]
     projector = build_projector(spec, kernel, alphabet)
-    schedule = config.get("schedule", "homotopy" if spec["kind"] == "l0" else "single")
-
     err_path: list[float] = []
     iters = 0
-
-    def run_stage(proj, stage_alphabet, mu, max_iters, start, stop_tol=0.0):
-        nonlocal iters
-        cfg = PgdConfig(
-            projector=proj, mu=mu, max_iters=max_iters, stop_tol=stop_tol, start=start,
-        )
+    est = None
+    for stage_alphabet, cfg in _stages(config, spec, projector, kernel, alphabet, m):
+        if est is not None:
+            cfg = replace(cfg, start=nearest_index(stage_alphabet, est))
         est, trace = pgd_solve(A, y, stage_alphabet, cfg, truth=x)
         iters += trace.iters
         skip = 1 if err_path else 0  # stage start repeats the previous record
         err_path.extend(trace.err_quantized[skip:])
-        return est, trace
-
-    if schedule == "single":
-        mu = config.get("mu")
-        est, trace = run_stage(
-            projector, alphabet, None if mu is None else float(mu),
-            int(config.get("max_iters", 200)), None,
-            stop_tol=float(config.get("stop_tol", 0.0)),
-        )
-    elif schedule == "homotopy":
-        if spec["kind"] != "l0":
-            raise ValueError("the homotopy schedule requires the l0 projector")
-        solve_b = int(config.get("solve_b", max(b, HOMOTOPY_SOLVE_B)))
-        ab_f = build_alphabet(0.0, 1.0, solve_b)
-        start = None
-        est = None
-        for s_j, mu_c, t_j in _homotopy_stages(int(spec["s"])):
-            stage = partial(project_l0, alphabet=ab_f, s=s_j)
-            est, _ = run_stage(stage, ab_f, mu_c / m, t_j, start)
-            start = nearest_index(ab_f, est)
-        start = nearest_index(alphabet, est)
-        for mu_c, t_j in HOMOTOPY_POLISH:
-            est, trace = run_stage(projector, alphabet, mu_c / m, t_j, start)
-            start = nearest_index(alphabet, est)
-    else:
-        raise ValueError(f"unknown schedule {schedule!r}")
 
     floor = contraction_floor(
-        n, m, b, sigma, cond_entropy(kernel) / b, float(config.get("delta", 0.1)), scale
+        n, m, b, sigma, cond_entropy(kernel) / b, float(spec.get("delta", 0.1)), scale
     )
     row = {
         "trial": index,
@@ -201,19 +195,19 @@ def run_recovery_trial(config: dict, index: int) -> dict:
     }
 
 
-def _recovery_worker(args) -> dict:
-    config, index = args
-    return run_recovery_trial(config, index)
+def _map(fn, jobs: int, *iterables) -> list:
+    """list(map(fn, *iterables)), spread over jobs worker processes when
+    jobs > 1; results come back in input order either way."""
+    if jobs <= 1:
+        return list(map(fn, *iterables))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *iterables))
 
 
 def run_recover(config: dict, jobs: int = 1) -> list[dict]:
     """All trials of a recovery config, in trial order."""
     trials = int(config["trials"])
-    tasks = [(config, i) for i in range(trials)]
-    if jobs <= 1:
-        return [run_recovery_trial(config, i) for i in range(trials)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_recovery_worker, tasks, chunksize=1))
+    return _map(run_recovery_trial, jobs, [config] * trials, range(trials))
 
 
 RECOVER_COLUMNS = [
@@ -222,27 +216,23 @@ RECOVER_COLUMNS = [
 ]
 
 
-def _phase_cell_worker(args) -> dict:
-    config, m, p, cell_index = args
-    cell_cfg = dict(config)
-    cell_cfg["m"] = m
-    cell_cfg["model"] = dict(config["model"], p=p)
-    cell_cfg["seed"] = int(
-        trial_seed(int(config["seed"]), cell_index).generate_state(1)[0]
-    )
-    threshold = float(config.get("success_threshold", 2.0 * 2.0 ** -int(config["b"])))
+def _phase_cell(config: dict, m: int, p: float, cell_index: int) -> dict:
+    b = int(config["b"])
+    seed = int(trial_seed(int(config["seed"]), cell_index).generate_state(1)[0])
+    cell_cfg = dict(config, m=m, model=dict(config["model"], p=p), seed=seed)
+    threshold = 2.0 * 2.0 ** -b
     trials = int(config["trials"])
     successes = 0
     for i in range(trials):
         result = run_recovery_trial(cell_cfg, i)
         if result["row"]["final_err_quantized"] <= threshold:
             successes += 1
-    kernel = quantized_kernel(build_model(cell_cfg["model"]), int(config["b"]))
+    kernel = quantized_kernel(build_model(cell_cfg["model"]), b)
     return {
         "m_over_n": m / int(config["n"]),
         "m": m,
         "p": p,
-        "d_k_ref": cond_entropy(kernel) / int(config["b"]),
+        "d_k_ref": cond_entropy(kernel) / b,
         "trials": trials,
         "successes": successes,
         "success_rate": successes / trials,
@@ -252,18 +242,11 @@ def _phase_cell_worker(args) -> dict:
 def run_phase(config: dict, jobs: int = 1) -> list[dict]:
     """Success rate per (m/n, model parameter) cell."""
     n = int(config["n"])
-    fracs = list(config["m_over_n"])
-    p_grid = list(config.get("p_grid") or [config["model"]["p"]])
-    cells = []
-    idx = 0
-    for p in p_grid:
-        for frac in fracs:
-            cells.append((config, max(1, round(float(frac) * n)), float(p), idx))
-            idx += 1
-    if jobs <= 1:
-        return [_phase_cell_worker(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_phase_cell_worker, cells, chunksize=1))
+    p_grid = config.get("p_grid") or [config["model"]["p"]]
+    cells = [(max(1, round(float(frac) * n)), float(p))
+             for p in p_grid for frac in config["m_over_n"]]
+    ms, ps = zip(*cells)
+    return _map(partial(_phase_cell, config), jobs, ms, ps, range(len(cells)))
 
 
 PHASE_COLUMNS = ["m_over_n", "m", "p", "d_k_ref", "trials", "successes", "success_rate"]

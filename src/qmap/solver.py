@@ -56,10 +56,15 @@ class PgdConfig:
 class PgdTrace:
     """Per-iteration telemetry; index t = 0 is the initial state.
 
+    residuals holds ||y - A Xhat(t)||; err_quantized, recorded only when
+    pgd_solve is given the truth, holds ||Xhat(t) - [truth]||, the error
+    against the quantized truth that the contraction analysis controls.
+
     status says why the run stopped: "converged" (the iterate change fell
     to stop_tol), "cycle" (an iterate repeated exactly, so the rest of the
     run up to max_iters is known), "max_iters", or "infeasible" (set on the
     trace attached to the InfeasibleProjection raised by the projector).
+    No run can diverge: every iterate is a grid value, so it stays bounded.
     After a cycle is found the series up to max_iters are filled from its
     period: they are exactly the values the remaining iterations would
     record.
@@ -67,7 +72,6 @@ class PgdTrace:
 
     residuals: list[float] = field(default_factory=list)
     err_quantized: Optional[list[float]] = None
-    err_analog: Optional[list[float]] = None
     status: str = "max_iters"
 
     @property
@@ -89,9 +93,8 @@ def pgd_solve(
 ) -> tuple[np.ndarray, PgdTrace]:
     """Run PGD; returns (estimate as grid values, trace).
 
-    truth is the analog parameter vector: errors are tracked both against
-    its quantization (the quantity the contraction analysis controls) and
-    against the analog vector itself.
+    truth is the analog parameter vector: the error is tracked against its
+    quantization, the quantity the contraction analysis controls.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (A.m,):
@@ -116,22 +119,16 @@ def pgd_solve(
             raise ValueError("alphabet has no zero value; supply an explicit start")
         idx = np.full(A.n, zero, dtype=np.int64)
 
-    truth_q = None
-    if truth is not None:
-        truth = np.asarray(truth, dtype=float)
-        truth_q = alphabet.values[quantize_vector(truth, alphabet)]
-
     trace = PgdTrace()
     if truth is not None:
+        truth_q = alphabet.values[quantize_vector(np.asarray(truth, dtype=float), alphabet)]
         trace.err_quantized = []
-        trace.err_analog = []
 
     def record(est: np.ndarray) -> np.ndarray:
         resid = y - A.entries @ est
         trace.residuals.append(float(np.linalg.norm(resid)))
         if truth is not None:
             trace.err_quantized.append(float(np.linalg.norm(est - truth_q)))
-            trace.err_analog.append(float(np.linalg.norm(est - truth)))
         return resid
 
     # The step is a deterministic function of the symbol-index iterate, so
@@ -163,7 +160,7 @@ def pgd_solve(
             period = t - t0
             series = [trace.residuals]
             if truth is not None:
-                series += [trace.err_quantized, trace.err_analog]
+                series.append(trace.err_quantized)
             for values in series:
                 for _ in range(cfg.max_iters - t):
                     values.append(values[-period])
@@ -189,25 +186,6 @@ def contraction_floor(n: int, m: int, b: int, sigma: float, dbar: float,
     else:
         noise = 0.0
     return math.sqrt(n) * (quant + noise)
-
-
-def contraction_fraction(err: list[float], floor: float) -> float:
-    """Fraction of consecutive error pairs (from t = 1 on) satisfying
-    err[t+1] <= 0.9 err[t] + floor, counted over the iterations before the
-    error reaches the floor.
-
-    When the error starts below the floor already, every pre-convergence
-    pair (err[t] > 0) is counted instead; with no countable pairs the
-    fraction is vacuously 1.
-    """
-    pairs = [(err[t], err[t + 1]) for t in range(1, len(err) - 1)]
-    above = [p for p in pairs if p[0] > floor]
-    if not above:
-        above = [p for p in pairs if p[0] > 0.0]
-    if not above:
-        return 1.0
-    good = sum(1 for e0, e1 in above if e1 <= 0.9 * e0 + floor)
-    return good / len(above)
 
 
 def qmap_bruteforce(

@@ -235,9 +235,7 @@ def info_dimension_curve(
     out = []
     for b in b_list:
         kern = quantized_kernel(model, b)
-        if k == kern.k:
-            h = cond_entropy(kern)
-        elif k > kern.k:
+        if k >= kern.k:
             # the quantized chain is Markov of order kern.k, so the
             # conditional entropy is the same for any longer context
             h = cond_entropy(kern)

@@ -122,6 +122,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
     assert run(["recover", "--config", tmp_path / "absent.json"]) == 2
 
+    # keys that no code path reads, and trial keys that phase sets itself
+    for command, cfg, key in (
+        ("recover", dict(RECOVER_CFG, solve_b=12), "solve_b"),
+        ("recover", dict(RECOVER_CFG, delta=0.1), "delta"),
+        ("phase", dict(PHASE_CFG, success_threshold=0.1), "success_threshold"),
+        ("phase", dict(PHASE_CFG, m=8), "m"),
+    ):
+        assert run([command, "--config", write_cfg(tmp_path, "k.json", cfg)]) == 2
+        assert f"'{key}' was unexpected" in capsys.readouterr().err
+
+    # a phase cell sets the model's p, which a table model does not have
+    table = {"kind": "table_markov", "kernel": {
+        "b": 1, "k": 0, "lo": 0.0, "hi": 1.0,
+        "rows": [{"context": [], "probs": [0.75, 0.25]}],
+    }}
+    for cfg in (dict(PHASE_CFG, model=table), dict(PHASE_CFG, model=table, p_grid=[0.1, 0.5])):
+        assert run(["phase", "--config", write_cfg(tmp_path, "t.json", cfg)]) == 2
+        assert "'table_markov' is not one of" in capsys.readouterr().err
+
 
 PROJECT_CFG = {"model": {"kind": "pc_markov", "p": 0.3}, "b": 2}
 
@@ -143,6 +162,38 @@ def test_missing_per_kind_field_is_a_config_error(tmp_path, capsys, command, cfg
     path = write_cfg(tmp_path, "c.json", cfg)
     assert run([command, "--config", path, "--out", tmp_path / "c.out", "--jobs", 1]) == 2
     assert f"'{key}' is a required property" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("recover", dict(RECOVER_CFG, projector={"kind": "l0", "s": 5, "gamma": 1.0}), "gamma"),
+    ("recover", dict(RECOVER_CFG, projector={"kind": "l0", "s": 5, "alpha": 0.1}), "alpha"),
+    ("recover", dict(RECOVER_CFG, projector={"kind": "l0", "s": 5, "delta": 0.1}), "delta"),
+    ("recover", dict(RECOVER_CFG, projector={"kind": "lagrangian", "alpha": 0.1, "s": 5}), "s"),
+    ("recover", dict(RECOVER_CFG, projector={"kind": "lagrangian", "alpha": 0.1,
+                                             "gamma": 1.0}), "gamma"),
+    ("recover", dict(RECOVER_CFG, projector={"kind": "lagrangian", "alpha": 0.1,
+                                             "delta": 0.1}), "delta"),
+    ("recover", dict(RECOVER_CFG, projector={"kind": "constrained", "s": 5}), "s"),
+    ("recover", dict(RECOVER_CFG, projector={"kind": "constrained", "alpha": 0.1}), "alpha"),
+    ("recover", dict(RECOVER_CFG, model={"kind": "spike_slab", "p": 0.05, "path": "x"}), "path"),
+    ("recover", dict(RECOVER_CFG, model={"kind": "spike_slab", "p": 0.05, "kernel": {}}),
+     "kernel"),
+    ("infodim", dict(INFODIM_CFG, model={"kind": "table_markov", "path": "x", "p": 0.1}), "p"),
+    ("infodim", dict(INFODIM_CFG, model={"kind": "table_markov", "path": "x",
+                                         "kernel": {}}), "path"),
+    ("project", dict(PROJECT_CFG, projector={"kind": "constrained", "gamma": 1.0,
+                                             "alpha": 0.1}), "alpha"),
+    ("project", dict(PROJECT_CFG, projector={"kind": "lagrangian", "alpha": 0.1,
+                                             "gamma": 1.0}), "gamma"),
+])
+def test_key_the_kind_ignores_is_a_config_error(tmp_path, capsys, command, cfg, key):
+    if command == "project":
+        vec = tmp_path / "vec.csv"
+        vec.write_text("0.1\n0.6\n")
+        cfg = dict(cfg, input=str(vec))
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert run([command, "--config", path, "--out", tmp_path / "c.out", "--jobs", 1]) == 2
+    assert f"'{key}' is not one of" in capsys.readouterr().err
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

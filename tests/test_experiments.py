@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from qmap.experiments import (
     INFODIM_COLUMNS,
     RECOVER_COLUMNS,
+    _stages,
     build_model,
     canonical_json,
     format_value,
@@ -17,7 +19,9 @@ from qmap.experiments import (
     trial_seed,
     write_csv,
 )
-from qmap.sources import PiecewiseConstant, SpikeSlab, TableMarkov
+from qmap.projection import project_l0
+from qmap.quantize import build_alphabet
+from qmap.sources import PiecewiseConstant, SpikeSlab, TableMarkov, quantized_kernel
 
 RECOVER_CFG = {
     "model": {"kind": "spike_slab", "p": 0.05},
@@ -82,8 +86,28 @@ def test_single_schedule_and_projectors():
         )
 
 
+def test_homotopy_stages_of_criterion_4():
+    # s=20, b=6, m=128: the budget grows on the 12-bit solve grid, then the
+    # full budget polishes on the 6-bit target grid at a rising step size
+    b, m = 6, 128
+    spec = {"kind": "l0", "s": 20}
+    alphabet = build_alphabet(0.0, 1.0, b)
+    kernel = quantized_kernel(SpikeSlab(0.05), b)
+    projector = partial(project_l0, alphabet=alphabet, s=20)
+    stages = _stages({"projector": spec}, spec, projector, kernel, alphabet, m)
+    expected = [(12, s, 0.5 / m, 300) for s in range(2, 21, 2)]
+    expected += [(12, 20, 0.5 / m, 800), (6, 20, 0.7 / m, 60), (6, 20, 1.0 / m, 60)]
+    got = []
+    for stage_alphabet, cfg in stages:
+        assert cfg.projector.func is project_l0
+        assert cfg.projector.keywords["alphabet"] is stage_alphabet
+        assert cfg.stop_tol == 0.0 and cfg.start is None
+        got.append((stage_alphabet.b, cfg.projector.keywords["s"], cfg.mu, cfg.max_iters))
+    assert got == expected
+
+
 def test_l0_trial_builds_no_weight_table(monkeypatch):
-    # the l0 projector never reads complexity weights, at b or at solve_b
+    # the l0 projector never reads complexity weights, on either grid
     import qmap.experiments as experiments
 
     expected = run_recovery_trial(RECOVER_CFG, 0)

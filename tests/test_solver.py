@@ -19,7 +19,6 @@ from qmap.sensing import SenseMatrix, gen_gaussian, measure
 from qmap.solver import (
     PgdConfig,
     contraction_floor,
-    contraction_fraction,
     default_gamma,
     pgd_solve,
     qmap_bruteforce,
@@ -221,14 +220,14 @@ def test_noisy_contraction_telemetry():
     est, trace = pgd_solve(A, y, ab, cfg, truth=x)
     dbar = cond_entropy(kern) / b
     floor = contraction_floor(n, m, b, sigma, dbar, 0.1, "normalized")
-    assert contraction_fraction(trace.err_quantized, floor) >= 0.9
-
-
-def test_contraction_fraction_edge_cases():
-    assert contraction_fraction([5.0, 0.0], 1.0) == 1.0  # no countable pairs
-    assert contraction_fraction([9.0, 8.0, 7.0, 6.2], 0.1) == 1.0
-    assert contraction_fraction([9.0, 8.0, 7.0, 7.3], 0.1) == 0.5
-    assert contraction_fraction([9.0, 8.0, 9.5], 0.1) == 0.0
+    # pairs from t = 1 on while the error is above the floor, or every
+    # pre-convergence pair when it starts below, as acceptance criterion 5
+    err = trace.err_quantized
+    pairs = [(err[t], err[t + 1]) for t in range(1, len(err) - 1)]
+    counted = [p for p in pairs if p[0] > floor] or [p for p in pairs if p[0] > 0.0]
+    assert counted
+    good = sum(1 for e0, e1 in counted if e1 <= 0.9 * e0 + floor)
+    assert good >= 0.9 * len(counted)
 
 
 def test_default_gamma_tracks_entropy():
@@ -262,13 +261,12 @@ def plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol, truth):
     """PGD with the l0 projector and no cycle short-circuit: every iteration
     runs.  Returns the estimate, the trace series and the iterate changes."""
     truth_q = ab.values[quantize_vector(truth, ab)]
-    series = {name: [] for name in ("residuals", "err_quantized", "err_analog")}
+    series = {name: [] for name in ("residuals", "err_quantized")}
 
     def record(idx):
         est = ab.values[idx]
         series["residuals"].append(float(np.linalg.norm(y - A.entries @ est)))
         series["err_quantized"].append(float(np.linalg.norm(est - truth_q)))
-        series["err_analog"].append(float(np.linalg.norm(est - truth)))
         return est
 
     est = record(np.full(A.n, ab.zero_index(), dtype=np.int64))
