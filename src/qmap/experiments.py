@@ -110,12 +110,14 @@ def build_projector(spec: dict, kernel, alphabet):
     raise ValueError(f"unknown projector kind {kind!r}")
 
 
-def _stages(config: dict, spec: dict, projector, kernel, alphabet, m: int) -> list:
+def _stages(config: dict, spec: dict, projector, kernel, m: int) -> list:
     """The PGD runs of one trial, in order, as (alphabet, PgdConfig) pairs.
 
-    "single" is one run of projector on the target grid.  "homotopy" grows
-    the l0 budget s stepwise on the solve grid (12 bits, or b if finer), then
-    polishes with projector on the target grid at a rising step size."""
+    "single" is one run of projector on the target grid, the alphabet of
+    kernel.  "homotopy" grows the l0 budget s stepwise on the solve grid (the
+    same range at 12 bits, or b if finer), then polishes with projector on
+    the target grid at a rising step size."""
+    alphabet = kernel.alphabet
     schedule = config.get("schedule", "homotopy" if spec["kind"] == "l0" else "single")
     if schedule == "single":
         mu = config.get("mu")
@@ -127,7 +129,7 @@ def _stages(config: dict, spec: dict, projector, kernel, alphabet, m: int) -> li
         raise ValueError(f"unknown schedule {schedule!r}")
     if spec["kind"] != "l0":
         raise ValueError("the homotopy schedule requires the l0 projector")
-    fine = build_alphabet(0.0, 1.0, max(alphabet.b, HOMOTOPY_SOLVE_B))
+    fine = build_alphabet(alphabet.lo, alphabet.hi, max(alphabet.b, HOMOTOPY_SOLVE_B))
     s_final = int(spec["s"])
     grow = sorted({max(1, math.ceil(s_final * j / 10)) for j in range(1, 11)})
     budgets = [(s, HOMOTOPY_GROW_ITERS) for s in grow] + [(s_final, HOMOTOPY_FINAL_ITERS)]
@@ -157,7 +159,7 @@ def run_recovery_trial(config: dict, index: int) -> dict:
     seed_x, seed_a, seed_z = (int(s.generate_state(1)[0]) for s in seeds)
 
     x = sample_path(model, n, seed_x)
-    alphabet = build_alphabet(0.0, 1.0, b)
+    alphabet = kernel.alphabet
     truth_q = alphabet.values[quantize_vector(x, alphabet)]
     A = gen_gaussian(m, n, scale, seed_a)
     target = truth_q if config.get("measure_quantized", True) else x
@@ -168,7 +170,7 @@ def run_recovery_trial(config: dict, index: int) -> dict:
     err_path: list[float] = []
     iters = 0
     est = None
-    for stage_alphabet, cfg in _stages(config, spec, projector, kernel, alphabet, m):
+    for stage_alphabet, cfg in _stages(config, spec, projector, kernel, m):
         if est is not None:
             cfg = replace(cfg, start=nearest_index(stage_alphabet, est))
         est, trace = pgd_solve(A, y, stage_alphabet, cfg, truth=x)
@@ -322,14 +324,8 @@ def run_validate(config: dict) -> dict:
 def run_project(config: dict) -> list[dict]:
     """One-shot projection of a vector read from a single-column CSV."""
     x = _read_vector(config["input"])
-    b = int(config["b"])
-    lo = float(config.get("lo", 0.0))
-    hi = float(config.get("hi", 1.0))
-    alphabet = build_alphabet(lo, hi, b)
-    model = build_model(config["model"])
-    kernel = quantized_kernel(model, b)
-    if kernel.alphabet.values[0] != alphabet.values[0] or kernel.alphabet.size != alphabet.size:
-        raise ValueError("model kernel alphabet does not match the requested lo/hi/b")
+    kernel = quantized_kernel(build_model(config["model"]), int(config["b"]))
+    alphabet = kernel.alphabet
     u = build_projector(config["projector"], kernel, alphabet)(x)
     return [
         {"i": i, "x": float(x[i]), "value": float(alphabet.values[u[i]]),

@@ -43,27 +43,34 @@ class PiecewiseConstant:
 
 @dataclass(frozen=True)
 class QuantKernel:
-    """Order-k conditional law of a quantized chain over a finite alphabet.
+    """Order-k conditional law of a quantized chain over its own alphabet.
 
-    rows maps a length-k context (tuple of symbol indices) to a probability
-    vector over the next symbol; marginal is the stationary context law.
+    cond[a_1..a_k, a] = q(a | a_1..a_k) is a dense array of shape
+    (S,) * (k + 1); marginal[a_1..a_k] is the stationary context law, of
+    shape (S,) * k (np.ones(()) at k = 0).  A context of marginal 0 may have
+    an all-zero row: the chain never reaches it.
     """
 
     alphabet: QuantAlphabet
     k: int
-    rows: dict[tuple[int, ...], np.ndarray]
-    marginal: dict[tuple[int, ...], float] = field(repr=False)
+    cond: np.ndarray = field(repr=False)
+    marginal: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         s = self.alphabet.size
-        for ctx, row in self.rows.items():
-            if len(ctx) != self.k:
-                raise ValueError(f"context {ctx} has length {len(ctx)}, expected k={self.k}")
-            if len(row) != s or np.any(row < 0):
-                raise ValueError(f"row for context {ctx} is not a distribution over {s} symbols")
-            if abs(float(row.sum()) - 1.0) > _ROW_TOL:
-                raise ValueError(f"row for context {ctx} sums to {row.sum()!r}, not 1")
-        total = sum(self.marginal.values())
+        if self.cond.shape != (s,) * (self.k + 1) or self.marginal.shape != (s,) * self.k:
+            raise ValueError(
+                f"cond {self.cond.shape} and marginal {self.marginal.shape} do not fit "
+                f"S={s}, k={self.k}"
+            )
+        if np.any(self.cond < 0) or np.any(self.marginal < 0):
+            raise ValueError("kernel probabilities must be nonnegative")
+        sums = self.cond.sum(axis=-1)
+        bad = (np.abs(sums - 1.0) > _ROW_TOL) & ((sums != 0.0) | (self.marginal != 0.0))
+        if np.any(bad):
+            ctx = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(f"row for context {ctx} sums to {sums[ctx]!r}, not 1")
+        total = float(self.marginal.sum())
         if abs(total - 1.0) > _ROW_TOL:
             raise ValueError(f"context marginal sums to {total!r}, not 1")
 
@@ -124,39 +131,33 @@ def sample_path(model: SourceModel, n: int, seed: int) -> np.ndarray:
 
 
 def _sample_table(kernel: QuantKernel, n: int, rng: np.random.Generator) -> np.ndarray:
-    contexts = sorted(kernel.marginal)
-    weights = np.array([kernel.marginal[c] for c in contexts])
-    ctx = contexts[rng.choice(len(contexts), p=weights / weights.sum())]
-    symbols: list[int] = list(ctx[: min(kernel.k, n)])
+    s = kernel.alphabet.size
+    mu = kernel.marginal.ravel()
+    rows = kernel.cond.reshape(-1, s)
+    code = int(rng.choice(mu.size, p=mu / mu.sum()))  # base-S context code
+    symbols = [int(a) for a in np.unravel_index(code, kernel.marginal.shape)][:n]
     while len(symbols) < n:
-        context = tuple(symbols[-kernel.k:]) if kernel.k else ()
-        row = kernel.rows.get(context)
-        if row is None:
-            raise ValueError(f"kernel has no row for reachable context {context}")
-        symbols.append(int(rng.choice(kernel.alphabet.size, p=row)))
-    return kernel.alphabet.values[np.asarray(symbols[:n], dtype=np.int64)]
+        a = int(rng.choice(s, p=rows[code]))
+        symbols.append(a)
+        code = (code * s + a) % mu.size
+    return kernel.alphabet.values[np.asarray(symbols, dtype=np.int64)]
 
 
 def quantized_kernel(model: SourceModel, b: int) -> QuantKernel:
     """Exact order-k conditional law of the b-bit quantized model."""
     if isinstance(model, SpikeSlab):
         alphabet = build_alphabet(0.0, 1.0, b)
-        s = alphabet.size
-        row = np.full(s, model.p * 2.0 ** -b)
-        row[0] += 1.0 - model.p
-        return QuantKernel(alphabet=alphabet, k=0, rows={(): row}, marginal={(): 1.0})
+        cond = np.full(alphabet.size, model.p * 2.0 ** -b)
+        cond[0] += 1.0 - model.p
+        return QuantKernel(alphabet=alphabet, k=0, cond=cond, marginal=np.ones(()))
     if isinstance(model, PiecewiseConstant):
         alphabet = build_alphabet(0.0, 1.0, b)
         s = alphabet.size
         if s * s > 2 ** 24:
             raise ValueError(f"piecewise-constant kernel with b={b} needs {s}x{s} rows; too large")
-        rows = {}
-        for i in range(s):
-            row = np.full(s, model.p * 2.0 ** -b)
-            row[i] += 1.0 - model.p
-            rows[(i,)] = row
-        marginal = {(i,): 2.0 ** -b for i in range(s)}
-        return QuantKernel(alphabet=alphabet, k=1, rows=rows, marginal=marginal)
+        cond = np.full((s, s), model.p * 2.0 ** -b)
+        cond[np.diag_indices(s)] += 1.0 - model.p
+        return QuantKernel(alphabet=alphabet, k=1, cond=cond, marginal=np.full(s, 2.0 ** -b))
     if isinstance(model, TableMarkov):
         if model.kernel.alphabet.b != b:
             raise ValueError(
@@ -168,60 +169,41 @@ def quantized_kernel(model: SourceModel, b: int) -> QuantKernel:
 
 def weights_from_kernel(kernel: QuantKernel) -> WeightTable:
     """w[a^{k+1}] = -log2 of the conditional; zero conditionals map to +inf."""
-    s = kernel.alphabet.size
-    if s ** (kernel.k + 1) > 2 ** 24:
-        raise ValueError(f"dense weight table with {s}^{kernel.k + 1} entries is too large")
-    w = np.full((s,) * (kernel.k + 1), np.inf)
-    for ctx, row in kernel.rows.items():
-        with np.errstate(divide="ignore"):
-            vals = np.where(row > 0.0, -np.log2(np.where(row > 0.0, row, 1.0)), np.inf)
-        if kernel.k == 0:
-            w = vals
-        else:
-            w[ctx] = vals
+    with np.errstate(divide="ignore"):
+        w = -np.log2(kernel.cond)
     return WeightTable(alphabet=kernel.alphabet, k=kernel.k, w=w)
 
 
 def cond_entropy(kernel: QuantKernel) -> float:
     """H of the next symbol given the context, in bits, under the marginal."""
     total = 0.0
-    for ctx, weight in kernel.marginal.items():
-        row = kernel.rows.get(ctx)
-        if row is None or weight == 0.0:
+    # row by row over the positive entries: result files depend on this float order
+    for weight, row in zip(kernel.marginal.ravel(), kernel.cond.reshape(-1, kernel.alphabet.size)):
+        if weight == 0.0:
             continue
         pos = row[row > 0.0]
         total += weight * float(-(pos * np.log2(pos)).sum())
-    return total
+    return float(total)
 
 
-def ktuple_law(kernel: QuantKernel, j: int) -> dict[tuple[int, ...], float]:
-    """Exact law of j consecutive quantized symbols of the stationary chain."""
+def ktuple_law(kernel: QuantKernel, j: int) -> np.ndarray:
+    """Exact law of j consecutive quantized symbols of the stationary chain,
+    as an array of shape (S,) * j."""
     if j < 0:
         raise ValueError("j must be >= 0")
     if j == 0:
-        return {(): 1.0}
+        return np.ones(())
     k = kernel.k
-    if kernel.alphabet.size ** j > 2 ** 20:
-        raise ValueError(f"law over {kernel.alphabet.size}^{j} tuples is too large")
+    s = kernel.alphabet.size
+    if s ** j > 2 ** 20:
+        raise ValueError(f"law over {s}^{j} tuples is too large")
     if j <= k:
-        law: dict[tuple[int, ...], float] = {}
-        for ctx, weight in kernel.marginal.items():
-            key = ctx[:j]
-            law[key] = law.get(key, 0.0) + weight
-        return law
-    law = dict(kernel.marginal)
-    for length in range(k, j):
-        nxt: dict[tuple[int, ...], float] = {}
-        for prefix, weight in law.items():
-            if weight == 0.0:
-                continue
-            ctx = prefix[length - k:] if k else ()
-            row = kernel.rows.get(ctx)
-            if row is None:
-                continue
-            for a in np.flatnonzero(row):
-                nxt[prefix + (int(a),)] = weight * float(row[a])
-        law = nxt
+        # cumsum adds left to right; np.sum pairs terms and rounds differently
+        flat = kernel.marginal.reshape(s ** j, -1)
+        return np.cumsum(flat, axis=1)[:, -1].reshape((s,) * j)
+    law = kernel.marginal
+    for _ in range(k, j):
+        law = law[..., None] * kernel.cond
     return law
 
 
@@ -245,8 +227,8 @@ def info_dimension_curve(
     return out
 
 
-def _law_entropy(law: dict[tuple[int, ...], float]) -> float:
-    probs = np.array([v for v in law.values() if v > 0.0])
+def _law_entropy(law: np.ndarray) -> float:
+    probs = law[law > 0.0]
     return float(-(probs * np.log2(probs)).sum()) if probs.size else 0.0
 
 
@@ -265,28 +247,24 @@ def weight_gap(p: float, b: int) -> float:
     return math.log2(((1.0 - p) + cell) / cell)
 
 
-def stationary_context_law(
-    rows: dict[tuple[int, ...], np.ndarray], size: int, k: int
-) -> dict[tuple[int, ...], float]:
-    """Stationary law of the context chain (a_1..a_k) -> (a_2..a_k, a).
+def stationary_context_law(cond: np.ndarray, k: int) -> np.ndarray:
+    """Stationary law of the context chain (a_1..a_k) -> (a_2..a_k, a), as
+    an array of shape (S,) * k.
 
-    Power iteration from the uniform law over the provided contexts; used
-    when a table kernel arrives without an explicit marginal.
+    Power iteration from the uniform law over the contexts with a nonzero
+    row; mass that flows into a context without one is an error.
     """
     if k == 0:
-        return {(): 1.0}
-    contexts = sorted(rows)
-    mu = {c: 1.0 / len(contexts) for c in contexts}
+        return np.ones(())
+    has_row = cond.any(axis=-1)
+    stray = (cond > 0.0).any(axis=0) & ~has_row
+    if np.any(stray):
+        ctx = tuple(int(i) for i in np.argwhere(stray)[0])
+        raise ValueError(f"kernel reaches context {ctx} with no row")
+    mu = np.where(has_row, 1.0 / np.count_nonzero(has_row), 0.0)
     for _ in range(100_000):
-        nxt = {c: 0.0 for c in contexts}
-        for ctx, weight in mu.items():
-            row = rows[ctx]
-            for a in np.flatnonzero(row):
-                tgt = ctx[1:] + (int(a),)
-                if tgt not in nxt:
-                    raise ValueError(f"kernel reaches context {tgt} with no row")
-                nxt[tgt] += weight * float(row[a])
-        delta = sum(abs(nxt[c] - mu[c]) for c in contexts)
+        nxt = (mu[..., None] * cond).sum(axis=0)
+        delta = sum(np.abs(nxt - mu).ravel().tolist())  # left to right, in context order
         mu = nxt
         if delta < 1e-14:
             break
@@ -298,14 +276,24 @@ def stationary_context_law(
 def kernel_from_json(doc: dict) -> QuantKernel:
     """Build a QuantKernel from {"b", "k", "lo", "hi", "rows": [...]}.
 
-    Each row is {"context": [indices], "probs": [...]}; the stationary
-    context marginal is computed from the rows.
+    Each row is {"context": [indices], "probs": [...]}, with k indices in
+    [0, S) and S probabilities.  A context without a row must be one the
+    chain never reaches.  The stationary context marginal is computed from
+    the rows.
     """
     alphabet = build_alphabet(float(doc["lo"]), float(doc["hi"]), int(doc["b"]))
     k = int(doc["k"])
-    rows: dict[tuple[int, ...], np.ndarray] = {}
+    s = alphabet.size
+    if s ** (k + 1) > 2 ** 24:
+        raise ValueError(f"dense kernel with {s}^{k + 1} entries is too large")
+    cond = np.zeros((s,) * (k + 1))
     for entry in doc["rows"]:
         ctx = tuple(int(i) for i in entry["context"])
-        rows[ctx] = np.asarray(entry["probs"], dtype=float)
-    marginal = stationary_context_law(rows, alphabet.size, k)
-    return QuantKernel(alphabet=alphabet, k=k, rows=rows, marginal=marginal)
+        probs = np.asarray(entry["probs"], dtype=float)
+        if len(ctx) != k or not all(0 <= i < s for i in ctx):
+            raise ValueError(f"context {list(ctx)} is not k={k} symbol indices in [0, {s})")
+        if probs.shape != (s,):
+            raise ValueError(f"row for context {list(ctx)} has {probs.size} probs, not S={s}")
+        cond[ctx] = probs
+    marginal = stationary_context_law(cond, k)
+    return QuantKernel(alphabet=alphabet, k=k, cond=cond, marginal=marginal)

@@ -24,12 +24,10 @@ def random_weight_table(rng: np.random.Generator, size: int, k: int,
 def random_kernel(rng: np.random.Generator, size: int, k: int) -> QuantKernel:
     """Random full-support kernel with its stationary context marginal."""
     alphabet = build_alphabet(0.0, size * 0.25, 2)
-    rows = {}
-    for ctx in np.ndindex(*(size,) * k):
-        row = rng.exponential(1.0, size) + 0.05
-        rows[tuple(int(c) for c in ctx)] = row / row.sum()
-    marginal = stationary_context_law(rows, size, k)
-    return QuantKernel(alphabet=alphabet, k=k, rows=rows, marginal=marginal)
+    raw = rng.exponential(1.0, (size,) * (k + 1)) + 0.05
+    cond = raw / raw.sum(axis=-1, keepdims=True)
+    return QuantKernel(alphabet=alphabet, k=k, cond=cond,
+                       marginal=stationary_context_law(cond, k))
 
 
 @pytest.fixture

@@ -131,7 +131,7 @@ def test_criterion_03_decomposition_identity():
         kl_term = 0.0
         for ctx, c_ctx in kt.context_counts().items():
             phat = {a: kt.counts.get(ctx + (a,), 0) / c_ctx for a in range(3)}
-            q = {a: kern.rows[ctx][a] for a in range(3)}
+            q = {a: kern.cond[ctx][a] for a in range(3)}
             kl_term += (c_ctx / total) * kl_divergence(phat, q)
         gap = abs(complexity_cost(u, w) - cond_empirical_entropy(u, k) - kl_term)
         worst = max(worst, gap)

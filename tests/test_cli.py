@@ -141,6 +141,46 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert run(["phase", "--config", write_cfg(tmp_path, "t.json", cfg)]) == 2
         assert "'table_markov' is not one of" in capsys.readouterr().err
 
+    # project searches the model kernel's grid, so it takes no lo or hi
+    vec = tmp_path / "vec.csv"
+    vec.write_text("0.1\n0.6\n")
+    for key in ("lo", "hi"):
+        cfg = {"input": str(vec), "model": {"kind": "pc_markov", "p": 0.3}, "b": 2,
+               "projector": {"kind": "lagrangian", "alpha": 0.01}, key: 0.0}
+        assert run(["project", "--config", write_cfg(tmp_path, "lh.json", cfg)]) == 2
+        assert f"'{key}' was unexpected" in capsys.readouterr().err
+
+
+# a prior on [0, 0.5): two symbols, 0 and 0.25, at b=2
+HALF_TABLE = {"kind": "table_markov", "kernel": {
+    "b": 2, "k": 0, "lo": 0.0, "hi": 0.5,
+    "rows": [{"context": [], "probs": [0.89, 0.11]}],
+}}
+
+
+def test_table_kernel_grid_is_the_search_space(tmp_path):
+    # recover and project search the kernel's own grid, not [0, 1)
+    base = {"model": HALF_TABLE, "n": 16, "m": 12, "b": 2, "k": 0, "trials": 1, "seed": 1}
+    for name, projector in (("c", {"kind": "constrained"}), ("l", {"kind": "l0", "s": 4})):
+        cfg = write_cfg(tmp_path, f"{name}.json", dict(base, projector=projector))
+        out = tmp_path / f"{name}.csv"
+        assert run(["recover", "--config", cfg, "--out", out, "--jobs", 1]) == 0
+    # the path has 4 nonzeros, which an s=4 search of the right grid finds
+    header, values = out.read_text().splitlines()[1:]
+    row = dict(zip(header.split(","), values.split(",")))
+    assert float(row["final_err_quantized"]) == 0.0
+
+    vec = tmp_path / "vec.csv"
+    vec.write_text("0.1\n0.6\n0.2\n")
+    pcfg = write_cfg(tmp_path, "p.json", {
+        "input": str(vec), "model": HALF_TABLE, "b": 2,
+        "projector": {"kind": "lagrangian", "alpha": 0.01},
+    })
+    pout = tmp_path / "p.csv"
+    assert run(["project", "--config", pcfg, "--out", pout]) == 0
+    values = [float(line.split(",")[2]) for line in pout.read_text().splitlines()[2:]]
+    assert set(values) <= {0.0, 0.25}
+
 
 PROJECT_CFG = {"model": {"kind": "pc_markov", "p": 0.3}, "b": 2}
 
@@ -227,10 +267,11 @@ def test_validate_failure_exits_1(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import and only the
-    # gaussian_projection check needs it, so it is imported there
+    # scipy.stats takes about a second to import; the gaussian_projection
+    # check computes its KS statistic from scipy.special alone
     src = str(Path(qmap.__file__).resolve().parents[1])
-    code = "import sys, qmap.cli; assert 'scipy.stats' not in sys.modules"
+    code = ("import sys, qmap.cli; from qmap.validation import gaussian_projection_check; "
+            "gaussian_projection_check(2, 50, 0); assert 'scipy.stats' not in sys.modules")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0, result.stderr

@@ -121,7 +121,7 @@ def test_cost_decomposition_identity(rng):
         kl_term = 0.0
         for ctx, c_ctx in ctx_counts.items():
             phat = {a: kt.counts.get(ctx + (a,), 0) / c_ctx for a in range(3)}
-            q = {a: kern.rows[ctx][a] for a in range(3)}
+            q = {a: kern.cond[ctx][a] for a in range(3)}
             kl_term += (c_ctx / total) * kl_divergence(phat, q)
         expect = cond_empirical_entropy(u, k) + kl_term
         assert complexity_cost(u, w) == pytest.approx(expect, abs=1e-10)

@@ -20,7 +20,6 @@ from qmap.experiments import (
     write_csv,
 )
 from qmap.projection import project_l0
-from qmap.quantize import build_alphabet
 from qmap.sources import PiecewiseConstant, SpikeSlab, TableMarkov, quantized_kernel
 
 RECOVER_CFG = {
@@ -91,10 +90,9 @@ def test_homotopy_stages_of_criterion_4():
     # full budget polishes on the 6-bit target grid at a rising step size
     b, m = 6, 128
     spec = {"kind": "l0", "s": 20}
-    alphabet = build_alphabet(0.0, 1.0, b)
     kernel = quantized_kernel(SpikeSlab(0.05), b)
-    projector = partial(project_l0, alphabet=alphabet, s=20)
-    stages = _stages({"projector": spec}, spec, projector, kernel, alphabet, m)
+    projector = partial(project_l0, alphabet=kernel.alphabet, s=20)
+    stages = _stages({"projector": spec}, spec, projector, kernel, m)
     expected = [(12, s, 0.5 / m, 300) for s in range(2, 21, 2)]
     expected += [(12, 20, 0.5 / m, 800), (6, 20, 0.7 / m, 60), (6, 20, 1.0 / m, 60)]
     got = []

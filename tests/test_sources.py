@@ -57,17 +57,17 @@ def test_pc_sampler_stationary_marginal():
 
 def test_spike_slab_kernel_values():
     kern = quantized_kernel(SpikeSlab(0.5), 1)
-    assert kern.rows[()] == pytest.approx([0.75, 0.25], abs=1e-15)
+    assert kern.cond == pytest.approx([0.75, 0.25], abs=1e-15)
     kern = quantized_kernel(SpikeSlab(0.1), 2)
-    assert kern.rows[()][0] == pytest.approx(0.925, abs=1e-15)
-    assert np.all(kern.rows[()][1:] == pytest.approx(0.025, abs=1e-15))
+    assert kern.cond[0] == pytest.approx(0.925, abs=1e-15)
+    assert np.all(kern.cond[1:] == pytest.approx(0.025, abs=1e-15))
 
 
 def test_pc_kernel_rows_sum_to_one():
     kern = quantized_kernel(PiecewiseConstant(0.37), 3)
-    for row in kern.rows.values():
+    for row in kern.cond:
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
-    assert sum(kern.marginal.values()) == pytest.approx(1.0, abs=1e-12)
+    assert kern.marginal.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weights_examples():
@@ -90,8 +90,8 @@ def test_weights_deterministic_row():
 def test_weight_kernel_duality(rng):
     kern = random_kernel(rng, 3, 1)
     w = weights_from_kernel(kern)
-    for ctx, row in kern.rows.items():
-        for a, prob in enumerate(row):
+    for ctx in np.ndindex(kern.marginal.shape):
+        for a, prob in enumerate(kern.cond[ctx]):
             assert 2.0 ** -w.w[ctx + (a,)] == pytest.approx(prob, abs=1e-12)
 
 
@@ -111,7 +111,7 @@ def test_expected_complexity_equals_entropy(rng):
         kern = random_kernel(rng, 3, k)
         w = weights_from_kernel(kern)
         law = ktuple_law(kern, k + 1)
-        total = sum(prob * w.w[key] for key, prob in law.items() if prob > 0)
+        total = sum(prob * w.w[key] for key, prob in np.ndenumerate(law) if prob > 0)
         assert total == pytest.approx(cond_entropy(kern), abs=1e-10)
 
 
@@ -156,26 +156,65 @@ def test_table_kernel_json_round_trip(rng):
     ab = kern.alphabet
     doc = {
         "b": ab.b, "k": kern.k, "lo": ab.lo, "hi": ab.hi,
-        "rows": [{"context": list(ctx), "probs": [float(v) for v in row]}
-                 for ctx, row in sorted(kern.rows.items())],
+        "rows": [{"context": list(ctx), "probs": [float(v) for v in kern.cond[ctx]]}
+                 for ctx in np.ndindex(kern.marginal.shape)],
     }
     again = kernel_from_json(json.loads(json.dumps(doc)))
     assert again.k == kern.k
     assert again.alphabet.size == kern.alphabet.size
-    for ctx, row in kern.rows.items():
-        assert np.allclose(again.rows[ctx], row, atol=1e-12)
-    for ctx, prob in kern.marginal.items():
+    assert np.allclose(again.cond, kern.cond, atol=1e-12)
+    for ctx, prob in np.ndenumerate(kern.marginal):
         assert again.marginal[ctx] == pytest.approx(prob, abs=1e-9)
+
+
+def test_kernel_json_rows_are_checked():
+    # b=1, k=1: S=2 symbols, one context index per row, two probs
+    good = {"context": [0], "probs": [0.7, 0.3]}
+    for bad, match in (
+        ({"context": [-1], "probs": [1.0, 0.0]}, "context"),
+        ({"context": [2], "probs": [0.5, 0.5]}, "context"),
+        ({"context": [], "probs": [0.5, 0.5]}, "context"),
+        ({"context": [1], "probs": [0.5, 0.25, 0.25]}, "probs"),
+    ):
+        doc = {"b": 1, "k": 1, "lo": 0.0, "hi": 1.0, "rows": [good, bad]}
+        with pytest.raises(ValueError, match=match):
+            kernel_from_json(doc)
+
+
+def test_kernel_json_unreached_context_may_be_omitted():
+    # S=4 at b=2; contexts 2 and 3 are never reached, so they need no row
+    rows = [{"context": [0], "probs": [0.5, 0.5, 0.0, 0.0]},
+            {"context": [1], "probs": [0.25, 0.75, 0.0, 0.0]}]
+    kern = kernel_from_json({"b": 2, "k": 1, "lo": 0.0, "hi": 1.0, "rows": rows})
+    assert kern.marginal == pytest.approx([1 / 3, 2 / 3, 0.0, 0.0], abs=1e-12)
+    assert np.all(kern.cond[2:] == 0.0)
+    assert math.isinf(weights_from_kernel(kern).w[2, 0])
+    path = sample_path(TableMarkov(kern), 200, 4)
+    assert set(path) <= {0.0, 0.25}
+    rows[1] = {"context": [1], "probs": [0.25, 0.5, 0.25, 0.0]}
+    with pytest.raises(ValueError, match="reaches context"):
+        kernel_from_json({"b": 2, "k": 1, "lo": 0.0, "hi": 1.0, "rows": rows})
+
+
+def test_ktuple_law_marginalises(rng):
+    # the law of j+1 symbols sums over its last symbol to the law of j
+    for k in (0, 1, 2):
+        kern = random_kernel(rng, 3, k)
+        assert ktuple_law(kern, 0) == 1.0 and ktuple_law(kern, 0).shape == ()
+        for j in range(k + 3):
+            longer = ktuple_law(kern, j + 1)
+            assert longer.shape == (3,) * (j + 1)
+            assert np.allclose(longer.sum(axis=-1), ktuple_law(kern, j), atol=1e-12)
 
 
 def test_table_kernel_stationary_marginal(rng):
     kern = random_kernel(rng, 3, 2)
     # stationarity of the context chain: mu P = mu
-    inflow = {ctx: 0.0 for ctx in kern.marginal}
-    for src, prob in kern.marginal.items():
-        for a, q in enumerate(kern.rows[src]):
+    inflow = np.zeros_like(kern.marginal)
+    for src, prob in np.ndenumerate(kern.marginal):
+        for a, q in enumerate(kern.cond[src]):
             inflow[src[1:] + (a,)] += prob * float(q)
-    for ctx, prob in kern.marginal.items():
+    for ctx, prob in np.ndenumerate(kern.marginal):
         assert inflow[ctx] == pytest.approx(prob, abs=1e-9)
 
 
