@@ -18,6 +18,11 @@ from .sources import SourceModel, ktuple_law, quantized_kernel, sample_path
 
 C_TYPES = 1.0 / (2.0 * math.log(2.0))  # constant in the type-deviation bounds
 _Z95 = 1.959963984540054
+# array cells a sampler holds per block, so its memory is bounded whatever
+# `trials`.  chi_square_tail and mc_empirical_deviation consume their stream
+# in the same order whatever the block; inner_product_tail alternates its two
+# draws per block, so its hits above _BLOCK trials depend on it.
+_BLOCK = 2 ** 18
 
 
 @dataclass
@@ -132,9 +137,8 @@ def mc_empirical_deviation(
 
     rng = np.random.default_rng(seed)
     hits = 0
-    chunk = max(1, min(trials, 2_000_000 // n))
-    done = 0
-    while done < trials:
+    chunk = max(1, _BLOCK // n)
+    for done in range(0, trials, chunk):
         t = min(chunk, trials - done)
         paths = np.empty((t, n), dtype=np.int64)
         for row in range(t):
@@ -148,7 +152,6 @@ def mc_empirical_deviation(
         emp = counts / (n - k + 1)
         dists = np.abs(emp - mu[None, :]).sum(axis=1)
         hits += int((dists >= epsilon).sum())
-        done += t
 
     bound, log2 = type_deviation_bound(n, k, g, epsilon, s)
     mk_bound, mk_log2 = markov_type_deviation_bound(n, k, g, epsilon, s)
@@ -183,22 +186,29 @@ def chi_square_tail(m: int, tau: float, trials: int, seed: int
     if m < 1 or tau <= 0 or trials < 1:
         raise ValueError("need m >= 1, tau > 0, trials >= 1")
     rng = np.random.default_rng(seed)
-    if m * trials <= 2 ** 24:
-        sums = (rng.standard_normal((trials, m)) ** 2).sum(axis=1)
-    else:
-        # the statistic is exactly chi-square(m); sample it directly at scale
-        sums = rng.chisquare(m, trials)
+    direct = m * trials <= 2 ** 24
+    rows = max(1, _BLOCK // m) if direct else _BLOCK
+    upper_hits = lower_hits = 0
+    for done in range(0, trials, rows):
+        t = min(rows, trials - done)
+        if direct:
+            sums = (rng.standard_normal((t, m)) ** 2).sum(axis=1)
+        else:
+            # the statistic is exactly chi-square(m); sample it directly at scale
+            sums = rng.chisquare(m, t)
+        upper_hits += int((sums > m * (1.0 + tau)).sum())
+        lower_hits += int((sums < m * (1.0 - tau)).sum())
     params = {"m": m, "tau": tau, "seed": seed}
     upper = _binomial_estimate(
         "chi_square_upper",
-        int((sums > m * (1.0 + tau)).sum()),
+        upper_hits,
         trials,
         chi_square_upper_bound(m, tau),
         params,
     )
     lower = _binomial_estimate(
         "chi_square_lower",
-        int((sums < m * (1.0 - tau)).sum()),
+        lower_hits,
         trials,
         chi_square_lower_bound(m, tau),
         params,
@@ -221,25 +231,33 @@ def inner_product_bound(alpha: float, tau: float, m: int,
 def inner_product_tail(alpha: float, m: int, tau: float, trials: int,
                        seed: int) -> TailEstimate:
     """Estimate P((1/m) <Au, Av> - alpha <= -tau) for unit u, v at angle
-    cos^-1(alpha).  The statistic depends on (u, v) only through alpha, so
-    correlated normal pairs are sampled directly."""
+    cos^-1(alpha).
+
+    The statistic depends on (u, v) only through alpha: it is
+    (1/m) <x, alpha x + sqrt(1 - alpha^2) z> for independent standard normal
+    m-vectors x and z.  Given x, <x, z> is N(0, ||x||^2), so with
+    Q = ||x||^2 ~ chi-square(m) and an independent G ~ N(0, 1) it equals in
+    law, exactly,
+
+        (alpha Q + sqrt(1 - alpha^2) sqrt(Q) G) / m,
+
+    and each trial draws Q and G instead of 2m normals.
+    gaussian_projection_check deliberately keeps its direct draws: it is the
+    Monte Carlo check of the fact this sampler rests on.
+    """
     if not -1.0 < alpha < 1.0:
         raise ValueError("alpha must be in (-1, 1)")
     if m < 1 or tau <= 0 or trials < 1:
         raise ValueError("need m >= 1, tau > 0, trials >= 1")
     rng = np.random.default_rng(seed)
     hits = 0
-    chunk = max(1, int(5e6) // m)
-    done = 0
     root = math.sqrt(1.0 - alpha ** 2)
-    while done < trials:
-        t = min(chunk, trials - done)
-        xs = rng.standard_normal((t, m))
-        zs = rng.standard_normal((t, m))
-        ys = alpha * xs + root * zs
-        stat = (xs * ys).mean(axis=1)
+    for done in range(0, trials, _BLOCK):
+        t = min(_BLOCK, trials - done)
+        q = rng.chisquare(m, t)
+        g = rng.standard_normal(t)
+        stat = (alpha * q + root * np.sqrt(q) * g) / m
         hits += int((stat - alpha <= -tau).sum())
-        done += t
     return _binomial_estimate(
         "inner_product",
         hits,

@@ -1,9 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qmap.sources import PiecewiseConstant, SpikeSlab
+from qmap.quantize import quantize_vector
+from qmap.sources import (
+    PiecewiseConstant,
+    SpikeSlab,
+    ktuple_law,
+    quantized_kernel,
+    sample_path,
+)
 from qmap.validation import (
     TailEstimate,
     chi_square_lower_bound,
@@ -51,6 +59,49 @@ def test_inner_product_bound_and_corollary():
     est = inner_product_tail(0.0, 50, 0.45, 100_000, 3)
     assert est.estimate <= est.bound
     assert est.params["flat_bound"] == pytest.approx(2.0 ** -2.5)
+
+
+def test_chi_square_tail_blocks_match_one_draw():
+    # m=7 spans 3 row blocks of the normal draws; m=100 at a million trials
+    # takes the chi-square branch in 4 blocks
+    for m, tau, trials, seed in ((7, 0.5, 100_003, 2), (100, 0.2, 1_000_003, 11)):
+        rng = np.random.default_rng(seed)
+        if m * trials <= 2 ** 24:
+            sums = (rng.standard_normal((trials, m)) ** 2).sum(axis=1)
+        else:
+            sums = rng.chisquare(m, trials)
+        upper, lower = chi_square_tail(m, tau, trials, seed)
+        assert upper.hits == int((sums > m * (1.0 + tau)).sum())
+        assert lower.hits == int((sums < m * (1.0 - tau)).sum())
+
+
+def _inner_product_tail_exact(alpha, m, tau):
+    # P(alpha Q + sqrt(1 - alpha^2) sqrt(Q) G <= m (alpha - tau)) with
+    # Q ~ chi-square(m) and G ~ N(0, 1), by quadrature over Q
+    from scipy import integrate, stats
+
+    root = math.sqrt(1.0 - alpha ** 2)
+
+    def integrand(q):
+        z = (m * (alpha - tau) - alpha * q) / (root * math.sqrt(q))
+        return stats.chi2.pdf(q, m) * stats.norm.cdf(z)
+
+    value, _ = integrate.quad(integrand, 0.0, math.inf, epsabs=1e-13, limit=200)
+    return value
+
+
+@pytest.mark.parametrize("alpha, m", [(a, m) for m in (20, 50) for a in (-0.5, 0.0, 0.5)])
+def test_inner_product_tail_matches_exact_law(alpha, m):
+    trials = 10 ** 6
+    p = _inner_product_tail_exact(alpha, m, 0.45)
+    est = inner_product_tail(alpha, m, 0.45, trials, 2024)
+    assert abs(est.hits - trials * p) <= 4.0 * math.sqrt(trials * p * (1.0 - p))
+
+
+def test_inner_product_tail_repeats_across_a_block_boundary():
+    trials = 2 ** 18 + 3
+    first = inner_product_tail(0.0, 20, 0.45, trials, 5)
+    assert first.hits == inner_product_tail(0.0, 20, 0.45, trials, 5).hits
 
 
 def test_inner_product_alpha_one_reduces_to_chi_square():
@@ -116,6 +167,27 @@ def test_mc_empirical_deviation_decreases_with_n():
     slack = 3 * math.sqrt(0.25 / 400)
     assert all(a >= b - slack for a, b in zip(estimates, estimates[1:]))
     assert estimates[0] > estimates[-1] - slack
+
+
+@pytest.mark.parametrize("n, k, epsilon, trials", [
+    (2 ** 17, 1, 0.0125, 5),  # two paths per chunk
+    (300, 0, 0.35, 200),
+    (300, 1, 0.35, 200),
+])
+def test_mc_empirical_deviation_equals_per_path_loop(n, k, epsilon, trials):
+    model, b, seed = PiecewiseConstant(0.2), 3, 17
+    kernel = quantized_kernel(model, b)
+    mu = ktuple_law(kernel, k)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(trials):
+        path = sample_path(model, n, int(rng.integers(0, 2 ** 63 - 1)))
+        symbols = quantize_vector(path, kernel.alphabet).tolist()
+        counts = Counter(tuple(symbols[i: i + k]) for i in range(n - k + 1))
+        dist = sum(abs(counts[t] / (n - k + 1) - mu[t]) for t in np.ndindex(mu.shape))
+        hits += dist >= epsilon
+    est = mc_empirical_deviation(model, n, k, b, epsilon, trials, seed)
+    assert est.hits == hits
 
 
 def test_mc_empirical_deviation_reports_bounds():
