@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -202,6 +201,8 @@ def _map(fn, jobs: int, *iterables) -> list:
     jobs > 1; results come back in input order either way."""
     if jobs <= 1:
         return list(map(fn, *iterables))
+    from concurrent.futures import ProcessPoolExecutor  # imported here: --jobs 1 never needs it
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, *iterables))
 

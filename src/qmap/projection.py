@@ -105,8 +105,8 @@ def project_lagrangian(
     s = alphabet.size
     if n <= k:
         raise ValueError(f"need len(x) > k, got {n} <= {k}")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     _check_trellis_size(n, s, k)
 
     dist = dist_scale * (alphabet.values[None, :] - x[:, None]) ** 2  # (n, s)
@@ -209,6 +209,8 @@ def project_constrained(
     vertex (a duality gap) the best feasible vertex is returned instead.
     """
     x = _finite_vector(x)
+    if math.isnan(gamma):
+        raise ValueError("gamma must not be NaN")
     info = SweepInfo(alphas=[], costs=[], distortions=[], best_alpha=0.0, n_feasible=0)
 
     def sweep_pass(u: np.ndarray, alpha: float) -> _SweepPoint:

@@ -122,6 +122,26 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
     assert run(["recover", "--config", tmp_path / "absent.json"]) == 2
 
+    # a --seed override on a config that is not an object used to raise TypeError
+    listed = tmp_path / "list.json"
+    listed.write_text("[1]")
+    assert run(["recover", "--config", listed, "--seed", 3]) == 2
+    assert "[1] is not of type 'object'" in capsys.readouterr().err
+
+    # json.loads takes NaN and +-Infinity, and 1e400 overflows to inf; a
+    # lagrangian alpha of NaN used to write an all-zero projection
+    vec = tmp_path / "vec.csv"
+    vec.write_text("0.1\n0.6\n")
+    for constant in ("NaN", "Infinity", "-Infinity", "1e400"):
+        text = json.dumps({"input": str(vec), "model": {"kind": "pc_markov", "p": 0.3},
+                           "b": 2, "projector": {"kind": "lagrangian", "alpha": 0.5}})
+        path = tmp_path / "nan.json"
+        path.write_text(text.replace("0.5", constant))
+        out = tmp_path / "nan.csv"
+        assert run(["project", "--config", path, "--out", out]) == 2
+        assert constant in capsys.readouterr().err
+        assert not out.exists()
+
     # keys that no code path reads, and trial keys that phase sets itself
     for command, cfg, key in (
         ("recover", dict(RECOVER_CFG, solve_b=12), "solve_b"),
@@ -272,6 +292,33 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(qmap.__file__).resolve().parents[1])
     code = ("import sys, qmap.cli; from qmap.validation import gaussian_projection_check; "
             "gaussian_projection_check(2, 50, 0); assert 'scipy.stats' not in sys.modules")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+
+
+def test_jobs_1_imports_no_schema_library_or_process_pool(tmp_path):
+    # configs are checked in-package, and the process pool is imported only
+    # when --jobs > 1: both imports lengthen the start-up of every command
+    vec = tmp_path / "vec.csv"
+    vec.write_text("0.1\n0.6\n0.62\n")
+    runs = [
+        ("recover", dict(RECOVER_CFG, n=16, m=8, trials=1)),
+        ("phase", dict(PHASE_CFG, n=16, m_over_n=[0.5], trials=1)),
+        ("infodim", INFODIM_CFG),
+        ("validate", dict(VALIDATE_CFG, suites={"chi_square": [{"m": 2, "tau": 1.0,
+                                                                 "trials": 10}]})),
+        ("project", {"input": str(vec), "model": {"kind": "pc_markov", "p": 0.3}, "b": 2,
+                     "projector": {"kind": "constrained", "gamma": 0.5}}),
+    ]
+    argvs = [[command, "--config", write_cfg(tmp_path, f"{command}.json", cfg),
+              "--out", str(tmp_path / f"{command}.out"), "--jobs", "1"]
+             for command, cfg in runs]
+    src = str(Path(qmap.__file__).resolve().parents[1])
+    code = ("import sys, qmap.cli\n"
+            f"assert [qmap.cli.main(argv) for argv in {argvs!r}] == [0] * {len(argvs)}\n"
+            "loaded = {'jsonschema', 'referencing', 'concurrent.futures.process'}\n"
+            "assert not loaded & sys.modules.keys(), loaded & sys.modules.keys()\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0, result.stderr

@@ -316,6 +316,28 @@ def test_projectors_reject_non_finite_input(projector, bad):
         assert not isinstance(exc.value, InfeasibleProjection)
 
 
+@pytest.mark.parametrize("source", [SpikeSlab(0.3), PiecewiseConstant(0.3)])  # k = 0, 1
+def test_non_finite_alpha_and_nan_gamma_are_refused(source):
+    # alpha=NaN used to return all zeros (alpha < 0 is False for NaN),
+    # alpha=inf raised a misleading InfeasibleProjection, and gamma=NaN
+    # returned the unconstrained rounding (cost > NaN is False)
+    x = np.array([0.1, 0.6, 0.62, 0.3, 0.9, 0.2])
+    w = weights_from_kernel(quantized_kernel(source, 2))
+    for alpha in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(ValueError, match="alpha") as exc:
+            project_lagrangian(x, w, w.alphabet, alpha)
+        assert not isinstance(exc.value, InfeasibleProjection)
+    with pytest.raises(ValueError, match="gamma") as exc:
+        project_constrained(x, w, w.alphabet, math.nan)
+    assert not isinstance(exc.value, InfeasibleProjection)
+    # +inf means no budget: the nearest rounding; -inf is a budget no
+    # sequence meets
+    assert np.array_equal(project_constrained(x, w, w.alphabet, math.inf),
+                          project_lagrangian(x, w, w.alphabet, 0.0))
+    with pytest.raises(InfeasibleProjection):
+        project_constrained(x, w, w.alphabet, -math.inf)
+
+
 def test_project_l0_examples(rng):
     ab = build_alphabet(0, 1, 1)
     got = project_l0(np.array([0.1, 0.9]), ab, 1)
