@@ -196,15 +196,17 @@ def run_recovery_trial(config: dict, index: int) -> dict:
     }
 
 
-def _map(fn, jobs: int, *iterables) -> list:
-    """list(map(fn, *iterables)), spread over jobs worker processes when
-    jobs > 1; results come back in input order either way."""
+def _map(fn, jobs: int, *sequences) -> list:
+    """list(map(fn, *sequences)), spread over at most jobs worker processes
+    and no more than there are items; results come back in input order
+    either way."""
+    jobs = min(jobs, *map(len, sequences))
     if jobs <= 1:
-        return list(map(fn, *iterables))
-    from concurrent.futures import ProcessPoolExecutor  # imported here: --jobs 1 never needs it
+        return list(map(fn, *sequences))
+    from concurrent.futures import ProcessPoolExecutor  # imported here: one worker never needs it
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, *iterables))
+        return list(pool.map(fn, *sequences))
 
 
 def run_recover(config: dict, jobs: int = 1) -> list[dict]:

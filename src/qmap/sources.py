@@ -108,26 +108,38 @@ class WeightTable:
 def sample_path(model: SourceModel, n: int, seed: int) -> np.ndarray:
     """Draw a length-n path; deterministic given (model, n, seed).
 
-    spike-slab draws the slab values first, then the spike mask; the
-    piecewise-constant chain draws fresh slab values first, then the jump
-    indicators, with X_1 always a fresh (stationary) draw.
+    It is row 0 of sample_paths(model, n, 1, np.random.default_rng(seed)).
+    """
+    return sample_paths(model, n, 1, np.random.default_rng(seed))[0]
+
+
+def sample_paths(model: SourceModel, n: int, rows: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Draw `rows` independent length-n paths from `rng`, as a (rows, n) array.
+
+    Row r of a spike-slab or piecewise-constant block takes uniforms
+    [2n r, 2n (r + 1)) of the stream: the n slab values first, then the n
+    spike or jump uniforms; X_1 of a piecewise-constant row is always a
+    fresh (stationary) draw.  Table rows are drawn one after another.  So a
+    block of rows is the same as that many one-row calls on the same rng.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    if isinstance(model, SpikeSlab):
-        values = rng.random(n)
-        mask = rng.random(n) < model.p
-        return np.where(mask, values, 0.0)
-    if isinstance(model, PiecewiseConstant):
-        values = rng.random(n)
-        jumps = rng.random(n) < model.p
-        jumps[0] = True
-        last = np.maximum.accumulate(np.where(jumps, np.arange(n), 0))
-        return values[last]
     if isinstance(model, TableMarkov):
-        return _sample_table(model.kernel, n, rng)
-    raise TypeError(f"unsupported model {model!r}")
+        out = np.empty((rows, n))
+        for row in out:
+            row[:] = _sample_table(model.kernel, n, rng)
+        return out
+    if not isinstance(model, (SpikeSlab, PiecewiseConstant)):
+        raise TypeError(f"unsupported model {model!r}")
+    u = rng.random((rows, 2 * n))
+    values, flips = u[:, :n], u[:, n:] < model.p
+    if isinstance(model, SpikeSlab):
+        return np.where(flips, values, 0.0)
+    flips[:, 0] = True  # so no run crosses a row
+    starts = np.flatnonzero(flips)
+    runs = np.diff(starts, append=rows * n)
+    return np.repeat(values.ravel()[starts], runs).reshape(rows, n)
 
 
 def _sample_table(kernel: QuantKernel, n: int, rng: np.random.Generator) -> np.ndarray:

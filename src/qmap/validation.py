@@ -14,14 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quantize import quantize_vector
-from .sources import SourceModel, ktuple_law, quantized_kernel, sample_path
+from .sources import SourceModel, ktuple_law, quantized_kernel, sample_paths
 
 C_TYPES = 1.0 / (2.0 * math.log(2.0))  # constant in the type-deviation bounds
 _Z95 = 1.959963984540054
 # array cells a sampler holds per block, so its memory is bounded whatever
-# `trials`.  chi_square_tail and mc_empirical_deviation consume their stream
-# in the same order whatever the block; inner_product_tail alternates its two
-# draws per block, so its hits above _BLOCK trials depend on it.
+# `trials`.  chi_square_tail and mc_empirical_deviation read one stream row
+# by row, so their hits do not depend on the block; inner_product_tail
+# alternates its two draws per block, so its hits above _BLOCK trials depend
+# on it.
 _BLOCK = 2 ** 18
 
 
@@ -126,7 +127,8 @@ def mc_empirical_deviation(
     """Estimate P(||phat_k - mu_k||_1 >= epsilon) for the quantized model.
 
     Paths are sampled, quantized, and their k-th order types compared to the
-    exact k-tuple law of the kernel.  The gap parameter g enters only the
+    exact k-tuple law of the kernel.  All paths come from one generator, a
+    block of rows at a time.  The gap parameter g enters only the
     reported bound (it is not constructive for general mixing sources).
     """
     if n <= k or trials < 1:
@@ -137,13 +139,11 @@ def mc_empirical_deviation(
 
     rng = np.random.default_rng(seed)
     hits = 0
-    chunk = max(1, _BLOCK // n)
+    chunk = max(1, _BLOCK // (2 * n))  # a path row draws 2n uniforms
     for done in range(0, trials, chunk):
         t = min(chunk, trials - done)
-        paths = np.empty((t, n), dtype=np.int64)
-        for row in range(t):
-            path = sample_path(model, n, int(rng.integers(0, 2 ** 63 - 1)))
-            paths[row] = quantize_vector(path, kernel.alphabet)
+        paths = sample_paths(model, n, t, rng)
+        paths = quantize_vector(paths.ravel(), kernel.alphabet).reshape(t, n)
         codes = np.zeros((t, n - k + 1), dtype=np.int64)
         for j in range(k):
             codes = codes * s + paths[:, j: n - k + 1 + j]

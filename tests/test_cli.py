@@ -322,3 +322,19 @@ def test_jobs_1_imports_no_schema_library_or_process_pool(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0, result.stderr
+
+
+def test_one_trial_at_jobs_2_runs_in_process(tmp_path):
+    # a pool for one item would only add its import and a worker's start-up
+    cfg = write_cfg(tmp_path, "r1.json", dict(RECOVER_CFG, trials=1))
+    outs = [tmp_path / f"r1_jobs{jobs}.csv" for jobs in (1, 2)]
+    argvs = [["recover", "--config", cfg, "--out", str(out), "--jobs", str(jobs)]
+             for out, jobs in zip(outs, (1, 2))]
+    src = str(Path(qmap.__file__).resolve().parents[1])
+    code = ("import sys, qmap.cli\n"
+            f"assert [qmap.cli.main(argv) for argv in {argvs!r}] == [0, 0]\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    assert outs[0].read_bytes() == outs[1].read_bytes()

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_kernel
 from qmap.quantize import build_alphabet, quantize_vector
@@ -16,6 +18,7 @@ from qmap.sources import (
     ktuple_law,
     quantized_kernel,
     sample_path,
+    sample_paths,
     weight_gap,
     weights_from_kernel,
 )
@@ -41,6 +44,42 @@ def test_sampler_determinism():
     b = sample_path(PiecewiseConstant(0.3), 1000, 42)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, sample_path(PiecewiseConstant(0.3), 1000, 43))
+
+
+def _two_draw_path(model, n, seed):
+    # sample_path's own formulas, one generator per path: n slab values, then
+    # n spike or jump uniforms; recover and phase result bytes rest on them
+    rng = np.random.default_rng(seed)
+    values = rng.random(n)
+    if isinstance(model, SpikeSlab):
+        mask = rng.random(n) < model.p
+        return np.where(mask, values, 0.0)
+    jumps = rng.random(n) < model.p
+    jumps[0] = True
+    last = np.maximum.accumulate(np.where(jumps, np.arange(n), 0))
+    return values[last]
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from([SpikeSlab, PiecewiseConstant]),
+       n=st.integers(1, 300),
+       p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_sample_path_equals_its_two_draw_formula(kind, n, p, seed):
+    model = kind(p)
+    assert sample_path(model, n, seed).tobytes() == _two_draw_path(model, n, seed).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["spike_slab", "pc_markov", "table"])
+def test_sample_paths_block_equals_one_row_calls(kind, rng):
+    model = {"spike_slab": SpikeSlab(0.3), "pc_markov": PiecewiseConstant(0.2),
+             "table": TableMarkov(random_kernel(rng, 3, 1))}[kind]
+    n, rows = 37, 9
+    block = sample_paths(model, n, rows, np.random.default_rng(8))
+    one = np.random.default_rng(8)
+    assert block.shape == (rows, n)
+    assert block.tobytes() == np.concatenate(
+        [sample_paths(model, n, 1, one) for _ in range(rows)]).tobytes()
 
 
 def test_pc_sampler_stationary_marginal():

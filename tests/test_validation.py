@@ -10,7 +10,7 @@ from qmap.sources import (
     SpikeSlab,
     ktuple_law,
     quantized_kernel,
-    sample_path,
+    sample_paths,
 )
 from qmap.validation import (
     TailEstimate,
@@ -170,7 +170,7 @@ def test_mc_empirical_deviation_decreases_with_n():
 
 
 @pytest.mark.parametrize("n, k, epsilon, trials", [
-    (2 ** 17, 1, 0.0125, 5),  # two paths per chunk
+    (2 ** 17, 1, 0.0125, 5),  # one path per block
     (300, 0, 0.35, 200),
     (300, 1, 0.35, 200),
 ])
@@ -181,13 +181,30 @@ def test_mc_empirical_deviation_equals_per_path_loop(n, k, epsilon, trials):
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(trials):
-        path = sample_path(model, n, int(rng.integers(0, 2 ** 63 - 1)))
+        path = sample_paths(model, n, 1, rng)[0]
         symbols = quantize_vector(path, kernel.alphabet).tolist()
         counts = Counter(tuple(symbols[i: i + k]) for i in range(n - k + 1))
         dist = sum(abs(counts[t] / (n - k + 1) - mu[t]) for t in np.ndindex(mu.shape))
         hits += dist >= epsilon
     est = mc_empirical_deviation(model, n, k, b, epsilon, trials, seed)
     assert est.hits == hits
+
+
+@pytest.mark.parametrize("model, k, epsilon", [(PiecewiseConstant(0.2), 1, 0.5),
+                                               (SpikeSlab(0.3), 1, 0.1),
+                                               (SpikeSlab(0.3), 2, 0.2)])
+def test_mc_empirical_deviation_hits_do_not_depend_on_the_block(model, k, epsilon,
+                                                                monkeypatch):
+    import qmap.validation as validation
+
+    n, b, trials, seed = 100, 2, 23, 41
+    hits = []
+    # a row takes 2n cells: one row, three rows, all 23 rows per block
+    for block in (1, 3 * 2 * n, validation._BLOCK):
+        monkeypatch.setattr(validation, "_BLOCK", block)
+        hits.append(mc_empirical_deviation(model, n, k, b, epsilon, trials, seed).hits)
+    assert hits[0] == hits[1] == hits[2]
+    assert 0 < hits[0] < trials
 
 
 def test_mc_empirical_deviation_reports_bounds():
