@@ -2,11 +2,11 @@
 
 Recovers a stationary-process parameter vector from linear measurements by
 projected gradient descent with an exact Viterbi projection onto quantized
-low-complexity sequence sets, with brute-force oracles and Monte Carlo
-validators for the underlying concentration bounds.
+low-complexity sequence sets, with Monte Carlo validators for the
+underlying concentration bounds.
 """
 
-from .quantize import QuantAlphabet, build_alphabet, quantize_scalar, quantize_vector
+from .quantize import QuantAlphabet, build_alphabet, quantize_vector
 from .sources import (
     PiecewiseConstant,
     QuantKernel,
@@ -17,33 +17,18 @@ from .sources import (
     info_dimension_curve,
     quantized_kernel,
     sample_path,
-    weight_gap,
     weights_from_kernel,
 )
-from .empirics import (
-    KType,
-    complexity_cost,
-    cond_empirical_entropy,
-    count_jumps,
-    k_type,
-    kl_divergence,
-)
+from .empirics import complexity_cost
 from .projection import (
     InfeasibleProjection,
     ProblemTooLarge,
-    project_bruteforce,
     project_constrained,
     project_l0,
     project_lagrangian,
 )
 from .sensing import SenseMatrix, gen_gaussian, measure
-from .solver import (
-    PgdConfig,
-    PgdTrace,
-    default_gamma,
-    pgd_solve,
-    qmap_bruteforce,
-)
+from .solver import PgdConfig, PgdTrace, default_gamma, pgd_solve
 from .validation import (
     TailEstimate,
     chi_square_tail,
@@ -56,16 +41,15 @@ from .validation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuantAlphabet", "build_alphabet", "quantize_scalar", "quantize_vector",
+    "QuantAlphabet", "build_alphabet", "quantize_vector",
     "SpikeSlab", "PiecewiseConstant", "TableMarkov", "QuantKernel", "WeightTable",
     "sample_path", "quantized_kernel", "weights_from_kernel", "cond_entropy",
-    "info_dimension_curve", "weight_gap",
-    "KType", "k_type", "complexity_cost", "cond_empirical_entropy", "count_jumps",
-    "kl_divergence",
+    "info_dimension_curve",
+    "complexity_cost",
     "InfeasibleProjection", "ProblemTooLarge", "project_lagrangian",
-    "project_constrained", "project_bruteforce", "project_l0",
+    "project_constrained", "project_l0",
     "SenseMatrix", "gen_gaussian", "measure",
-    "PgdConfig", "PgdTrace", "pgd_solve", "default_gamma", "qmap_bruteforce",
+    "PgdConfig", "PgdTrace", "pgd_solve", "default_gamma",
     "TailEstimate", "mc_empirical_deviation", "chi_square_tail",
     "inner_product_tail", "f_minimax", "gaussian_projection_check",
     "__version__",

@@ -238,8 +238,7 @@ def _default_out(command: str, fmt: str) -> str:
 
 def cmd_recover(config: dict, out: str, jobs: int) -> int:
     t0 = time.perf_counter()
-    results = experiments.run_recover(config, jobs=jobs)
-    rows = [r["row"] for r in results]
+    rows = experiments.run_recover(config, jobs=jobs)
     experiments.write_csv(out, experiments.RECOVER_COLUMNS, rows, config)
     print(
         f"recover: {len(rows)} trials -> {out} "

@@ -36,12 +36,7 @@ from .projection import (
 )
 from .quantize import build_alphabet, quantize_vector
 from .sensing import gen_gaussian, measure
-from .solver import (
-    PgdConfig,
-    contraction_floor,
-    default_gamma,
-    pgd_solve,
-)
+from .solver import PgdConfig, default_gamma, pgd_solve
 from .sources import (
     PiecewiseConstant,
     SourceModel,
@@ -142,14 +137,12 @@ def _stages(config: dict, spec: dict, projector, kernel, m: int) -> list:
 
 
 def run_recovery_trial(config: dict, index: int) -> dict:
-    """One seeded recovery run; returns the result row, the error path
-    against the quantized truth over all stages, and the contraction floor."""
+    """One seeded recovery run; returns its result row."""
     n = int(config["n"])
     m = int(config["m"])
     b = int(config["b"])
     k = int(config["k"])
     sigma = float(config.get("sigma", 0.0))
-    scale = config.get("scale", "unit")
     model = build_model(config["model"])
     kernel = quantized_kernel(model, b)
     if k != kernel.k:
@@ -160,27 +153,20 @@ def run_recovery_trial(config: dict, index: int) -> dict:
     x = sample_path(model, n, seed_x)
     alphabet = kernel.alphabet
     truth_q = alphabet.values[quantize_vector(x, alphabet)]
-    A = gen_gaussian(m, n, scale, seed_a)
+    A = gen_gaussian(m, n, config.get("scale", "unit"), seed_a)
     target = truth_q if config.get("measure_quantized", True) else x
     y = measure(A, target, sigma, seed_z)
 
     spec = config["projector"]
     projector = build_projector(spec, kernel, alphabet)
-    err_path: list[float] = []
     iters = 0
     est = None
     for stage_alphabet, cfg in _stages(config, spec, projector, kernel, m):
         if est is not None:
             cfg = replace(cfg, start=nearest_index(stage_alphabet, est))
-        est, trace = pgd_solve(A, y, stage_alphabet, cfg, truth=x)
+        est, trace = pgd_solve(A, y, stage_alphabet, cfg)
         iters += trace.iters
-        skip = 1 if err_path else 0  # stage start repeats the previous record
-        err_path.extend(trace.err_quantized[skip:])
-
-    floor = contraction_floor(
-        n, m, b, sigma, cond_entropy(kernel) / b, float(spec.get("delta", 0.1)), scale
-    )
-    row = {
+    return {
         "trial": index,
         "seed": int(config["seed"]),
         "n": n, "m": m, "b": b, "k": k, "sigma": sigma,
@@ -188,11 +174,6 @@ def run_recovery_trial(config: dict, index: int) -> dict:
         "final_err_quantized": float(np.linalg.norm(est - truth_q)) / math.sqrt(n),
         "final_err_analog": float(np.linalg.norm(est - x)) / math.sqrt(n),
         "residual": trace.residuals[-1],
-    }
-    return {
-        "row": row,
-        "err_path": err_path,
-        "contraction_floor": floor,
     }
 
 
@@ -229,8 +210,7 @@ def _phase_cell(config: dict, m: int, p: float, cell_index: int) -> dict:
     trials = int(config["trials"])
     successes = 0
     for i in range(trials):
-        result = run_recovery_trial(cell_cfg, i)
-        if result["row"]["final_err_quantized"] <= threshold:
+        if run_recovery_trial(cell_cfg, i)["final_err_quantized"] <= threshold:
             successes += 1
     kernel = quantized_kernel(build_model(cell_cfg["model"]), b)
     return {

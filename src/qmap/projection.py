@@ -8,9 +8,9 @@ project_lagrangian solves
 exactly with a Viterbi dynamic program over the alphabet^k context states
 (the first k positions incur distortion only).  project_constrained meets
 a hard complexity budget by an exact search over the breakpoints of alpha
-(Everett's generalized Lagrange multipliers), project_l0 is the exact fast
-path for memoryless spike-and-slab weights, and project_bruteforce
-enumerates everything at toy scale.  Every projector requires finite x.
+(Everett's generalized Lagrange multipliers), and project_l0 is the exact
+fast path for memoryless spike-and-slab weights.  Every projector requires
+finite x.
 
 Ties are always broken toward the lexicographically smallest symbol-index
 sequence: the dynamic program runs backward over suffix costs, keeping for
@@ -20,9 +20,7 @@ and the path is rebuilt forward by following them.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +31,6 @@ from .sources import WeightTable
 
 MAX_STATES = 2 ** 20          # alphabet^k context states
 MAX_TRELLIS_CELLS = 2 ** 24   # n * alphabet^k back-pointers kept alive
-MAX_BRUTEFORCE = 10 ** 6      # alphabet^n sequences
 
 
 class InfeasibleProjection(ValueError):
@@ -49,20 +46,6 @@ class InfeasibleProjection(ValueError):
 
 class ProblemTooLarge(ValueError):
     pass
-
-
-@dataclass
-class SweepInfo:
-    """Telemetry from the constrained breakpoint search: alpha, cost and
-    distortion of every Viterbi pass in order (alpha 0 for the rounding and
-    for its alpha -> 0+ limit, inf for the minimum-cost path), the alpha of
-    the returned pass, and how many passes were feasible."""
-
-    alphas: list[float]
-    costs: list[float]
-    distortions: list[float]
-    best_alpha: float
-    n_feasible: int
 
 
 def _scaled_weights(w: np.ndarray, alpha: float) -> np.ndarray:
@@ -175,7 +158,6 @@ class _SweepPoint(NamedTuple):
     """One pass of the breakpoint search: its sequence and where it lies."""
 
     u: np.ndarray
-    alpha: float
     cost: float
     distortion: float
 
@@ -185,8 +167,7 @@ def project_constrained(
     w: WeightTable,
     alphabet: QuantAlphabet,
     gamma: float,
-    full_output: bool = False,
-):
+) -> np.ndarray:
     """Feasible sequence (complexity cost <= gamma) of smallest distortion
     among the Lagrangian solutions, found by a breakpoint search.
 
@@ -211,26 +192,20 @@ def project_constrained(
     x = _finite_vector(x)
     if math.isnan(gamma):
         raise ValueError("gamma must not be NaN")
-    info = SweepInfo(alphas=[], costs=[], distortions=[], best_alpha=0.0, n_feasible=0)
 
-    def sweep_pass(u: np.ndarray, alpha: float) -> _SweepPoint:
-        point = _SweepPoint(u, alpha, complexity_cost(u, w), _distortion(x, u, alphabet))
-        info.alphas.append(alpha)
-        info.costs.append(point.cost)
-        info.distortions.append(point.distortion)
-        info.n_feasible += point.cost <= gamma
-        return point
+    def sweep_pass(u: np.ndarray) -> _SweepPoint:
+        return _SweepPoint(u, complexity_cost(u, w), _distortion(x, u, alphabet))
 
-    left = sweep_pass(project_lagrangian(x, w, alphabet, 0.0), 0.0)
+    left = sweep_pass(project_lagrangian(x, w, alphabet, 0.0))
     right = left
     if left.cost > gamma:
         alpha_max = 2.0 * w.max_finite() * len(x)
         if alpha_max <= 0:
             alpha_max = 1.0
-        right = sweep_pass(project_lagrangian(x, w, alphabet, alpha_max), alpha_max)
+        right = sweep_pass(project_lagrangian(x, w, alphabet, alpha_max))
         if right.cost > gamma:
             left = right
-            right = sweep_pass(_min_cost_path(x, w, alphabet), math.inf)
+            right = sweep_pass(_min_cost_path(x, w, alphabet))
             if right.cost > gamma:
                 raise InfeasibleProjection(
                     f"no sequence attains cost <= {gamma}", min_cost=right.cost
@@ -238,14 +213,14 @@ def project_constrained(
         elif math.isinf(left.cost):
             # the rounding uses a forbidden window: the left end is the
             # alpha -> 0+ limit instead, the nearest sequence of finite cost
-            left = sweep_pass(_finite_cost_rounding(x, w, alphabet), 0.0)
+            left = sweep_pass(_finite_cost_rounding(x, w, alphabet))
             if left.cost <= gamma:
                 right = left
 
     windows = len(x) - w.k
     while right.distortion > left.distortion:
         alpha = (right.distortion - left.distortion) / ((left.cost - right.cost) * windows)
-        point = sweep_pass(project_lagrangian(x, w, alphabet, alpha), alpha)
+        point = sweep_pass(project_lagrangian(x, w, alphabet, alpha))
         end = right if point.cost <= gamma else left
         inside = right.cost < point.cost < left.cost
         if not (inside or (point.cost == end.cost and point.distortion < end.distortion)):
@@ -254,8 +229,7 @@ def project_constrained(
             right = point
         else:
             left = point
-    info.best_alpha = right.alpha
-    return (right.u, info) if full_output else right.u
+    return right.u
 
 
 def _distortion(x: np.ndarray, u: np.ndarray, alphabet: QuantAlphabet) -> float:
@@ -298,58 +272,3 @@ def nearest_index(alphabet: QuantAlphabet, x: np.ndarray) -> np.ndarray:
     d_hi = np.abs(x - alphabet.values[hi_idx])
     return np.where(d_hi < d_lo, hi_idx, lo_idx)
 
-
-def enumerate_sequences(size: int, n: int) -> np.ndarray:
-    """All size^n index sequences in lexicographic order, shape (size^n, n)."""
-    if size ** n > MAX_BRUTEFORCE:
-        raise ProblemTooLarge(f"{size}^{n} sequences exceed the enumeration limit")
-    return np.array(list(itertools.product(range(size), repeat=n)), dtype=np.int64)
-
-
-def sequence_costs(seqs: np.ndarray, w: WeightTable) -> np.ndarray:
-    """Raw window-weight sums sum_{i>k} w[window] for each row of seqs."""
-    n = seqs.shape[1]
-    k = w.k
-    total = np.zeros(len(seqs))
-    for i in range(k, n):
-        window = tuple(seqs[:, i - k + j] for j in range(k + 1))
-        total += w.w[window]
-    return total
-
-
-def project_bruteforce(
-    x: np.ndarray,
-    w: WeightTable,
-    alphabet: QuantAlphabet,
-    gamma: float | None = None,
-    alpha: float | None = None,
-) -> np.ndarray:
-    """Exhaustive constrained (gamma) or Lagrangian (alpha) projection.
-
-    Enumeration is lexicographic with strict-minimum updates, so the
-    returned argmin is the lexicographically smallest one.
-    """
-    if (gamma is None) == (alpha is None):
-        raise ValueError("pass exactly one of gamma or alpha")
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    seqs = enumerate_sequences(alphabet.size, n)
-    dist = ((alphabet.values[seqs] - x[None, :]) ** 2).sum(axis=1)
-    raw = sequence_costs(seqs, w)
-    if alpha is not None:
-        if alpha == 0.0:
-            objective = dist
-        else:
-            objective = dist + alpha * raw
-        best = objective.min()
-        if math.isinf(best):
-            raise InfeasibleProjection("every length-n path has infinite cost")
-        return seqs[int(np.flatnonzero(objective == best)[0])]
-    cost = raw / (n - w.k)
-    feasible = cost <= gamma
-    if not feasible.any():
-        raise InfeasibleProjection(
-            f"no sequence attains cost <= {gamma}", min_cost=float(cost.min())
-        )
-    dist = np.where(feasible, dist, np.inf)
-    return seqs[int(np.flatnonzero(dist == dist.min())[0])]

@@ -1,4 +1,4 @@
-"""b-bit scalar/vector quantization and the finite quantized alphabet.
+"""b-bit vector quantization and the finite quantized alphabet.
 
 The quantizer truncates the binary expansion of the fractional part to b
 bits, i.e. it always rounds toward -inf with step 2**-b.  All operations
@@ -12,23 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def quantize_scalar(x: float, b: int) -> float:
-    """Truncate x to the 2**-b grid (round toward -inf).
-
-    Returns floor(x) plus the first b binary digits of x - floor(x), so
-    0 <= x - quantize_scalar(x, b) < 2**-b for every finite x.
-    """
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    scale = float(2 ** b)
-    fl = math.floor(x)
-    # frac in [0, 1); frac * 2**b and the division below are exact float ops.
-    frac = x - fl
-    return fl + math.floor(frac * scale) / scale
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
-"""Projected gradient descent for the quantized-MAP objective, exhaustive
-oracles, and convergence telemetry.
+"""Projected gradient descent for the quantized-MAP objective.
 
 One iteration moves the estimate toward the measurement hyperplane,
 
@@ -20,14 +19,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .projection import (
-    InfeasibleProjection,
-    enumerate_sequences,
-    sequence_costs,
-)
-from .quantize import QuantAlphabet, quantize_vector
+from .projection import InfeasibleProjection
+from .quantize import QuantAlphabet
 from .sensing import SenseMatrix
-from .sources import QuantKernel, WeightTable, cond_entropy
+from .sources import QuantKernel, cond_entropy
 
 
 @dataclass
@@ -56,22 +51,19 @@ class PgdConfig:
 class PgdTrace:
     """Per-iteration telemetry; index t = 0 is the initial state.
 
-    residuals holds ||y - A Xhat(t)||; err_quantized, recorded only when
-    pgd_solve is given the truth, holds ||Xhat(t) - [truth]||, the error
-    against the quantized truth that the contraction analysis controls.
+    residuals holds ||y - A Xhat(t)||.
 
     status says why the run stopped: "converged" (the iterate change fell
     to stop_tol), "cycle" (an iterate repeated exactly, so the rest of the
     run up to max_iters is known), "max_iters", or "infeasible" (set on the
     trace attached to the InfeasibleProjection raised by the projector).
     No run can diverge: every iterate is a grid value, so it stays bounded.
-    After a cycle is found the series up to max_iters are filled from its
+    After a cycle is found the residuals up to max_iters are filled from its
     period: they are exactly the values the remaining iterations would
     record.
     """
 
     residuals: list[float] = field(default_factory=list)
-    err_quantized: Optional[list[float]] = None
     status: str = "max_iters"
 
     @property
@@ -89,13 +81,8 @@ def pgd_solve(
     y: np.ndarray,
     alphabet: QuantAlphabet,
     cfg: PgdConfig,
-    truth: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, PgdTrace]:
-    """Run PGD; returns (estimate as grid values, trace).
-
-    truth is the analog parameter vector: the error is tracked against its
-    quantization, the quantity the contraction analysis controls.
-    """
+    """Run PGD; returns (estimate as grid values, trace)."""
     y = np.asarray(y, dtype=float)
     if y.shape != (A.m,):
         raise ValueError(f"y has shape {y.shape}, expected ({A.m},)")
@@ -120,15 +107,10 @@ def pgd_solve(
         idx = np.full(A.n, zero, dtype=np.int64)
 
     trace = PgdTrace()
-    if truth is not None:
-        truth_q = alphabet.values[quantize_vector(np.asarray(truth, dtype=float), alphabet)]
-        trace.err_quantized = []
 
     def record(est: np.ndarray) -> np.ndarray:
         resid = y - A.entries @ est
         trace.residuals.append(float(np.linalg.norm(resid)))
-        if truth is not None:
-            trace.err_quantized.append(float(np.linalg.norm(est - truth_q)))
         return resid
 
     # The step is a deterministic function of the symbol-index iterate, so
@@ -156,14 +138,10 @@ def pgd_solve(
         t0 = seen.setdefault(idx.tobytes(), t)
         if t0 < t:
             # every change within the period exceeded stop_tol, so the
-            # period repeats up to max_iters; copy its values one period back
+            # period repeats up to max_iters; copy its residuals one period back
             period = t - t0
-            series = [trace.residuals]
-            if truth is not None:
-                series.append(trace.err_quantized)
-            for values in series:
-                for _ in range(cfg.max_iters - t):
-                    values.append(values[-period])
+            for _ in range(cfg.max_iters - t):
+                trace.residuals.append(trace.residuals[-period])
             final = list(seen)[t0 + (cfg.max_iters - t0) % period]
             est = alphabet.values[np.frombuffer(final, dtype=idx.dtype)]
             trace.status = "cycle"
@@ -172,38 +150,3 @@ def pgd_solve(
         trace.status = "max_iters"
     return est, trace
 
-
-def contraction_floor(n: int, m: int, b: int, sigma: float, dbar: float,
-                      delta: float, scale: str) -> float:
-    """Additive floor of the per-iteration error recursion, in raw (not
-    per-sqrt-n) units: sqrt(n) times the quantization term of the error
-    recursion plus
-    the noise term for the given matrix scaling."""
-    quant = 2.0 * (2.0 + math.sqrt(n / m)) ** 2 * 2.0 ** -b
-    if sigma > 0:
-        level = b * (dbar + 3.0 * delta)
-        noise = 0.5 * sigma * math.sqrt((n if scale == "normalized" else 1.0) * level / m)
-    else:
-        noise = 0.0
-    return math.sqrt(n) * (quant + noise)
-
-
-def qmap_bruteforce(
-    A: SenseMatrix,
-    y: np.ndarray,
-    w: WeightTable,
-    alphabet: QuantAlphabet,
-    gamma: float,
-) -> np.ndarray:
-    """Exhaustive residual minimizer over sequences with cost <= gamma."""
-    y = np.asarray(y, dtype=float)
-    seqs = enumerate_sequences(alphabet.size, A.n)
-    cost = sequence_costs(seqs, w) / (A.n - w.k)
-    feasible = cost <= gamma
-    if not feasible.any():
-        raise InfeasibleProjection(
-            f"no sequence attains cost <= {gamma}", min_cost=float(cost.min())
-        )
-    resid = np.linalg.norm(alphabet.values[seqs] @ A.entries.T - y[None, :], axis=1)
-    resid = np.where(feasible, resid, np.inf)
-    return seqs[int(np.flatnonzero(resid == resid.min())[0])]

@@ -244,21 +244,6 @@ def _law_entropy(law: np.ndarray) -> float:
     return float(-(probs * np.log2(probs)).sum()) if probs.size else 0.0
 
 
-def weight_gap(p: float, b: int) -> float:
-    """log2 ratio between the hold/zero cell mass and a slab cell mass.
-
-    This is the per-symbol weight difference that converts a complexity
-    budget into an l0 or jump-count budget; strictly positive and
-    increasing in b.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
-    cell = p * 2.0 ** -b
-    return math.log2(((1.0 - p) + cell) / cell)
-
-
 def stationary_context_law(cond: np.ndarray, k: int) -> np.ndarray:
     """Stationary law of the context chain (a_1..a_k) -> (a_2..a_k, a), as
     an array of shape (S,) * k.

@@ -4,6 +4,31 @@ import pytest
 from qmap.quantize import build_alphabet
 from qmap.sources import QuantKernel, WeightTable, stationary_context_law
 
+# small configs of each CLI command, shared by the CLI and schema tests
+RECOVER_CFG = {
+    "model": {"kind": "spike_slab", "p": 0.05},
+    "n": 48, "m": 24, "b": 5, "k": 0,
+    "projector": {"kind": "l0", "s": 5},
+    "trials": 3, "seed": 21,
+}
+
+PHASE_CFG = {
+    "model": {"kind": "spike_slab", "p": 0.1},
+    "n": 32, "b": 5, "k": 0,
+    "projector": {"kind": "l0", "s": 6},
+    "m_over_n": [0.25, 0.75],
+    "trials": 3, "seed": 13,
+}
+
+INFODIM_CFG = {"model": {"kind": "spike_slab", "p": 0.1}, "k": 0, "b_list": [2, 4]}
+
+VALIDATE_CFG = {
+    "seed": 4,
+    "suites": {"chi_square": [{"m": 10, "tau": 1.0, "trials": 4000}]},
+}
+
+PROJECT_CFG = {"model": {"kind": "pc_markov", "p": 0.3}, "b": 2}
+
 
 def random_weight_table(rng: np.random.Generator, size: int, k: int,
                         inf_frac: float = 0.0) -> WeightTable:

@@ -11,30 +11,18 @@ from functools import partial
 import numpy as np
 
 from qmap.cli import main as cli_main
-from qmap.empirics import complexity_cost, count_jumps
-from qmap.experiments import run_phase, run_recover
-from qmap.projection import (
-    enumerate_sequences,
-    project_bruteforce,
-    project_constrained,
-    project_lagrangian,
-    sequence_costs,
-)
+from qmap.empirics import complexity_cost
+from qmap.experiments import run_phase
+from qmap.projection import project_constrained, project_lagrangian
 from qmap.quantize import build_alphabet, quantize_vector
 from qmap.sensing import gen_gaussian
-from qmap.solver import (
-    PgdConfig,
-    default_gamma,
-    pgd_solve,
-    qmap_bruteforce,
-)
+from qmap.solver import PgdConfig, default_gamma, pgd_solve
 from qmap.sources import (
     PiecewiseConstant,
     SpikeSlab,
     cond_entropy,
     quantized_kernel,
     sample_path,
-    weight_gap,
     weights_from_kernel,
 )
 from qmap.validation import (
@@ -45,8 +33,20 @@ from qmap.validation import (
 )
 
 from conftest import random_kernel, random_weight_table
-from test_empirics import k_type
-from test_projection import lagrangian_objective
+from oracles import (
+    cond_empirical_entropy,
+    contraction_floor,
+    count_jumps,
+    enumerate_sequences,
+    k_type,
+    kl_divergence,
+    lagrangian_objective,
+    project_bruteforce,
+    qmap_bruteforce,
+    recovery_error_paths,
+    sequence_costs,
+    weight_gap,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -116,8 +116,6 @@ def test_criterion_02_cost_identities():
 
 
 def test_criterion_03_decomposition_identity():
-    from qmap.empirics import cond_empirical_entropy, kl_divergence
-
     rng = np.random.default_rng(103)
     worst = 0.0
     for _ in range(500):
@@ -152,14 +150,14 @@ _recover_results = {}
 def _criterion4_results():
     if "rows" not in _recover_results:
         t0 = time.perf_counter()
-        _recover_results["rows"] = run_recover(RECOVER_CONFIG, jobs=1)
-        _recover_results["wall"] = time.perf_counter() - t0
+        rows, paths = recovery_error_paths(RECOVER_CONFIG)
+        _recover_results.update(rows=rows, err_paths=paths, wall=time.perf_counter() - t0)
     return _recover_results
 
 
 def test_criterion_04_noiseless_recovery():
     results = _criterion4_results()
-    exact = sum(1 for r in results["rows"] if r["row"]["final_err_quantized"] == 0.0)
+    exact = sum(1 for r in results["rows"] if r["final_err_quantized"] == 0.0)
     wall = results["wall"]
     ok = exact >= 16 and wall < 60.0
     report(4, "noiseless recovery", ok,
@@ -168,11 +166,12 @@ def test_criterion_04_noiseless_recovery():
 
 def test_criterion_05_contraction_telemetry():
     results = _criterion4_results()
+    c = RECOVER_CONFIG
+    dbar = cond_entropy(quantized_kernel(SpikeSlab(c["model"]["p"]), c["b"])) / c["b"]
+    floor = contraction_floor(c["n"], c["m"], c["b"], c["sigma"], dbar, 0.1, "unit")
     good = 0
     total = 0
-    for r in results["rows"]:
-        err = r["err_path"]
-        floor = r["contraction_floor"]
+    for err in results["err_paths"]:
         pairs = [(err[t], err[t + 1]) for t in range(1, len(err) - 1)]
         counted = [p for p in pairs if p[0] > floor]
         if not counted:
@@ -182,7 +181,7 @@ def test_criterion_05_contraction_telemetry():
     frac = good / total if total else 1.0
     report(5, "contraction telemetry", frac >= 0.9,
            f"{good}/{total} iteration pairs within 0.9-contraction + floor "
-           f"(floor={results['rows'][0]['contraction_floor']:.3f}), fraction {frac:.3f} >= 0.9")
+           f"(floor={floor:.3f}), fraction {frac:.3f} >= 0.9")
 
 
 def test_criterion_06_phase_direction():

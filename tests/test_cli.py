@@ -7,29 +7,8 @@ from pathlib import Path
 import pytest
 
 import qmap
+from conftest import INFODIM_CFG, PHASE_CFG, PROJECT_CFG, RECOVER_CFG, VALIDATE_CFG
 from qmap.cli import main
-
-RECOVER_CFG = {
-    "model": {"kind": "spike_slab", "p": 0.05},
-    "n": 48, "m": 24, "b": 5, "k": 0,
-    "projector": {"kind": "l0", "s": 5},
-    "trials": 3, "seed": 21,
-}
-
-PHASE_CFG = {
-    "model": {"kind": "spike_slab", "p": 0.1},
-    "n": 32, "b": 5, "k": 0,
-    "projector": {"kind": "l0", "s": 6},
-    "m_over_n": [0.25, 0.75],
-    "trials": 3, "seed": 13,
-}
-
-INFODIM_CFG = {"model": {"kind": "spike_slab", "p": 0.1}, "k": 0, "b_list": [2, 4]}
-
-VALIDATE_CFG = {
-    "seed": 4,
-    "suites": {"chi_square": [{"m": 10, "tau": 1.0, "trials": 4000}]},
-}
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -200,9 +179,6 @@ def test_table_kernel_grid_is_the_search_space(tmp_path):
     assert run(["project", "--config", pcfg, "--out", pout]) == 0
     values = [float(line.split(",")[2]) for line in pout.read_text().splitlines()[2:]]
     assert set(values) <= {0.0, 0.25}
-
-
-PROJECT_CFG = {"model": {"kind": "pc_markov", "p": 0.3}, "b": 2}
 
 
 @pytest.mark.parametrize("command, cfg, key", [

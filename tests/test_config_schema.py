@@ -1,6 +1,6 @@
 """The in-package config checker against jsonschema as an oracle.
 
-Every shipped config and every config of test_cli.py is mutated at random
+Every shipped config and every CLI test config is mutated at random
 (keys dropped or added, values swapped for wrong types, out-of-range
 numbers and other kinds) and both checkers must report the same errors,
 path and message, in the same order.
@@ -19,7 +19,7 @@ referencing = pytest.importorskip("referencing")
 
 from qmap import cli  # noqa: E402
 
-from test_cli import INFODIM_CFG, PHASE_CFG, PROJECT_CFG, RECOVER_CFG, VALIDATE_CFG  # noqa: E402
+from conftest import INFODIM_CFG, PHASE_CFG, PROJECT_CFG, RECOVER_CFG, VALIDATE_CFG  # noqa: E402
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 COMMANDS = ("recover", "phase", "infodim", "validate", "project")

