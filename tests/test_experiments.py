@@ -119,6 +119,19 @@ def test_l0_trial_builds_no_weight_table(monkeypatch):
             "kind": "constrained", "delta": 0.3}), 0)
 
 
+def test_trial_reports_the_best_target_grid_stage_end():
+    # the 0.7/m polish stage ends at residual 0.758; the 1.0/m stage then
+    # cycles from that fit to a worse end at residual 2.157
+    kernel = {"b": 2, "k": 0, "lo": 0.0, "hi": 0.5,
+              "rows": [{"context": [], "probs": [0.75, 0.25]}]}
+    cfg = {"model": {"kind": "table_markov", "kernel": kernel},
+           "n": 16, "m": 12, "b": 2, "k": 0,
+           "projector": {"kind": "l0", "s": 4}, "trials": 1, "seed": 1}
+    row = run_recovery_trial(cfg, 0)
+    assert row["residual"] == pytest.approx(0.7584, abs=1e-4)
+    assert row["final_err_quantized"] == 0.0625
+
+
 def test_measure_quantized_flag():
     exact = run_recovery_trial(RECOVER_CFG, 2)
     analog = run_recovery_trial(dict(RECOVER_CFG, measure_quantized=False), 2)
