@@ -247,8 +247,8 @@ def contraction_floor(n: int, m: int, b: int, sigma: float, dbar: float,
 # ------------------------------------------------------------- error paths
 
 def pgd_error_path(A: SenseMatrix, y: np.ndarray, alphabet: QuantAlphabet,
-                   cfg: PgdConfig, truth: np.ndarray, solve=pgd_solve):
-    """solve(A, y, alphabet, cfg) plus the error ||Xhat(t) - [truth]||, t = 0
+                   cfg: PgdConfig, truth: np.ndarray):
+    """pgd_solve(A, y, alphabet, cfg) plus the error ||Xhat(t) - [truth]||, t = 0
     .. iters, against the truth quantized on alphabet: the quantity the
     contraction analysis controls.  Xhat(0) is cfg.start or the zero vector,
     and every later iterate is a projector output, so the projector is
@@ -263,7 +263,7 @@ def pgd_error_path(A: SenseMatrix, y: np.ndarray, alphabet: QuantAlphabet,
         errors.append(float(np.linalg.norm(alphabet.values[idx] - truth_q)))
         return idx
 
-    est, trace = solve(A, y, alphabet, replace(cfg, projector=projector))
+    est, trace = pgd_solve(A, y, alphabet, replace(cfg, projector=projector))
     if trace.status == "cycle":
         raise AssertionError("the run ended in a cycle; its error path is not recorded")
     return est, trace, errors
@@ -271,9 +271,10 @@ def pgd_error_path(A: SenseMatrix, y: np.ndarray, alphabet: QuantAlphabet,
 
 def recovery_error_paths(config: dict) -> tuple[list[dict], list[list[float]]]:
     """run_recover(config) in process, with each trial's error path over all
-    its stages: every stage's pgd_solve goes through pgd_error_path against
-    the trial's sampled truth, and a stage after the first drops its start,
-    which repeats the previous stage's last iterate."""
+    its stages.  The truth is caught from the trial's one sample_path call;
+    every stage's pgd_solve then goes through pgd_error_path against it,
+    and a stage after the first drops its start, which repeats the previous
+    stage's last iterate."""
     paths: list[list[float]] = []
     truth = {}
     sample_path = experiments.sample_path
