@@ -10,12 +10,22 @@ exactly with a Viterbi dynamic program over the alphabet^k context states
 a hard complexity budget by an exact search over the breakpoints of alpha
 (Everett's generalized Lagrange multipliers), and project_l0 is the exact
 fast path for memoryless spike-and-slab weights.  Every projector requires
-finite x.
+finite x; the Viterbi projectors also refuse an x whose squared distance to
+the grid overflows.
 
 Ties are always broken toward the lexicographically smallest symbol-index
 sequence: the dynamic program runs backward over suffix costs, keeping for
 every (position, context) the smallest optimal symbol as a back-pointer,
 and the path is rebuilt forward by following them.
+
+The dense trellis costs O(n S^(k+1)) for an alphabet of S symbols.  A k=1
+table with one weight on its diagonal (hold) and one off it (jump), both
+finite and hold <= jump, as every pc_markov table is, takes a stay-or-jump
+pass instead, in O(n S): from a state, the best next symbol is the state
+itself or the first best jump target, which is the same for every state.
+Its cells are the dense pass's cells, summed in the same order, and its
+comparisons pick the first minimum of each dense row, so it returns the
+same bytes (see _stay_or_jump_pass).
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ from .sources import WeightTable
 
 MAX_STATES = 2 ** 20          # alphabet^k context states
 MAX_TRELLIS_CELLS = 2 ** 24   # n * alphabet^k back-pointers kept alive
+STAY_OR_JUMP_BLOCK = 64       # positions whose cells the stay-or-jump pass forms at once
 
 
 class InfeasibleProjection(ValueError):
@@ -62,6 +73,17 @@ def _finite_vector(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_distortion(x: np.ndarray, values: np.ndarray) -> None:
+    """Refuse an x whose worst sequence has a distortion that overflows:
+    summed in the trellis it would read as an infinite, forbidden cost."""
+    with np.errstate(over="ignore"):
+        worst = np.maximum((x - values[0]) ** 2, (x - values[-1]) ** 2).sum()
+    if not math.isfinite(worst):
+        raise ValueError(
+            "x is too large to project: the squared distance to the grid is not finite"
+        )
+
+
 def _check_trellis_size(n: int, s: int, k: int) -> None:
     if s ** k > MAX_STATES:
         raise ProblemTooLarge(f"trellis needs {s}^{k} states; limit is {MAX_STATES}")
@@ -91,16 +113,21 @@ def project_lagrangian(
     if not 0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     _check_trellis_size(n, s, k)
+    _check_distortion(x, alphabet.values)
+
+    aw = _scaled_weights(w.w, alpha)
+    if _is_stay_or_jump(w):
+        return _stay_or_jump_pass(x, alphabet.values, aw[0, 0], aw[0, 1], dist_scale)
 
     dist = dist_scale * (alphabet.values[None, :] - x[:, None]) ** 2  # (n, s)
     if k == 0:
         # decoupled: per-position minimum, argmin toward the smallest index
-        stage = dist + _scaled_weights(w.w, alpha)[None, :]
+        stage = dist + aw[None, :]
         if np.isinf(stage.min(axis=1)).any():
             raise InfeasibleProjection("every symbol is forbidden at some position")
         return np.argmin(stage, axis=1).astype(np.int64)
 
-    aw = _scaled_weights(w.w, alpha).reshape(s ** k, s)  # cost of (state, symbol)
+    aw = aw.reshape(s ** k, s)  # cost of (state, symbol)
     # state id encodes the context base-s, most recent symbol in the low digit;
     # after symbol a the next state is (state mod s^(k-1)) * s + a
     states = s ** k
@@ -139,6 +166,76 @@ def project_lagrangian(
         a = back.item(i - k, state)
         out[i] = a
         state = (state % low_states) * s + a
+    return out
+
+
+def _is_stay_or_jump(w: WeightTable) -> bool:
+    """A k=1 table with one weight on its diagonal (hold) and one off it
+    (jump), both finite, hold <= jump: the form of every pc_markov table."""
+    if w.k != 1 or w.alphabet.size < 2:
+        return False
+    hold, jump = w.w[0, 0], w.w[0, 1]
+    if not (math.isfinite(hold) and math.isfinite(jump) and hold <= jump):
+        return False
+    table = np.full_like(w.w, jump)
+    np.fill_diagonal(table, hold)
+    return np.array_equal(w.w, table)
+
+
+def _stay_or_jump_pass(
+    x: np.ndarray, values: np.ndarray, hold: float, jump: float, dist_scale: float
+) -> np.ndarray:
+    """The k=1 trellis for a stay-or-jump table in O(n S): the bytes of the
+    dense pass, its cells summed as (dist + weight) + suffix in the same order.
+
+    At a position, H[a] and J[a] are the cells that hold at a and that jump
+    to a.  Row `state` of the dense trellis is J with H[state] on its
+    diagonal, so its first minimum is state or j1, the first argmin of J:
+    state < j1 holds iff H[state] <= J[j1], state > j1 iff H[state] < J[j1],
+    and j1 itself always holds (H[j1] <= J[j1], as hold <= jump and float
+    rounding is monotone).  The next suffix is min(H, J[j1]).
+    """
+    n, s = len(x), len(values)
+    suffix = np.zeros(s)
+    holds = np.empty((n - 1, s), dtype=bool)  # position i + 1 keeps the state
+    jump_to = np.empty(n - 1, dtype=np.int64)  # else it moves to this symbol
+    symbols = np.arange(s)
+    # the distortion and the H and J cells of one block of positions at a
+    # time, from the back: no (n, 2, S) array beside the hold bits
+    block = min(STAY_OR_JUMP_BLOCK, n - 1)
+    cells = np.empty((block, 2, s))
+    rows = list(cells)
+    h_rows = [row[0] for row in rows]
+    j_rows = [row[1] for row in rows]
+    for end in range(n, 1, -block):
+        start = max(end - block, 1)
+        m = end - start
+        dist = dist_scale * (values[None, :] - x[start:end, None]) ** 2
+        np.add(dist, hold, out=cells[:m, 0])
+        np.add(dist, jump, out=cells[:m, 1])
+        first = [0] * m
+        first_cost = [0.0] * m
+        for r in range(m - 1, -1, -1):
+            np.add(rows[r], suffix, out=rows[r])
+            j1 = j_rows[r].argmin()
+            v1 = j_rows[r][j1]
+            np.minimum(h_rows[r], v1, out=suffix)
+            first[r] = j1
+            first_cost[r] = v1
+        h = cells[:m, 0]
+        v1 = np.array(first_cost)[:, None]
+        j1 = np.array(first)[:, None]
+        holds[start - 1:end - 1] = (h < v1) | ((h == v1) & (symbols <= j1))
+        jump_to[start - 1:end - 1] = j1[:, 0]
+
+    start_cost = dist_scale * (values - x[0]) ** 2 + suffix
+    state = int(start_cost.argmin())  # lex-smallest first symbol
+    out = np.empty(n, dtype=np.int64)
+    out[0] = state
+    for i in range(1, n):
+        if not holds.item(i - 1, state):
+            state = jump_to.item(i - 1)
+        out[i] = state
     return out
 
 

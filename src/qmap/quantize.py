@@ -68,15 +68,18 @@ def quantize_vector(x: np.ndarray, alphabet: QuantAlphabet) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("expected a 1-D vector")
-    bad = np.flatnonzero(~((x >= alphabet.lo) & (x <= alphabet.hi) & np.isfinite(x)))
-    if bad.size:
-        i = int(bad[0])
+    # min and max are NaN if any coordinate is, and NaN fails both bounds;
+    # only then is every coordinate scanned, to name the first bad one
+    if x.size and not (alphabet.lo <= x.min() and x.max() <= alphabet.hi):
+        i = int(np.flatnonzero(~((x >= alphabet.lo) & (x <= alphabet.hi)))[0])
         raise ValueError(
-            f"coordinate {i} = {x[i]!r} outside alphabet range "
+            f"coordinate {i} = {float(x[i])!r} outside alphabet range "
             f"[{alphabet.lo}, {alphabet.hi}]"
         )
     scale = float(2 ** alphabet.b)
     i0 = math.floor(alphabet.lo * scale)
-    idx = np.floor(x * scale).astype(np.int64) - i0
+    scaled = x * scale
+    idx = np.floor(scaled, out=scaled).astype(np.int64)
+    idx -= i0
     # the closed right endpoint folds into the final half-open cell
-    return np.minimum(idx, alphabet.size - 1)
+    return np.minimum(idx, alphabet.size - 1, out=idx)

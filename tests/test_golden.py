@@ -34,7 +34,8 @@ RUNS = [pytest.param(name, 1, id=name) for name in CONFIGS] + [
 
 
 @pytest.mark.parametrize("name, jobs", RUNS)
-def test_config_output_matches_golden(name, jobs, tmp_path):
+def test_config_output_matches_golden(name, jobs, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)  # a config's input path is relative to the repository root
     command = name.split("_")[0]
     expected = next(GOLDEN.glob(f"{name}.*"))
     out = tmp_path / expected.name

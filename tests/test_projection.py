@@ -97,6 +97,81 @@ def test_lagrangian_matches_bruteforce(rng):
         assert np.array_equal(u_dp, u_bf)
 
 
+def stay_or_jump_table(size: int, hold: float, jump: float) -> WeightTable:
+    w = np.full((size, size), jump)
+    np.fill_diagonal(w, hold)
+    return WeightTable(alphabet=build_alphabet(0.0, size * 0.25, 2), k=1, w=w)
+
+
+def spy_stay_or_jump(mp) -> list:
+    """Count the calls of the O(n S) stay-or-jump pass."""
+    calls = []
+    real = projection._stay_or_jump_pass
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    mp.setattr(projection, "_stay_or_jump_pass", counted)
+    return calls
+
+
+@st.composite
+def stay_or_jump_cases(draw):
+    # dyadic inputs, weights and alpha keep every cell exact, so ties are
+    # common and the tie-break alone decides the sequence
+    small = draw(st.booleans())
+    size = draw(st.integers(2, 4 if small else 64))
+    n = draw(st.integers(2, 8 if small else 512))
+    weight = st.one_of(st.integers(0, 6).map(float), st.integers(0, 48).map(lambda v: v / 16))
+    hold, jump = sorted([draw(weight), draw(weight)])
+    if draw(st.booleans()):
+        jump = hold
+    w = stay_or_jump_table(size, hold, jump)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # grid values and midpoints, with one step beyond each end of the grid
+    points = np.arange(-2, 2 * size + 1) * 0.125
+    if draw(st.booleans()):
+        x = rng.choice(points, n)
+    else:
+        x = np.full(n, draw(st.sampled_from(points.tolist())))
+    alpha = draw(st.sampled_from([0.0, 0.0625, 0.5, 1.0, 4.0]))
+    return x, w, alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(stay_or_jump_cases(), st.sampled_from([1.0, 0.0]))
+def test_stay_or_jump_pass_matches_dense_and_bruteforce(case, dist_scale):
+    x, w, alpha = case
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_stay_or_jump(mp)
+        u = project_lagrangian(x, w, w.alphabet, alpha, dist_scale)
+        assert len(calls) == 1
+        mp.setattr(projection, "_is_stay_or_jump", lambda w: False)
+        dense = project_lagrangian(x, w, w.alphabet, alpha, dist_scale)
+    assert u.dtype == dense.dtype and u.tobytes() == dense.tobytes()
+    if w.alphabet.size ** len(x) <= 4 ** 8 and dist_scale == 1.0:
+        assert u.tobytes() == project_bruteforce(x, w, w.alphabet, alpha=alpha).tobytes()
+
+
+@pytest.mark.parametrize("table", [
+    np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]),  # hold > jump
+    np.array([[0.5, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 0.5]]),  # uneven diagonal
+    np.array([[0.5, 2.0, 1.0], [2.0, 0.5, 2.0], [2.0, 2.0, 0.5]]),  # uneven jumps
+    np.array([[0.5, 2.0, np.inf], [2.0, 0.5, 2.0], [2.0, 2.0, 0.5]]),  # a forbidden jump
+])
+def test_other_k1_tables_take_the_dense_pass(table, monkeypatch):
+    w = WeightTable(alphabet=build_alphabet(0.0, 0.75, 2), k=1, w=table)
+    calls = spy_stay_or_jump(monkeypatch)
+    rng = np.random.default_rng(5)
+    for alpha in (0.0, 0.125, 0.5, 2.0):
+        for _ in range(5):
+            x = rng.choice(np.arange(-1, 7) * 0.125, 7)
+            u = project_lagrangian(x, w, w.alphabet, alpha)
+            assert u.tobytes() == project_bruteforce(x, w, w.alphabet, alpha=alpha).tobytes()
+    assert calls == []
+
+
 def test_all_forbidden_raises(rng):
     w = random_weight_table(rng, 3, 1)
     w.w[:] = np.inf
@@ -312,12 +387,14 @@ def test_infeasible_carries_min_cost(rng):
     )
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
 @pytest.mark.parametrize("projector", ["lagrangian", "constrained", "l0"])
 def test_projectors_reject_non_finite_input(projector, bad):
     # NaN used to raise a stray IndexError in the trellis (or return a
     # wrong sequence at k=0), inf was reported as InfeasibleProjection, and
-    # project_l0 returned a wrong projection for either
+    # project_l0 returned a wrong projection for either.  A finite 1e200
+    # overflowed the squared distance to inf, with a RuntimeWarning and a
+    # false InfeasibleProjection from the trellis
     x = np.array([0.1, 0.6, bad, 0.3, 0.9, 0.2])
     for w in (weights_from_kernel(quantized_kernel(SpikeSlab(0.3), 2)),
               weights_from_kernel(quantized_kernel(PiecewiseConstant(0.3), 2))):
@@ -326,6 +403,10 @@ def test_projectors_reject_non_finite_input(projector, bad):
             "constrained": lambda: project_constrained(x, w, w.alphabet, 0.5),
             "l0": lambda: project_l0(x, w.alphabet, 3),
         }[projector]
+        if projector == "l0" and math.isfinite(bad):
+            # project_l0 sums no squared distance: it keeps the huge coordinate
+            assert project()[2] == w.alphabet.size - 1
+            continue
         with pytest.raises(ValueError, match="finite") as exc:
             project()
         assert not isinstance(exc.value, InfeasibleProjection)

@@ -114,6 +114,22 @@ def test_quantize_vector_endpoint_and_errors():
         quantize_vector(np.array([0.5, 1.5]), ab)
 
 
+@pytest.mark.parametrize("bad, expect", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+    (-0.25, "-0.25"), (1.25, "1.25"),
+])
+def test_quantize_vector_names_the_first_bad_coordinate(bad, expect):
+    # the range check reads only min and max; the error still names the
+    # first offending coordinate, wherever the others lie
+    ab = build_alphabet(0, 1, 2)
+    x = np.array([0.5, 1.0, bad, 0.0, 2.0, -1.0, math.nan])
+    with pytest.raises(ValueError, match=rf"^coordinate 2 = {expect} outside"):
+        quantize_vector(x, ab)
+    # and in a vector whose only bad coordinate is the last one
+    with pytest.raises(ValueError, match=rf"^coordinate 3 = {expect} outside"):
+        quantize_vector(np.array([0.0, 0.25, 1.0, bad]), ab)
+
+
 def test_quantize_vector_matches_scalar(rng):
     ab = build_alphabet(-1, 1, 3)
     x = rng.uniform(-1, 1, 200)
