@@ -63,7 +63,12 @@ def _scaled_weights(w: np.ndarray, alpha: float) -> np.ndarray:
     # alpha = 0 must erase the weights entirely, including the +inf ones
     if alpha == 0.0:
         return np.zeros_like(w)
-    return np.where(np.isinf(w), np.inf, alpha * w)
+    try:
+        with np.errstate(over="raise"):
+            return np.where(np.isinf(w), np.inf, alpha * w)
+    except FloatingPointError:
+        # an infinite alpha * w would read as a forbidden window
+        raise ValueError(f"alpha = {alpha!r} scales a finite weight to inf") from None
 
 
 def _finite_vector(x: np.ndarray) -> np.ndarray:

@@ -122,24 +122,41 @@ def sample_paths(model: SourceModel, n: int, rows: int,
     spike or jump uniforms; X_1 of a piecewise-constant row is always a
     fresh (stationary) draw.  Table rows are drawn one after another.  So a
     block of rows is the same as that many one-row calls on the same rng.
+    The block is the expansion of sample_runs on the same rng.
+    """
+    values, _, lengths = sample_runs(model, n, rows, rng)
+    return np.repeat(values, lengths).reshape(rows, n)
+
+
+def sample_runs(model: SourceModel, n: int, rows: int, rng: np.random.Generator
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the block of sample_paths in run-length form: (values, starts,
+    lengths), one entry per run, in path order.
+
+    starts index the flattened (rows * n) block, and no run crosses a row.
+    A piecewise-constant run lasts from one jump to the next; spike-slab and
+    table runs have length 1.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if isinstance(model, TableMarkov):
-        out = np.empty((rows, n))
-        for row in out:
-            row[:] = _sample_table(model.kernel, n, rng)
-        return out
-    if not isinstance(model, (SpikeSlab, PiecewiseConstant)):
-        raise TypeError(f"unsupported model {model!r}")
-    u = rng.random((rows, 2 * n))
-    values, flips = u[:, :n], u[:, n:] < model.p
+    if isinstance(model, PiecewiseConstant):
+        u = rng.random((rows, 2 * n))
+        jumps = u[:, n:] < model.p
+        jumps[:, 0] = True  # so no run crosses a row
+        starts = np.flatnonzero(jumps)
+        # the slab value at flat position r n + j sits at u.flat[2n r + j]
+        values = u.ravel()[starts + starts // n * n]
+        return values, starts, np.diff(starts, append=rows * n)
     if isinstance(model, SpikeSlab):
-        return np.where(flips, values, 0.0)
-    flips[:, 0] = True  # so no run crosses a row
-    starts = np.flatnonzero(flips)
-    runs = np.diff(starts, append=rows * n)
-    return np.repeat(values.ravel()[starts], runs).reshape(rows, n)
+        u = rng.random((rows, 2 * n))
+        values = np.where(u[:, n:] < model.p, u[:, :n], 0.0).ravel()
+    elif isinstance(model, TableMarkov):
+        values = np.empty(rows * n)
+        for r in range(rows):
+            values[r * n: (r + 1) * n] = _sample_table(model.kernel, n, rng)
+    else:
+        raise TypeError(f"unsupported model {model!r}")
+    return values, np.arange(rows * n), np.ones(rows * n, dtype=np.intp)
 
 
 def _sample_table(kernel: QuantKernel, n: int, rng: np.random.Generator) -> np.ndarray:

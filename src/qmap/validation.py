@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quantize import quantize_vector
-from .sources import SourceModel, ktuple_law, quantized_kernel, sample_paths
+from .sources import SourceModel, ktuple_law, quantized_kernel, sample_runs
 
 C_TYPES = 1.0 / (2.0 * math.log(2.0))  # constant in the type-deviation bounds
 _Z95 = 1.959963984540054
@@ -126,9 +126,10 @@ def mc_empirical_deviation(
 ) -> TailEstimate:
     """Estimate P(||phat_k - mu_k||_1 >= epsilon) for the quantized model.
 
-    Paths are sampled, quantized, and their k-th order types compared to the
-    exact k-tuple law of the kernel.  All paths come from one generator, a
-    block of rows at a time.  The gap parameter g enters only the
+    Paths are sampled as runs, one value per run is quantized, and their
+    k-th order types are compared to the exact k-tuple law of the kernel.
+    All paths come from one generator, a block of rows at a time; no block
+    is expanded into paths.  The gap parameter g enters only the
     reported bound (it is not constructive for general mixing sources).
     """
     if n <= k or trials < 1:
@@ -139,17 +140,13 @@ def mc_empirical_deviation(
 
     rng = np.random.default_rng(seed)
     hits = 0
-    chunk = max(1, _BLOCK // (2 * n))  # a path row draws 2n uniforms
+    # a path row draws 2n uniforms and counts s^k k-types
+    chunk = max(1, _BLOCK // max(2 * n, s ** k))
     for done in range(0, trials, chunk):
         t = min(chunk, trials - done)
-        paths = sample_paths(model, n, t, rng)
-        paths = quantize_vector(paths.ravel(), kernel.alphabet).reshape(t, n)
-        codes = np.zeros((t, n - k + 1), dtype=np.int64)
-        for j in range(k):
-            codes = codes * s + paths[:, j: n - k + 1 + j]
-        flat = (np.arange(t)[:, None] * (s ** k) + codes).ravel()
-        counts = np.bincount(flat, minlength=t * s ** k).reshape(t, s ** k)
-        emp = counts / (n - k + 1)
+        values, starts, lengths = sample_runs(model, n, t, rng)
+        symbols = quantize_vector(values, kernel.alphabet)
+        emp = _window_counts(symbols, starts, lengths, n, k, s, t) / (n - k + 1)
         dists = np.abs(emp - mu[None, :]).sum(axis=1)
         hits += int((dists >= epsilon).sum())
 
@@ -167,6 +164,36 @@ def mc_empirical_deviation(
             "markov_bound": mk_bound, "markov_bound_log2": mk_log2,
         },
     )
+
+
+def _window_counts(symbols: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                   n: int, k: int, s: int, rows: int) -> np.ndarray:
+    """(rows, s^k) counts of the n - k + 1 k-windows of each length-n row,
+    from the rows' runs: symbols, flat starts and lengths, no run crossing
+    a row (the form of sources.sample_runs).  The code of a window is its
+    symbols read as a base-s number.
+    """
+    if k == 0:
+        return np.full((rows, 1), n + 1)
+    cells = s ** k
+    row = starts // n
+    inside = np.maximum(lengths - (k - 1), 0)
+    # a window inside one run repeats its symbol k times
+    index = row * cells + symbols * sum(s ** j for j in range(k))
+    weights = inside
+    if k > 1:
+        # the windows that start in a run and cross its end: at most k - 1
+        # per run, and none past a row's last window start n - k
+        first = starts + inside
+        cross = np.maximum(np.minimum(starts + lengths - 1, row * n + n - k) - first + 1, 0)
+        run = np.repeat(np.arange(len(starts)), cross)
+        at = first[run] + np.arange(len(run)) - np.repeat(np.cumsum(cross) - cross, cross)
+        code = symbols[run]
+        for j in range(1, k):
+            code = code * s + symbols[np.searchsorted(starts, at + j, side="right") - 1]
+        index = np.concatenate([index, row[run] * cells + code])
+        weights = np.concatenate([weights, np.ones_like(run)])
+    return np.bincount(index, weights=weights, minlength=rows * cells).reshape(rows, cells)
 
 
 def chi_square_upper_bound(m: int, tau: float) -> float:

@@ -416,10 +416,11 @@ def test_projectors_reject_non_finite_input(projector, bad):
 def test_non_finite_alpha_and_nan_gamma_are_refused(source):
     # alpha=NaN used to return all zeros (alpha < 0 is False for NaN),
     # alpha=inf raised a misleading InfeasibleProjection, and gamma=NaN
-    # returned the unconstrained rounding (cost > NaN is False)
+    # returned the unconstrained rounding (cost > NaN is False).  A finite
+    # alpha whose alpha * w overflows warned and forbade every such window
     x = np.array([0.1, 0.6, 0.62, 0.3, 0.9, 0.2])
     w = weights_from_kernel(quantized_kernel(source, 2))
-    for alpha in (math.nan, math.inf, -math.inf, -0.5):
+    for alpha in (math.nan, math.inf, -math.inf, -0.5, 1e308):
         with pytest.raises(ValueError, match="alpha") as exc:
             project_lagrangian(x, w, w.alphabet, alpha)
         assert not isinstance(exc.value, InfeasibleProjection)

@@ -3,11 +3,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_kernel
 from qmap.quantize import quantize_vector
 from qmap.sources import (
     PiecewiseConstant,
     SpikeSlab,
+    TableMarkov,
     ktuple_law,
     quantized_kernel,
     sample_paths,
@@ -169,13 +173,20 @@ def test_mc_empirical_deviation_decreases_with_n():
     assert estimates[0] > estimates[-1] - slack
 
 
-@pytest.mark.parametrize("n, k, epsilon, trials", [
-    (2 ** 17, 1, 0.0125, 5),  # one path per block
-    (300, 0, 0.35, 200),
-    (300, 1, 0.35, 200),
-])
-def test_mc_empirical_deviation_equals_per_path_loop(n, k, epsilon, trials):
-    model, b, seed = PiecewiseConstant(0.2), 3, 17
+# a 3-symbol table chain: an alphabet size that is not a power of 2
+TABLE = TableMarkov(random_kernel(np.random.default_rng(5), 3, 1))
+MODELS = {
+    "spike_slab": (SpikeSlab(0.3), 2),
+    "pc_p0": (PiecewiseConstant(0.0), 2),
+    "pc_p0.2": (PiecewiseConstant(0.2), 2),
+    "pc_p1": (PiecewiseConstant(1.0), 2),
+    "table": (TABLE, 2),
+}
+
+
+def _per_path_hits(model, n, k, b, epsilon, trials, seed):
+    # one path at a time, its k-windows counted by a Counter; the l1
+    # distance is summed as mc_empirical_deviation sums a row
     kernel = quantized_kernel(model, b)
     mu = ktuple_law(kernel, k)
     rng = np.random.default_rng(seed)
@@ -184,10 +195,69 @@ def test_mc_empirical_deviation_equals_per_path_loop(n, k, epsilon, trials):
         path = sample_paths(model, n, 1, rng)[0]
         symbols = quantize_vector(path, kernel.alphabet).tolist()
         counts = Counter(tuple(symbols[i: i + k]) for i in range(n - k + 1))
-        dist = sum(abs(counts[t] / (n - k + 1) - mu[t]) for t in np.ndindex(mu.shape))
-        hits += dist >= epsilon
-    est = mc_empirical_deviation(model, n, k, b, epsilon, trials, seed)
-    assert est.hits == hits
+        emp = np.array([counts[t] for t in np.ndindex(mu.shape)]) / (n - k + 1)
+        hits += np.abs(emp - mu.ravel()).sum() >= epsilon
+    return hits
+
+
+@pytest.mark.parametrize("n, k, epsilon, trials", [
+    (2 ** 17, 1, 0.0125, 5),  # one path per block
+    (300, 0, 0.35, 200),
+    (300, 1, 0.35, 200),
+])
+def test_mc_empirical_deviation_equals_per_path_loop(n, k, epsilon, trials):
+    model, b, seed = PiecewiseConstant(0.2), 3, 17
+    assert (mc_empirical_deviation(model, n, k, b, epsilon, trials, seed).hits
+            == _per_path_hits(model, n, k, b, epsilon, trials, seed))
+
+
+@pytest.mark.parametrize("name", MODELS)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("size", ["k+1", 120])
+def test_mc_empirical_deviation_equals_per_path_loop_for_every_model(name, k, size):
+    model, b = MODELS[name]
+    n = k + 1 if size == "k+1" else size
+    epsilon, trials, seed = 0.35, 50, 17
+    assert (mc_empirical_deviation(model, n, k, b, epsilon, trials, seed).hits
+            == _per_path_hits(model, n, k, b, epsilon, trials, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(MODELS)), k=st.integers(0, 3), extra=st.integers(0, 30),
+       trials=st.integers(1, 12), block=st.integers(1, 2 ** 10),
+       epsilon=st.sampled_from([0.05, 0.2, 0.35, 0.7]), seed=st.integers(0, 2 ** 32 - 1))
+def test_mc_empirical_deviation_hits_match_per_path_loop_at_any_block(
+        name, k, extra, trials, block, epsilon, seed):
+    import qmap.validation as validation
+
+    model, b = MODELS[name]
+    n = k + 1 + extra
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validation, "_BLOCK", block)
+        hits = mc_empirical_deviation(model, n, k, b, epsilon, trials, seed).hits
+    assert hits == _per_path_hits(model, n, k, b, epsilon, trials, seed)
+
+
+@pytest.mark.parametrize("b, k, n, trials, block", [
+    (2, 3, 8, 50, 2 ** 8),  # 16 rows of 2n = 16 draws, but 64 types a row
+    (5, 4, 8, 3, None),  # 2^20 types a row: one row per block
+])
+def test_mc_empirical_deviation_bounds_its_count_array(b, k, n, trials, block, monkeypatch):
+    import qmap.validation as validation
+
+    if block is not None:
+        monkeypatch.setattr(validation, "_BLOCK", block)
+    limit = max(validation._BLOCK, (2 ** b) ** k)
+    bincount = np.bincount
+
+    def bounded_bincount(x, weights=None, minlength=0):
+        # refuse before allocating, so an unbounded block fails cheaply
+        if minlength > limit:
+            raise AssertionError(f"count array of {minlength} cells exceeds {limit}")
+        return bincount(x, weights=weights, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", bounded_bincount)
+    assert mc_empirical_deviation(PiecewiseConstant(0.2), n, k, b, 1.5, trials, 3).trials == trials
 
 
 @pytest.mark.parametrize("model, k, epsilon", [(PiecewiseConstant(0.2), 1, 0.5),
