@@ -28,7 +28,7 @@ from .projection import (
     project_lagrangian,
 )
 from .sensing import SenseMatrix, gen_gaussian, measure
-from .solver import PgdConfig, PgdTrace, default_gamma, pgd_solve
+from .solver import PgdConfig, PgdTrace, default_gamma, pgd_solve, pgd_solve_stack
 from .validation import (
     TailEstimate,
     chi_square_tail,
@@ -49,7 +49,7 @@ __all__ = [
     "InfeasibleProjection", "ProblemTooLarge", "project_lagrangian",
     "project_constrained", "project_l0",
     "SenseMatrix", "gen_gaussian", "measure",
-    "PgdConfig", "PgdTrace", "pgd_solve", "default_gamma",
+    "PgdConfig", "PgdTrace", "pgd_solve", "pgd_solve_stack", "default_gamma",
     "TailEstimate", "mc_empirical_deviation", "chi_square_tail",
     "inner_product_tail", "f_minimax", "gaussian_projection_check",
     "__version__",

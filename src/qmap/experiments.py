@@ -36,7 +36,7 @@ from .projection import (
 )
 from .quantize import build_alphabet, quantize_vector
 from .sensing import gen_gaussian, measure
-from .solver import PgdConfig, default_gamma, pgd_solve
+from .solver import PgdConfig, default_gamma, pgd_solve, pgd_solve_stack
 from .sources import (
     PiecewiseConstant,
     SourceModel,
@@ -62,6 +62,12 @@ HOMOTOPY_GROW_MU = 0.5
 HOMOTOPY_GROW_ITERS = 300
 HOMOTOPY_FINAL_ITERS = 800
 HOMOTOPY_POLISH = ((0.7, 60), (1.0, 60))
+
+# A recovery block stacks as many trials as their designs fit in this many
+# entries (1 MB), or one trial: each PGD iteration reads a design while it is
+# in cache, and a block costs one projector call per iteration, not one a
+# trial.  No row depends on the block.
+_BLOCK = 2 ** 17
 
 
 def trial_seed(seed: int, index: int) -> SeedSequence:
@@ -104,6 +110,10 @@ def build_projector(spec: dict, kernel, alphabet):
     raise ValueError(f"unknown projector kind {kind!r}")
 
 
+def _schedule(config: dict, spec: dict) -> str:
+    return config.get("schedule", "homotopy" if spec["kind"] == "l0" else "single")
+
+
 def _stages(config: dict, spec: dict, projector, kernel, m: int) -> list:
     """The PGD runs of one trial, in order, as (alphabet, PgdConfig) pairs.
 
@@ -112,7 +122,7 @@ def _stages(config: dict, spec: dict, projector, kernel, m: int) -> list:
     same range at 12 bits, or b if finer), then polishes with projector on
     the target grid at a rising step size."""
     alphabet = kernel.alphabet
-    schedule = config.get("schedule", "homotopy" if spec["kind"] == "l0" else "single")
+    schedule = _schedule(config, spec)
     if schedule == "single":
         mu = config.get("mu")
         return [(alphabet, PgdConfig(
@@ -136,13 +146,25 @@ def _stages(config: dict, spec: dict, projector, kernel, m: int) -> list:
     return stages
 
 
-def run_recovery_trial(config: dict, index: int) -> dict:
-    """One seeded recovery run; returns its result row.
+def _blocks(config: dict) -> list[range]:
+    """The trial indices of a recovery config, cut into blocks whose designs
+    hold at most _BLOCK entries together (one trial at least)."""
+    trials = int(config["trials"])
+    size = max(1, _BLOCK // (int(config["m"]) * int(config["n"])))
+    return [range(i, min(i + size, trials)) for i in range(0, trials, size)]
 
-    The stages run in order, each from the previous one's end, but the row
-    reports the end of lowest residual among the stages on the target grid
-    (the earlier stage on a tie): a later polish stage can leave a good fit
-    for a cycle of worse ones."""
+
+def run_recovery_trials(config: dict, indices) -> list[dict]:
+    """Seeded recovery runs of the given trial indices; returns their result
+    rows, in order.
+
+    A trial's stages run in order, each from the previous one's end, but
+    its row reports the end of lowest residual among the stages on the
+    target grid (the earlier stage on a tie): a later polish stage can leave
+    a good fit for a cycle of worse ones.  The homotopy stages run the
+    trials as one stack (pgd_solve_stack); the single schedule solves one
+    trial at a time.  Either way a row does not depend on the other trials
+    run with it."""
     n = int(config["n"])
     m = int(config["m"])
     b = int(config["b"])
@@ -152,38 +174,50 @@ def run_recovery_trial(config: dict, index: int) -> dict:
     kernel = quantized_kernel(model, b)
     if k != kernel.k:
         raise ValueError(f"config k={k} differs from the model's memory order k={kernel.k}")
-    seeds = trial_seed(int(config["seed"]), index).spawn(3)
-    seed_x, seed_a, seed_z = (int(s.generate_state(1)[0]) for s in seeds)
-
-    x = sample_path(model, n, seed_x)
     alphabet = kernel.alphabet
-    truth_q = alphabet.values[quantize_vector(x, alphabet)]
-    A = gen_gaussian(m, n, config.get("scale", "unit"), seed_a)
-    target = truth_q if config.get("measure_quantized", True) else x
-    y = measure(A, target, sigma, seed_z)
+    truths, designs, ys = [], [], []
+    for index in indices:
+        seeds = trial_seed(int(config["seed"]), index).spawn(3)
+        seed_x, seed_a, seed_z = (int(s.generate_state(1)[0]) for s in seeds)
+        x = sample_path(model, n, seed_x)
+        truth_q = alphabet.values[quantize_vector(x, alphabet)]
+        A = gen_gaussian(m, n, config.get("scale", "unit"), seed_a)
+        target = truth_q if config.get("measure_quantized", True) else x
+        truths.append((x, truth_q))
+        designs.append(A)
+        ys.append(measure(A, target, sigma, seed_z))
+    ys = np.array(ys)
 
     spec = config["projector"]
     projector = build_projector(spec, kernel, alphabet)
-    iters = 0
-    est = None
-    best = None  # (residual, estimate) of the best target-grid stage end
+    stacked = _schedule(config, spec) == "homotopy"
+    iters = [0] * len(designs)
+    ests = None
+    best = [None] * len(designs)  # (residual, estimate) of the best target-grid stage end
     for stage_alphabet, cfg in _stages(config, spec, projector, kernel, m):
-        if est is not None:
-            cfg = replace(cfg, start=nearest_index(stage_alphabet, est))
-        est, trace = pgd_solve(A, y, stage_alphabet, cfg)
-        iters += trace.iters
-        if stage_alphabet.b == b and (best is None or trace.residuals[-1] < best[0]):
-            best = (trace.residuals[-1], est)
-    residual, est = best
-    return {
-        "trial": index,
-        "seed": int(config["seed"]),
-        "n": n, "m": m, "b": b, "k": k, "sigma": sigma,
-        "iters": iters,
-        "final_err_quantized": float(np.linalg.norm(est - truth_q)) / math.sqrt(n),
-        "final_err_analog": float(np.linalg.norm(est - x)) / math.sqrt(n),
-        "residual": residual,
-    }
+        if ests is not None:
+            cfg = replace(cfg, start=nearest_index(stage_alphabet, ests))
+        if stacked:
+            ests, traces = pgd_solve_stack(designs, ys, stage_alphabet, cfg)
+        else:  # one stage, whose Viterbi projectors take one vector at a time
+            ests, traces = zip(*(pgd_solve(A, y, stage_alphabet, cfg)
+                                 for A, y in zip(designs, ys)))
+        for i, trace in enumerate(traces):
+            iters[i] += trace.iters
+            if stage_alphabet.b == b and (best[i] is None or trace.residuals[-1] < best[i][0]):
+                best[i] = (trace.residuals[-1], ests[i])
+    rows = []
+    for index, (x, truth_q), trial_iters, (residual, est) in zip(indices, truths, iters, best):
+        rows.append({
+            "trial": index,
+            "seed": int(config["seed"]),
+            "n": n, "m": m, "b": b, "k": k, "sigma": sigma,
+            "iters": trial_iters,
+            "final_err_quantized": float(np.linalg.norm(est - truth_q)) / math.sqrt(n),
+            "final_err_analog": float(np.linalg.norm(est - x)) / math.sqrt(n),
+            "residual": residual,
+        })
+    return rows
 
 
 def _map(fn, jobs: int, *sequences) -> list:
@@ -200,9 +234,10 @@ def _map(fn, jobs: int, *sequences) -> list:
 
 
 def run_recover(config: dict, jobs: int = 1) -> list[dict]:
-    """All trials of a recovery config, in trial order."""
-    trials = int(config["trials"])
-    return _map(run_recovery_trial, jobs, [config] * trials, range(trials))
+    """All trials of a recovery config, in trial order; jobs spreads their
+    blocks over worker processes."""
+    blocks = _map(partial(run_recovery_trials, config), jobs, _blocks(config))
+    return [row for rows in blocks for row in rows]
 
 
 RECOVER_COLUMNS = [
@@ -211,36 +246,39 @@ RECOVER_COLUMNS = [
 ]
 
 
-def _phase_cell(config: dict, m: int, p: float, cell_index: int) -> dict:
-    b = int(config["b"])
-    seed = int(trial_seed(int(config["seed"]), cell_index).generate_state(1)[0])
-    cell_cfg = dict(config, m=m, model=dict(config["model"], p=p), seed=seed)
-    threshold = 2.0 * 2.0 ** -b
-    trials = int(config["trials"])
-    successes = 0
-    for i in range(trials):
-        if run_recovery_trial(cell_cfg, i)["final_err_quantized"] <= threshold:
-            successes += 1
-    kernel = quantized_kernel(build_model(cell_cfg["model"]), b)
-    return {
-        "m_over_n": m / int(config["n"]),
-        "m": m,
-        "p": p,
-        "d_k_ref": cond_entropy(kernel) / b,
-        "trials": trials,
-        "successes": successes,
-        "success_rate": successes / trials,
-    }
-
-
 def run_phase(config: dict, jobs: int = 1) -> list[dict]:
-    """Success rate per (m/n, model parameter) cell."""
+    """Success rate per (m/n, model parameter) cell.  The trials of every
+    cell run in blocks, and jobs spreads the blocks of all cells over worker
+    processes."""
     n = int(config["n"])
+    b = int(config["b"])
     p_grid = config.get("p_grid") or [config["model"]["p"]]
-    cells = [(max(1, round(float(frac) * n)), float(p))
-             for p in p_grid for frac in config["m_over_n"]]
-    ms, ps = zip(*cells)
-    return _map(partial(_phase_cell, config), jobs, ms, ps, range(len(cells)))
+    cells = []
+    for p in p_grid:
+        for frac in config["m_over_n"]:
+            seed = int(trial_seed(int(config["seed"]), len(cells)).generate_state(1)[0])
+            m = max(1, round(float(frac) * n))
+            cells.append(dict(config, m=m, model=dict(config["model"], p=float(p)), seed=seed))
+    owners, configs, blocks = zip(*[(c, cell, block) for c, cell in enumerate(cells)
+                                    for block in _blocks(cell)])
+    threshold = 2.0 * 2.0 ** -b
+    successes = [0] * len(cells)
+    for c, rows in zip(owners, _map(run_recovery_trials, jobs, configs, blocks)):
+        successes[c] += sum(row["final_err_quantized"] <= threshold for row in rows)
+    rows = []
+    for cell, passed in zip(cells, successes):
+        trials = int(cell["trials"])
+        kernel = quantized_kernel(build_model(cell["model"]), b)
+        rows.append({
+            "m_over_n": cell["m"] / n,
+            "m": cell["m"],
+            "p": cell["model"]["p"],
+            "d_k_ref": cond_entropy(kernel) / b,
+            "trials": trials,
+            "successes": passed,
+            "success_rate": passed / trials,
+        })
+    return rows
 
 
 PHASE_COLUMNS = ["m_over_n", "m", "p", "d_k_ref", "trials", "successes", "success_rate"]

@@ -10,8 +10,8 @@ exactly with a Viterbi dynamic program over the alphabet^k context states
 a hard complexity budget by an exact search over the breakpoints of alpha
 (Everett's generalized Lagrange multipliers), and project_l0 is the exact
 fast path for memoryless spike-and-slab weights.  Every projector requires
-finite x; the Viterbi projectors also refuse an x whose squared distance to
-the grid overflows.
+finite x; the Viterbi projectors also refuse an x with a coordinate 2^52
+grid steps or more from the grid, where squared distances lose its offset.
 
 Ties are always broken toward the lexicographically smallest symbol-index
 sequence: the dynamic program runs backward over suffix costs, keeping for
@@ -78,14 +78,19 @@ def _finite_vector(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_distortion(x: np.ndarray, values: np.ndarray) -> None:
-    """Refuse an x whose worst sequence has a distortion that overflows:
-    summed in the trellis it would read as an infinite, forbidden cost."""
+def _check_distortion(x: np.ndarray, alphabet: QuantAlphabet) -> None:
+    """Refuse an x with a coordinate 2^52 grid steps or more from a grid
+    end.  There the squared distances to adjacent grid values can round to
+    one value, so the trellis would lose the coordinate's offset, and far
+    enough out they overflow to a cost that reads as forbidden.  Below the
+    bound no distortion sum can overflow."""
     with np.errstate(over="ignore"):
-        worst = np.maximum((x - values[0]) ** 2, (x - values[-1]) ** 2).sum()
-    if not math.isfinite(worst):
+        far = np.maximum(np.abs(x - alphabet.values[0]), np.abs(x - alphabet.values[-1]))
+    if far.max() >= 2.0 ** (52 - alphabet.b):
         raise ValueError(
-            "x is too large to project: the squared distance to the grid is not finite"
+            "x is too large to project: a coordinate lies 2^52 grid steps or more from "
+            "the grid, where its squared distances to the grid round together or are "
+            "not finite"
         )
 
 
@@ -118,7 +123,7 @@ def project_lagrangian(
     if not 0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     _check_trellis_size(n, s, k)
-    _check_distortion(x, alphabet.values)
+    _check_distortion(x, alphabet)
 
     aw = _scaled_weights(w.w, alpha)
     if _is_stay_or_jump(w):
@@ -344,33 +349,43 @@ def project_l0(x: np.ndarray, alphabet: QuantAlphabet, s: int) -> np.ndarray:
     Each coordinate gets its nearest grid value; the s coordinates with the
     largest distortion gains keep it (earlier index wins ties) and the rest
     are zeroed.  This is the exact constrained projection for memoryless
-    spike-and-slab weights.
+    spike-and-slab weights.  x may also be a (T, n) stack, projected row by
+    row.
     """
     x = _finite_vector(x)
-    n = len(x)
+    n = x.shape[-1]
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= {n}, got {s}")
     zero_idx = alphabet.zero_index()
     if zero_idx is None:
         raise ValueError("alphabet does not contain 0")
     q = nearest_index(alphabet, x)
+    if s == 0:
+        return np.full_like(q, zero_idx)
     v = alphabet.values[q]
     # half of x^2 - (x - v)^2, which would overflow for |x| near 1e300
     gains = v * (x - 0.5 * v)
-    order = np.argsort(-gains, kind="stable")
-    out = np.full(n, zero_idx, dtype=np.int64)
-    keep = order[:s]
-    out[keep] = q[keep]
-    return out
+    # the s-th largest gain of each row: each row has at least s gains at or
+    # above it, and exactly s unless it ties; then every larger gain is kept
+    # and the earliest of the tied ones fill the rest of the budget
+    kth = np.partition(gains, n - s, axis=-1)[..., n - s, None]
+    keep = gains >= kth
+    if np.count_nonzero(keep) > keep.size // n * s:
+        tied = gains == kth
+        room = s - np.count_nonzero(gains > kth, axis=-1)[..., None]
+        keep = (gains > kth) | (tied & (np.cumsum(tied, axis=-1) <= room))
+    q[~keep] = zero_idx
+    return q
 
 
 def nearest_index(alphabet: QuantAlphabet, x: np.ndarray) -> np.ndarray:
     """Index of the closest grid value to each coordinate (lower on ties)."""
+    values = alphabet.values
     # clipped first, so the scaled offset stays in [0, size - 1] for any x
-    x = np.clip(np.asarray(x, dtype=float), alphabet.values[0], alphabet.values[-1])
-    lo_idx = np.floor((x - alphabet.values[0]) * 2.0 ** alphabet.b).astype(np.int64)
+    x = np.minimum(np.maximum(x, values[0]), values[-1])
+    lo_idx = np.floor((x - values[0]) * 2.0 ** alphabet.b).astype(np.int64)
     hi_idx = np.minimum(lo_idx + 1, alphabet.size - 1)
-    d_lo = np.abs(x - alphabet.values[lo_idx])
-    d_hi = np.abs(x - alphabet.values[hi_idx])
-    return np.where(d_hi < d_lo, hi_idx, lo_idx)
+    # hi_idx is lo_idx + 1, or lo_idx itself at the top, where d_hi == d_lo
+    lo_idx += np.abs(x - values[hi_idx]) < np.abs(x - values[lo_idx])
+    return lo_idx
 

@@ -271,26 +271,54 @@ def pgd_error_path(A: SenseMatrix, y: np.ndarray, alphabet: QuantAlphabet,
 
 def recovery_error_paths(config: dict) -> tuple[list[dict], list[list[float]]]:
     """run_recover(config) in process, with each trial's error path over all
-    its stages.  The truth is caught from the trial's one sample_path call;
-    every stage's pgd_solve then goes through pgd_error_path against it,
-    and a stage after the first drops its start, which repeats the previous
-    stage's last iterate."""
+    its stages.  A block samples the truths of its trials (one sample_path
+    call each, in trial order), then runs every stage as one
+    pgd_solve_stack call over them.  The stacked projector is wrapped to
+    record each iterate stack; a row stays in place and leaves the stack
+    when it stops, so the rows of the t-th call are the trials whose stage
+    ran t iterations or more, in order.  A stage after the first drops its
+    start, which repeats the previous stage's last iterate.  A stage that
+    ends in a cycle is refused, since its last iterations are never
+    projected."""
     paths: list[list[float]] = []
-    truth = {}
+    truths: list[np.ndarray] = []
     sample_path = experiments.sample_path
+    solve_stack = experiments.pgd_solve_stack
 
     def sample(*args):
-        truth["x"] = sample_path(*args)
+        truths.append(sample_path(*args))
         paths.append([])
-        return truth["x"]
+        return truths[-1]
 
-    def solve(A, y, alphabet, cfg):
-        est, trace, errors = pgd_error_path(A, y, alphabet, cfg, truth["x"])
-        paths[-1].extend(errors[1:] if paths[-1] else errors)
-        return est, trace
+    def solve(designs, ys, alphabet, cfg):
+        rows = len(designs)
+        truth_q = [alphabet.values[quantize_vector(x, alphabet)] for x in truths[-rows:]]
+        iterates = []
+
+        def projector(steps):
+            idx = cfg.projector(steps)
+            iterates.append(idx.copy())
+            return idx
+
+        ests, traces = solve_stack(designs, ys, alphabet, replace(cfg, projector=projector))
+        if any(trace.status == "cycle" for trace in traces):
+            raise AssertionError("a stage ended in a cycle; its error path is not recorded")
+        start = cfg.start if cfg.start is not None else np.full((rows, designs[0].n), alphabet.zero_index())
+        errors = [[float(np.linalg.norm(alphabet.values[start[i]] - truth_q[i]))]
+                  for i in range(rows)]
+        for t, stack in enumerate(iterates, 1):
+            running = [i for i in range(rows) if traces[i].iters >= t]
+            assert len(running) == len(stack)
+            for i, idx in zip(running, stack):
+                errors[i].append(float(np.linalg.norm(alphabet.values[idx] - truth_q[i])))
+        for path, err in zip(paths[-rows:], errors):
+            path.extend(err[1:] if path else err)
+        return ests, traces
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "sample_path", sample)
-        mp.setattr(experiments, "pgd_solve", solve)
+        mp.setattr(experiments, "pgd_solve_stack", solve)
         rows = experiments.run_recover(config, jobs=1)
+    # one error per iterate of every stage, the shared start counted once
+    assert [len(path) for path in paths] == [row["iters"] + 1 for row in rows]
     return rows, paths

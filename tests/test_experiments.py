@@ -14,7 +14,7 @@ from qmap.experiments import (
     run_infodim,
     run_phase,
     run_recover,
-    run_recovery_trial,
+    run_recovery_trials,
     run_validate,
     trial_seed,
     write_csv,
@@ -28,6 +28,10 @@ RECOVER_CFG = {
     "projector": {"kind": "l0", "s": 6},
     "trials": 3, "seed": 17,
 }
+
+
+def trial_row(config, index):
+    return run_recovery_trials(config, [index])[0]
 
 
 def test_build_model_kinds(tmp_path):
@@ -54,8 +58,8 @@ def test_trial_seed_stability():
 
 
 def test_recovery_trial_is_deterministic():
-    r1 = run_recovery_trial(RECOVER_CFG, 0)
-    r2 = run_recovery_trial(RECOVER_CFG, 0)
+    r1 = trial_row(RECOVER_CFG, 0)
+    r2 = trial_row(RECOVER_CFG, 0)
     assert r1 == r2
     assert r1["n"] == 64
     assert set(r1) == set(RECOVER_COLUMNS)
@@ -70,15 +74,15 @@ def test_run_recover_parallel_matches_serial():
 def test_single_schedule_and_projectors():
     cfg = dict(RECOVER_CFG, schedule="single", max_iters=10,
                projector={"kind": "lagrangian", "alpha": 0.001}, mu=0.003)
-    row = run_recovery_trial(cfg, 1)
+    row = trial_row(cfg, 1)
     assert row["iters"] <= 10
     cfg = dict(RECOVER_CFG, schedule="single", max_iters=8,
                projector={"kind": "constrained", "delta": 0.3}, mu=0.004)
-    assert run_recovery_trial(cfg, 0)["iters"] <= 8
+    assert trial_row(cfg, 0)["iters"] <= 8
     with pytest.raises(ValueError):
-        run_recovery_trial(dict(RECOVER_CFG, schedule="bogus"), 0)
+        trial_row(dict(RECOVER_CFG, schedule="bogus"), 0)
     with pytest.raises(ValueError):  # homotopy needs the l0 projector
-        run_recovery_trial(
+        trial_row(
             dict(RECOVER_CFG, schedule="homotopy",
                  projector={"kind": "lagrangian", "alpha": 0.1}), 0
         )
@@ -107,15 +111,15 @@ def test_l0_trial_builds_no_weight_table(monkeypatch):
     # the l0 projector never reads complexity weights, on either grid
     import qmap.experiments as experiments
 
-    expected = run_recovery_trial(RECOVER_CFG, 0)
+    expected = trial_row(RECOVER_CFG, 0)
 
     def refuse(kernel):
         raise AssertionError("an l0 trial built a weight table")
 
     monkeypatch.setattr(experiments, "weights_from_kernel", refuse)
-    assert run_recovery_trial(RECOVER_CFG, 0) == expected
+    assert trial_row(RECOVER_CFG, 0) == expected
     with pytest.raises(AssertionError, match="weight table"):
-        run_recovery_trial(dict(RECOVER_CFG, schedule="single", projector={
+        trial_row(dict(RECOVER_CFG, schedule="single", projector={
             "kind": "constrained", "delta": 0.3}), 0)
 
 
@@ -127,14 +131,14 @@ def test_trial_reports_the_best_target_grid_stage_end():
     cfg = {"model": {"kind": "table_markov", "kernel": kernel},
            "n": 16, "m": 12, "b": 2, "k": 0,
            "projector": {"kind": "l0", "s": 4}, "trials": 1, "seed": 1}
-    row = run_recovery_trial(cfg, 0)
+    row = trial_row(cfg, 0)
     assert row["residual"] == pytest.approx(0.7584, abs=1e-4)
     assert row["final_err_quantized"] == 0.0625
 
 
 def test_measure_quantized_flag():
-    exact = run_recovery_trial(RECOVER_CFG, 2)
-    analog = run_recovery_trial(dict(RECOVER_CFG, measure_quantized=False), 2)
+    exact = trial_row(RECOVER_CFG, 2)
+    analog = trial_row(dict(RECOVER_CFG, measure_quantized=False), 2)
     assert exact["final_err_quantized"] == 0.0
     assert analog["final_err_quantized"] > 0.0  # floor-quantized truth unreachable
     assert analog["final_err_analog"] < 2.0 ** -5  # still near the analog truth
@@ -154,6 +158,32 @@ def test_run_phase_shape():
     assert all(0 <= r["success_rate"] <= 1 for r in rows)
     assert rows[0]["d_k_ref"] > 0.1
     assert run_phase(cfg, jobs=2) == rows
+
+
+BLOCK_RECOVER_CFG = dict(RECOVER_CFG, trials=5, sigma=0.02)
+BLOCK_PHASE_CFG = {
+    "model": {"kind": "spike_slab", "p": 0.1},
+    "n": 32, "b": 5, "k": 0,
+    "projector": {"kind": "l0", "s": 6},
+    "m_over_n": [0.25, 0.75],
+    "trials": 5, "seed": 6,
+}
+
+
+@pytest.mark.parametrize("designs", [1, 3, 10 ** 6])
+def test_blocks_change_no_row(designs, monkeypatch):
+    # a block of one trial is the reference; three designs leave an uneven
+    # last block, and 10^6 designs put every trial of a config in one block
+    import qmap.experiments as experiments
+
+    n = RECOVER_CFG["n"]
+    monkeypatch.setattr(experiments, "_BLOCK", 1)
+    recover_rows = run_recover(BLOCK_RECOVER_CFG)
+    phase_rows = run_phase(BLOCK_PHASE_CFG)
+    monkeypatch.setattr(experiments, "_BLOCK", designs * RECOVER_CFG["m"] * n)
+    assert run_recover(BLOCK_RECOVER_CFG) == recover_rows
+    monkeypatch.setattr(experiments, "_BLOCK", designs * 24 * 32)  # the m = 24 phase cell
+    assert run_phase(BLOCK_PHASE_CFG) == phase_rows
 
 
 def test_run_infodim_rows():

@@ -1,6 +1,7 @@
 """Byte-identity gate: every example config in configs/ must reproduce the
 result file committed under tests/golden/, byte for byte, at --jobs 1 and,
-for the commands that use a worker pool, at --jobs 2.
+for the commands that use a worker pool, at --jobs 2 and 3 (an uneven split
+of the trial blocks over the workers).
 
 Regenerate a golden file only for a change that is meant to move result
 bytes, and say why in CHANGES.md:
@@ -25,11 +26,11 @@ def test_every_config_has_a_golden_file():
     assert sorted(p.stem for p in GOLDEN.iterdir()) == CONFIGS
 
 
-# recover and phase spread trials or cells over worker processes; their
+# recover and phase spread blocks of trials over worker processes; their
 # bytes must not depend on how many
 RUNS = [pytest.param(name, 1, id=name) for name in CONFIGS] + [
-    pytest.param(name, 2, id=f"{name}-jobs2")
-    for name in CONFIGS if name.split("_")[0] in ("recover", "phase")
+    pytest.param(name, jobs, id=f"{name}-jobs{jobs}")
+    for jobs in (2, 3) for name in CONFIGS if name.split("_")[0] in ("recover", "phase")
 ]
 
 

@@ -467,6 +467,54 @@ def test_project_l0_keeps_huge_coordinates(huge):
     assert list(nearest_index(ab11, np.array([-huge, huge]))) == [0, 7]
 
 
+def l0_by_stable_sort(x, ab, s):
+    """project_l0's rule spelled out: every coordinate's nearest grid value,
+    kept at the s largest gains, the earlier index first on a tie."""
+    q = nearest_index(ab, x)
+    v = ab.values[q]
+    gains = v * (x - 0.5 * v)
+    keep = np.argsort(-gains, kind="stable")[:s]
+    out = np.full(len(x), ab.zero_index(), dtype=np.int64)
+    out[keep] = q[keep]
+    return out
+
+
+@st.composite
+def l0_stacks(draw):
+    """A (T, n) stack for project_l0, a budget s and an alphabet.  Most
+    stacks draw their coordinates from a small pool of grid values,
+    midpoints and huge values, so gains tie exactly, within a row and
+    across rows."""
+    b = draw(st.integers(1, 3))
+    ab = build_alphabet(draw(st.sampled_from([0.0, -1.0])), 1.0, b)
+    rows = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    s = draw(st.integers(0, n))
+    step = 2.0 ** -b
+    pool = sorted({v * step for v in range(-2 ** b - 2, 2 ** b + 3)}
+                  | {(v + 0.5) * step for v in range(-2, 3)}
+                  | {1e300, -1e300, 1.7e308})
+    coordinate = st.sampled_from(pool) | st.floats(-2.0, 2.0)
+    x = draw(st.lists(coordinate, min_size=rows * n, max_size=rows * n))
+    return np.array(x).reshape(rows, n), s, ab
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None)
+@given(l0_stacks())
+@example((np.array([[0.25, 0.25, 0.25], [0.0, 0.75, 0.75]]), 0, build_alphabet(0, 1, 2)))
+@example((np.array([[0.25, 0.25, 0.25], [0.0, 0.75, 0.75]]), 3, build_alphabet(0, 1, 2)))
+@example((np.array([[0.3, 1e300, 0.6, 0.9], [0.3, -1e300, 0.6, 0.9]]), 1,
+          build_alphabet(-1, 1, 2)))
+def test_project_l0_projects_a_stack_row_by_row(case):
+    x, s, ab = case
+    got = project_l0(x, ab, s)
+    assert got.shape == x.shape and got.dtype == np.int64
+    for row, out in zip(x, got):
+        assert np.array_equal(out, project_l0(row, ab, s))
+        assert np.array_equal(out, l0_by_stable_sort(row, ab, s))
+
+
 def test_project_l0_is_exact_constrained_projection(rng):
     # exhaustive oracle over all sequences with at most s nonzeros
     ab = build_alphabet(0, 1, 1)
@@ -481,6 +529,20 @@ def test_project_l0_is_exact_constrained_projection(rng):
         dists = ((ab.values[seqs] - x) ** 2).sum(axis=1)
         assert dist == pytest.approx(float(dists[ok].min()), abs=1e-12)
         assert np.count_nonzero(ab.values[got]) <= s
+
+
+def test_lagrangian_refuses_a_coordinate_too_far_from_the_grid():
+    # at 1e16 every grid value of [0, 1) is at one squared distance in
+    # floats, and alpha = 0 rounded coordinate 0 to symbol 0 instead of 3
+    w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.3), 2))
+    with pytest.raises(ValueError, match="too large") as exc:
+        project_lagrangian(np.array([1e16, 0.5, 0.2, 0.9]), w, w.alphabet, 0.0)
+    assert not isinstance(exc.value, InfeasibleProjection)
+    # below 2^52 grid steps (2^50 at b = 2) alpha = 0 still is the nearest rounding
+    for far in (2.0 ** 46, -2.0 ** 46, 2.0 ** 50 - 2.0 ** 3):
+        x = np.array([far, 0.5, 0.2, 0.9])
+        assert np.array_equal(project_lagrangian(x, w, w.alphabet, 0.0),
+                              nearest_index(w.alphabet, x))
 
 
 def test_bruteforce_guards():

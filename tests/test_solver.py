@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_weight_table
 from oracles import (
@@ -21,7 +24,7 @@ from qmap.projection import (
 )
 from qmap.quantize import build_alphabet, quantize_vector
 from qmap.sensing import SenseMatrix, gen_gaussian, measure
-from qmap.solver import PgdConfig, default_gamma, pgd_solve
+from qmap.solver import PgdConfig, default_gamma, pgd_solve, pgd_solve_stack
 from qmap.sources import (
     PiecewiseConstant,
     SpikeSlab,
@@ -307,3 +310,95 @@ def test_cycle_short_circuit_matches_plain_loop(s, tol_factor):
         assert trace.iters < max_iters
     assert np.array_equal(est, est_ref)
     assert trace.residuals == residuals
+
+
+@st.composite
+def l0_problem_stacks(draw):
+    """A stack of small l0 PGD problems and the config they share.  The
+    designs, measurements and starts differ by row, so the rows stop at
+    different iterations, by convergence, a cycle or max_iters."""
+    rows = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 10))
+    m = draw(st.integers(1, 8))
+    b = draw(st.integers(1, 3))
+    ab = build_alphabet(draw(st.sampled_from([0.0, -1.0])), 1.0, b)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # a design's scale sets its paired step, so with mu = None the rows' steps differ
+    scales = draw(st.lists(st.sampled_from(["unit", "normalized"]), min_size=rows, max_size=rows))
+    designs = [SenseMatrix(m, n, rng.standard_normal((m, n)), scale) for scale in scales]
+    truth = ab.values[rng.integers(0, ab.size, (rows, n))]
+    ys = np.array([A.entries @ x for A, x in zip(designs, truth)])
+    ys += draw(st.sampled_from([0.0, 0.1])) * rng.standard_normal((rows, m))
+    start = rng.integers(0, ab.size, (rows, n)) if draw(st.booleans()) else None
+    mu = draw(st.sampled_from([None, 0.3 / m, 2.0 / m]))
+    cfg = PgdConfig(partial(project_l0, alphabet=ab, s=draw(st.integers(0, n))), mu,
+                    draw(st.integers(1, 30)), draw(st.sampled_from([0.0, 0.0, 0.1, 0.5])), start)
+    return designs, ys, ab, cfg
+
+
+def assert_stack_matches_rows(designs, ys, ab, cfg):
+    ests, traces = pgd_solve_stack(designs, ys, ab, cfg)
+    assert ests.shape == (len(designs), designs[0].n) and len(traces) == len(designs)
+    for i, (A, y) in enumerate(zip(designs, ys)):
+        start = None if cfg.start is None else cfg.start[i]
+        est, trace = pgd_solve(A, y, ab, replace(cfg, start=start))
+        assert ests[i].tobytes() == est.tobytes()
+        assert traces[i].residuals == trace.residuals
+        assert traces[i].status == trace.status
+    return traces
+
+
+@settings(max_examples=300, deadline=None)
+@given(l0_problem_stacks())
+def test_stack_equals_one_row_solves(case):
+    assert_stack_matches_rows(*case)
+
+
+def test_stack_rows_stop_each_their_own_way():
+    # one stack whose rows stop by a cycle, by convergence and by
+    # max_iters, at different iterations; once with stop_tol > 0
+    A, y, ab, mu = cycling_grow_stage()
+    n, m = A.n, A.m
+    rng = np.random.default_rng(3)
+    fixed = ab.values[rng.integers(0, ab.size, n)] * (rng.random(n) < 0.05)
+    B = gen_gaussian(m, n, "unit", 8)
+    designs = [A, B, B, gen_gaussian(m, n, "unit", 9)]
+    ys = np.array([y, B.entries @ fixed, B.entries @ fixed, y])
+    start = np.zeros((4, n), dtype=np.int64)
+    start[1] = quantize_vector(fixed, ab)  # a fixed point: converges at once
+    projector = partial(project_l0, alphabet=ab, s=20)
+    # the cycle returns the iterate max_iters would reach: both parities
+    for stop_tol, max_iters in ((0.0, 12), (0.0, 13), (1e-3, 12)):
+        cfg = PgdConfig(projector, mu, max_iters, stop_tol, start)
+        traces = assert_stack_matches_rows(designs, ys, ab, cfg)
+        statuses = [trace.status for trace in traces]
+        assert statuses[:2] == ["cycle", "converged"]
+        assert "max_iters" in statuses[2:]
+        assert len({trace.iters for trace in traces if trace.status != "cycle"}) > 1
+
+
+def test_infeasible_projection_stops_the_whole_stack():
+    n, b = 6, 2
+    ab = build_alphabet(0, 1, b)
+    w = weights_from_kernel(quantized_kernel(SpikeSlab(0.3), b))
+    designs = [gen_gaussian(4, n, "unit", seed) for seed in (2, 3)]
+    ys = np.array([A.entries @ np.full(n, 0.75) for A in designs])
+    infeasible = partial(project_constrained, w=w, alphabet=ab, gamma=-1.0)
+    cfg = PgdConfig(projector=lambda steps: np.array([infeasible(s) for s in steps]))
+    with pytest.raises(InfeasibleProjection) as exc:
+        pgd_solve_stack(designs, ys, ab, cfg)
+    assert exc.value.iteration == 1
+    assert exc.value.trace.status == "infeasible"
+
+
+def test_stack_refuses_mismatched_shapes():
+    ab = build_alphabet(0, 1, 2)
+    cfg = PgdConfig(partial(project_l0, alphabet=ab, s=2))
+    A, B = gen_gaussian(3, 5, "unit", 1), gen_gaussian(4, 5, "unit", 2)
+    with pytest.raises(ValueError, match="same shape"):
+        pgd_solve_stack([A, B], np.zeros((2, 3)), ab, cfg)
+    with pytest.raises(ValueError, match="y has shape"):
+        pgd_solve_stack([A, A], np.zeros((2, 4)), ab, cfg)
+    with pytest.raises(ValueError, match="start"):
+        pgd_solve_stack([A, A], np.zeros((2, 3)), ab,
+                        replace(cfg, start=np.zeros(5, dtype=np.int64)))
