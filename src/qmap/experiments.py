@@ -126,8 +126,7 @@ def _stages(config: dict, spec: dict, projector, kernel, m: int) -> list:
     if schedule == "single":
         mu = config.get("mu")
         return [(alphabet, PgdConfig(
-            projector, None if mu is None else float(mu),
-            int(config.get("max_iters", 200)), float(config.get("stop_tol", 0.0)),
+            projector, None if mu is None else float(mu), int(config.get("max_iters", 200)),
         ))]
     if schedule != "homotopy":
         raise ValueError(f"unknown schedule {schedule!r}")

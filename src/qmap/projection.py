@@ -11,7 +11,8 @@ a hard complexity budget by an exact search over the breakpoints of alpha
 (Everett's generalized Lagrange multipliers), and project_l0 is the exact
 fast path for memoryless spike-and-slab weights.  Every projector requires
 finite x; the Viterbi projectors also refuse an x with a coordinate 2^52
-grid steps or more from the grid, where squared distances lose its offset.
+grid steps or more from the grid, where squared distances lose its offset,
+and a weight table on another grid than the alphabet.
 
 Ties are always broken toward the lexicographically smallest symbol-index
 sequence: the dynamic program runs backward over suffix costs, keeping for
@@ -94,6 +95,17 @@ def _check_distortion(x: np.ndarray, alphabet: QuantAlphabet) -> None:
         )
 
 
+def _check_same_grid(w: WeightTable, alphabet: QuantAlphabet) -> None:
+    """Refuse a weight table whose symbols index another grid: its windows
+    would be read as windows of the wrong values, or not fit at all."""
+    if not np.array_equal(w.alphabet.values, alphabet.values):
+        raise ValueError(
+            f"the weight table is on another grid (b={w.alphabet.b}, {w.alphabet.size} "
+            f"values from {w.alphabet.values[0]}) than the alphabet (b={alphabet.b}, "
+            f"{alphabet.size} values from {alphabet.values[0]})"
+        )
+
+
 def _check_trellis_size(n: int, s: int, k: int) -> None:
     if s ** k > MAX_STATES:
         raise ProblemTooLarge(f"trellis needs {s}^{k} states; limit is {MAX_STATES}")
@@ -114,6 +126,7 @@ def project_lagrangian(
     weights, as symbol indices.  dist_scale multiplies the distortion term
     (used internally to realize a pure minimum-cost pass with dist_scale=0).
     """
+    _check_same_grid(w, alphabet)
     x = _finite_vector(x)
     n = len(x)
     k = w.k
@@ -279,14 +292,14 @@ def project_constrained(
     among the Lagrangian solutions, found by a breakpoint search.
 
     The Lagrangian solutions are the vertices of the lower convex hull of
-    (cost, distortion) (Everett 1963; Shoham & Gersho 1988).  The alpha = 0
-    pass is returned if feasible.  Otherwise the search brackets gamma by an
-    infeasible left end L and a feasible right end R: the alpha_max pass is
-    R if feasible, else it is L and the minimum-cost path is R; L is
-    otherwise the alpha = 0 pass, or its alpha -> 0+ limit when the
-    rounding has cost +inf (returned if feasible: it is then the nearest
-    feasible sequence).  Every further pass is at the alpha where L and R
-    tie,
+    (cost, distortion) (Everett 1963; Shoham & Gersho 1988).  The first pass
+    is the alpha -> 0+ limit of the Lagrangian projection, the nearest
+    sequence of finite cost; it is the alpha = 0 rounding whenever that has
+    finite cost, and it is returned if feasible.  Otherwise the search
+    brackets gamma by an infeasible left end L, this first pass, and a
+    feasible right end R: the alpha_max pass is R if feasible, else it is L
+    and the minimum-cost path is R.  Every further pass is at the alpha
+    where L and R tie,
 
         alpha = (d_R - d_L) / ((c_L - c_R) * (n - k)),
 
@@ -296,6 +309,7 @@ def project_constrained(
     search is exact and finite.  When the constrained optimum is not a hull
     vertex (a duality gap) the best feasible vertex is returned instead.
     """
+    _check_same_grid(w, alphabet)
     x = _finite_vector(x)
     if math.isnan(gamma):
         raise ValueError("gamma must not be NaN")
@@ -303,7 +317,7 @@ def project_constrained(
     def sweep_pass(u: np.ndarray) -> _SweepPoint:
         return _SweepPoint(u, complexity_cost(u, w), _distortion(x, u, alphabet))
 
-    left = sweep_pass(project_lagrangian(x, w, alphabet, 0.0))
+    left = sweep_pass(_finite_cost_rounding(x, w, alphabet))
     right = left
     if left.cost > gamma:
         alpha_max = 2.0 * w.max_finite() * len(x)
@@ -317,12 +331,6 @@ def project_constrained(
                 raise InfeasibleProjection(
                     f"no sequence attains cost <= {gamma}", min_cost=right.cost
                 )
-        elif math.isinf(left.cost):
-            # the rounding uses a forbidden window: the left end is the
-            # alpha -> 0+ limit instead, the nearest sequence of finite cost
-            left = sweep_pass(_finite_cost_rounding(x, w, alphabet))
-            if left.cost <= gamma:
-                right = left
 
     windows = len(x) - w.k
     while right.distortion > left.distortion:

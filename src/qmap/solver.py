@@ -41,15 +41,14 @@ class PgdConfig:
     as project_l0 does, and start is a (T, n) array.
 
     mu = None takes the step size paired with the matrix scaling (1/m for
-    unit-variance entries, n/m for 1/n-variance entries).  stop_tol is
-    compared against the iterate change, so 0 still stops at an exact fixed
-    point.
+    unit-variance entries, n/m for 1/n-variance entries).  There is no
+    stop tolerance: every iterate is a grid point, so a run stops early
+    only when its iterate repeats exactly (see PgdTrace.status).
     """
 
     projector: Callable[[np.ndarray], np.ndarray]
     mu: Optional[float] = None
     max_iters: int = 200
-    stop_tol: float = 0.0
     start: Optional[np.ndarray] = None  # symbol indices; default all-zero values
 
 
@@ -59,10 +58,11 @@ class PgdTrace:
 
     residuals holds ||y - A Xhat(t)||.
 
-    status says why the run stopped: "converged" (the iterate change fell
-    to stop_tol), "cycle" (an iterate repeated exactly, so the rest of the
-    run up to max_iters is known), "max_iters", or "infeasible" (set on the
-    trace attached to the InfeasibleProjection raised by the projector).
+    status says why the run stopped: "converged" (the projection returned
+    the iterate it was given, a repeat of period 1), "cycle" (an earlier
+    iterate repeated exactly, so the rest of the run up to max_iters is
+    known), "max_iters", or "infeasible" (set on the trace attached to the
+    InfeasibleProjection raised by the projector).
     No run can diverge: every iterate is a grid value, so it stays bounded.
     After a cycle is found the residuals up to max_iters are filled from its
     period: they are exactly the values the remaining iterations would
@@ -136,8 +136,6 @@ def pgd_solve_stack(
             raise ValueError(f"mu must be finite and > 0, got {mu}")
     if cfg.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if cfg.stop_tol < 0:
-        raise ValueError("stop_tol must be >= 0")
 
     if cfg.start is not None:
         idx = np.asarray(cfg.start, dtype=np.int64)
@@ -177,34 +175,31 @@ def pgd_solve_stack(
     for t in range(1, cfg.max_iters + 1):
         steps = est + mu * grad
         try:
-            new_idx = cfg.projector(steps)
+            # int64 as the start is, so that a repeat of the start is found
+            idx = np.asarray(cfg.projector(steps), dtype=np.int64)
         except InfeasibleProjection as exc:
             for i in running:
                 traces[i].status = "infeasible"
             exc.iteration = t
             exc.trace = traces[running[0]]
             raise
-        new_est = alphabet.values[new_idx]
-        change = new_est - est
-        idx, est = new_idx, new_est
+        est = alphabet.values[idx]
         keep = []
         for j, i in enumerate(running):
             trace = traces[i]
-            converged = math.sqrt(change[j] @ change[j]) <= cfg.stop_tol
-            t0 = t if converged else seen[i].setdefault(idx[j].tobytes(), t)
-            going = not converged and t0 == t and t < cfg.max_iters
+            t0 = seen[i].setdefault(idx[j].tobytes(), t)
+            going = t0 == t and t < cfg.max_iters
             record(j, i, going)
-            if converged:
+            if t0 == t - 1:
                 trace.status = "converged"
             elif t0 < t:
-                # every change within the period exceeded stop_tol, so the
-                # period repeats up to max_iters; copy its residuals one
+                # the period repeats up to max_iters; copy its residuals one
                 # period back, and end at the iterate max_iters would reach
                 period = t - t0
                 for _ in range(cfg.max_iters - t):
                     trace.residuals.append(trace.residuals[-period])
                 final = list(seen[i])[t0 + (cfg.max_iters - t0) % period]
-                est[j] = alphabet.values[np.frombuffer(final, dtype=idx.dtype)]
+                est[j] = alphabet.values[np.frombuffer(final, dtype=np.int64)]
                 trace.status = "cycle"
             if going:
                 keep.append(j)
@@ -214,5 +209,5 @@ def pgd_solve_stack(
             running = [running[j] for j in keep]
             if not running:
                 break
-            est, idx, grad, mu = est[keep], idx[keep], grad[keep], mu[keep]
+            est, grad, mu = est[keep], grad[keep], mu[keep]
     return out, traces

@@ -125,6 +125,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     for command, cfg, key in (
         ("recover", dict(RECOVER_CFG, solve_b=12), "solve_b"),
         ("recover", dict(RECOVER_CFG, delta=0.1), "delta"),
+        # every iterate is a grid point: a run stops only on an exact repeat
+        ("recover", dict(RECOVER_CFG, stop_tol=0.0), "stop_tol"),
+        ("phase", dict(PHASE_CFG, stop_tol=0.1), "stop_tol"),
         ("phase", dict(PHASE_CFG, success_threshold=0.1), "success_threshold"),
         ("phase", dict(PHASE_CFG, m=8), "m"),
     ):

@@ -102,7 +102,7 @@ def test_homotopy_stages_of_criterion_4():
     for stage_alphabet, cfg in stages:
         assert cfg.projector.func is project_l0
         assert cfg.projector.keywords["alphabet"] is stage_alphabet
-        assert cfg.stop_tol == 0.0 and cfg.start is None
+        assert cfg.start is None
         got.append((stage_alphabet.b, cfg.projector.keywords["s"], cfg.mu, cfg.max_iters))
     assert got == expected
 

@@ -1,5 +1,7 @@
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from oracles import (
     weight_gap,
 )
 from qmap.empirics import complexity_cost
+from qmap.experiments import build_model
 from qmap.projection import (
     InfeasibleProjection,
     ProblemTooLarge,
@@ -374,6 +377,37 @@ def test_constrained_pass_count_on_piecewise_constant_path(monkeypatch):
     u = project_constrained(x, w, w.alphabet, gamma)
     assert complexity_cost(u, w) <= gamma
     assert len(passes) <= 20
+
+
+def test_constrained_starts_at_the_nearest_finite_cost_sequence(monkeypatch):
+    # the recover_table kernel forbids the jumps 0 -> 3 and 3 -> 0 of the
+    # rounding [0, 3, 3, 0, 0, 3]; the nearest sequence of finite cost is
+    # within the budget, so the first pass ends the search
+    root = Path(__file__).resolve().parents[1]
+    config = json.loads((root / "configs" / "recover_table.json").read_text("utf-8"))
+    w = weights_from_kernel(quantized_kernel(build_model(config["model"]), config["b"]))
+    x = np.array([0.0, 0.8, 0.8, 0.1, 0.0, 0.9])
+    assert math.isinf(complexity_cost(nearest_index(w.alphabet, x), w))
+    passes = count_viterbi_passes(monkeypatch)
+    u = project_constrained(x, w, w.alphabet, 5.0)
+    assert len(passes) == 1
+    assert u.dtype == np.int64 and u.tolist() == [1, 2, 2, 1, 1, 2]
+
+
+def test_viterbi_projectors_refuse_a_table_on_another_grid():
+    # a table's symbols index its own grid; on another grid of the same
+    # size the trellis read them as the wrong values and returned a wrong
+    # projection, on a larger one it returned an index the table has no
+    # weight for, or failed inside numpy
+    x = np.array([0.1, 0.12, 0.5, 0.52, 0.9])
+    pc = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), 3))
+    spike = weights_from_kernel(quantized_kernel(SpikeSlab(0.1), 3))
+    for w, ab in ((pc, build_alphabet(0, 1, 6)), (pc, build_alphabet(-1, 1, 2)),
+                  (spike, build_alphabet(0, 1, 6))):
+        with pytest.raises(ValueError, match="another grid"):
+            project_lagrangian(x, w, ab, 0.5)
+        with pytest.raises(ValueError, match="another grid"):
+            project_constrained(x, w, ab, 1.0)
 
 
 def test_infeasible_carries_min_cost(rng):

@@ -198,7 +198,7 @@ def test_pgd_feasible_and_dominated_by_oracle():
         y = A.entries @ xq
         oracle = qmap_bruteforce(A, y, w, ab, gamma)
         proj = partial(project_constrained, w=w, alphabet=ab, gamma=gamma)
-        cfg = PgdConfig(projector=proj, max_iters=25, stop_tol=0.0)
+        cfg = PgdConfig(projector=proj, max_iters=25)
         est, trace = pgd_solve(A, y, ab, cfg)
         idx = quantize_vector(est, ab)
         assert complexity_cost(idx, w) <= gamma
@@ -259,9 +259,10 @@ def test_pc_markov_constrained_pgd_runs():
     assert trace.residuals[-1] <= trace.residuals[0]
 
 
-def plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol):
+def plain_l0_pgd(A, y, ab, s, mu, max_iters):
     """PGD with the l0 projector and no cycle short-circuit: every iteration
-    runs.  Returns the estimate, the residuals and the iterate changes."""
+    runs until the iterate is unchanged.  Returns the estimate and the
+    residuals."""
     residuals = []
 
     def record(idx):
@@ -269,16 +270,16 @@ def plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol):
         residuals.append(float(np.linalg.norm(y - A.entries @ est)))
         return est
 
-    est = record(np.full(A.n, ab.zero_index(), dtype=np.int64))
-    changes = []
+    idx = np.full(A.n, ab.zero_index(), dtype=np.int64)
+    est = record(idx)
     for _ in range(max_iters):
         s_vec = est + mu * (A.entries.T @ (y - A.entries @ est))
         new_idx = project_l0(s_vec, ab, s)
-        changes.append(float(np.linalg.norm(ab.values[new_idx] - est)))
         est = record(new_idx)
-        if changes[-1] <= stop_tol:
+        if np.array_equal(new_idx, idx):
             break
-    return est, residuals, changes
+        idx = new_idx
+    return est, residuals
 
 
 def cycling_grow_stage():
@@ -291,24 +292,16 @@ def cycling_grow_stage():
 
 
 @pytest.mark.parametrize("s", [4, 20])
-@pytest.mark.parametrize("tol_factor", [0.0, 0.5, 1.0])
-def test_cycle_short_circuit_matches_plain_loop(s, tol_factor):
+def test_cycle_short_circuit_matches_plain_loop(s):
     A, y, ab, mu = cycling_grow_stage()
     max_iters = 300
-    _, _, changes = plain_l0_pgd(A, y, ab, s, mu, max_iters, 0.0)
-    # below the smallest change the loop never stops; at it, it converges
-    stop_tol = tol_factor * min(changes)
-    est_ref, residuals, _ = plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol)
+    est_ref, residuals = plain_l0_pgd(A, y, ab, s, mu, max_iters)
     proj = partial(project_l0, alphabet=ab, s=s)
-    cfg = PgdConfig(projector=proj, mu=mu, max_iters=max_iters, stop_tol=stop_tol)
+    cfg = PgdConfig(projector=proj, mu=mu, max_iters=max_iters)
     est, trace = pgd_solve(A, y, ab, cfg)
-    if tol_factor < 1.0:
-        assert trace.status == "cycle"
-        assert trace.iters == max_iters
-    else:
-        assert trace.status == "converged"
-        assert trace.iters < max_iters
-    assert np.array_equal(est, est_ref)
+    assert trace.status == "cycle"
+    assert trace.iters == max_iters
+    assert est.tobytes() == est_ref.tobytes()
     assert trace.residuals == residuals
 
 
@@ -332,7 +325,7 @@ def l0_problem_stacks(draw):
     start = rng.integers(0, ab.size, (rows, n)) if draw(st.booleans()) else None
     mu = draw(st.sampled_from([None, 0.3 / m, 2.0 / m]))
     cfg = PgdConfig(partial(project_l0, alphabet=ab, s=draw(st.integers(0, n))), mu,
-                    draw(st.integers(1, 30)), draw(st.sampled_from([0.0, 0.0, 0.1, 0.5])), start)
+                    draw(st.integers(1, 30)), start)
     return designs, ys, ab, cfg
 
 
@@ -356,7 +349,7 @@ def test_stack_equals_one_row_solves(case):
 
 def test_stack_rows_stop_each_their_own_way():
     # one stack whose rows stop by a cycle, by convergence and by
-    # max_iters, at different iterations; once with stop_tol > 0
+    # max_iters, at different iterations
     A, y, ab, mu = cycling_grow_stage()
     n, m = A.n, A.m
     rng = np.random.default_rng(3)
@@ -368,13 +361,31 @@ def test_stack_rows_stop_each_their_own_way():
     start[1] = quantize_vector(fixed, ab)  # a fixed point: converges at once
     projector = partial(project_l0, alphabet=ab, s=20)
     # the cycle returns the iterate max_iters would reach: both parities
-    for stop_tol, max_iters in ((0.0, 12), (0.0, 13), (1e-3, 12)):
-        cfg = PgdConfig(projector, mu, max_iters, stop_tol, start)
+    for max_iters in (12, 13):
+        cfg = PgdConfig(projector, mu, max_iters, start)
         traces = assert_stack_matches_rows(designs, ys, ab, cfg)
         statuses = [trace.status for trace in traces]
         assert statuses[:2] == ["cycle", "converged"]
         assert "max_iters" in statuses[2:]
         assert len({trace.iters for trace in traces if trace.status != "cycle"}) > 1
+
+
+def test_int32_projector_finds_the_repeated_start():
+    # the start is a fixed point, so the first projection repeats it: the
+    # run converges at t = 1 whatever integer type the projector returns
+    n, m = 8, 5
+    ab = build_alphabet(0, 1, 3)
+    start = np.array([0, 3, 0, 0, 7, 0, 1, 0], dtype=np.int64)
+    A = gen_gaussian(m, n, "unit", 4)
+    y = A.entries @ ab.values[start]
+    l0 = partial(project_l0, alphabet=ab, s=n)
+    assert np.array_equal(l0(ab.values[start]), start)
+    cfg = PgdConfig(l0, start=start)
+    est, trace = pgd_solve(A, y, ab, cfg)
+    est32, trace32 = pgd_solve(A, y, ab, replace(cfg, projector=lambda s: l0(s).astype(np.int32)))
+    assert (trace.status, trace.iters) == ("converged", 1)
+    assert (trace32.status, trace32.residuals) == (trace.status, trace.residuals)
+    assert est32.tobytes() == est.tobytes()
 
 
 def test_infeasible_projection_stops_the_whole_stack():

@@ -66,14 +66,9 @@ def test_inner_product_bound_and_corollary():
 
 
 def test_chi_square_tail_blocks_match_one_draw():
-    # m=7 spans 3 row blocks of the normal draws; m=100 at a million trials
-    # takes the chi-square branch in 4 blocks
+    # 100003 trials fit one block of chi-square draws; a million take 4
     for m, tau, trials, seed in ((7, 0.5, 100_003, 2), (100, 0.2, 1_000_003, 11)):
-        rng = np.random.default_rng(seed)
-        if m * trials <= 2 ** 24:
-            sums = (rng.standard_normal((trials, m)) ** 2).sum(axis=1)
-        else:
-            sums = rng.chisquare(m, trials)
+        sums = np.random.default_rng(seed).chisquare(m, trials)
         upper, lower = chi_square_tail(m, tau, trials, seed)
         assert upper.hits == int((sums > m * (1.0 + tau)).sum())
         assert lower.hits == int((sums < m * (1.0 - tau)).sum())
