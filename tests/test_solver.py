@@ -259,10 +259,10 @@ def test_pc_markov_constrained_pgd_runs():
     assert trace.residuals[-1] <= trace.residuals[0]
 
 
-def plain_l0_pgd(A, y, ab, s, mu, max_iters):
+def plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol):
     """PGD with the l0 projector and no cycle short-circuit: every iteration
-    runs until the iterate is unchanged.  Returns the estimate and the
-    residuals."""
+    runs until the iterate moves by at most `stop_tol`.  Returns the
+    estimate, the residuals and the iterate changes."""
     residuals = []
 
     def record(idx):
@@ -270,16 +270,16 @@ def plain_l0_pgd(A, y, ab, s, mu, max_iters):
         residuals.append(float(np.linalg.norm(y - A.entries @ est)))
         return est
 
-    idx = np.full(A.n, ab.zero_index(), dtype=np.int64)
-    est = record(idx)
+    est = record(np.full(A.n, ab.zero_index(), dtype=np.int64))
+    changes = []
     for _ in range(max_iters):
         s_vec = est + mu * (A.entries.T @ (y - A.entries @ est))
         new_idx = project_l0(s_vec, ab, s)
+        changes.append(float(np.linalg.norm(ab.values[new_idx] - est)))
         est = record(new_idx)
-        if np.array_equal(new_idx, idx):
+        if changes[-1] <= stop_tol:
             break
-        idx = new_idx
-    return est, residuals
+    return est, residuals, changes
 
 
 def cycling_grow_stage():
@@ -292,10 +292,15 @@ def cycling_grow_stage():
 
 
 @pytest.mark.parametrize("s", [4, 20])
-def test_cycle_short_circuit_matches_plain_loop(s):
+@pytest.mark.parametrize("tol_factor", [0.0, 0.5])
+def test_cycle_short_circuit_matches_plain_loop(s, tol_factor):
+    # a plain loop that stops on any tolerance below the smallest iterate
+    # change (0 included) runs exactly as the solver's repeat rule
     A, y, ab, mu = cycling_grow_stage()
     max_iters = 300
-    est_ref, residuals = plain_l0_pgd(A, y, ab, s, mu, max_iters)
+    _, _, changes = plain_l0_pgd(A, y, ab, s, mu, max_iters, 0.0)
+    stop_tol = tol_factor * min(changes)
+    est_ref, residuals, _ = plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol)
     proj = partial(project_l0, alphabet=ab, s=s)
     cfg = PgdConfig(projector=proj, mu=mu, max_iters=max_iters)
     est, trace = pgd_solve(A, y, ab, cfg)
