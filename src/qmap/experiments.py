@@ -26,7 +26,6 @@ from dataclasses import replace
 from functools import partial
 
 import numpy as np
-from numpy.random import SeedSequence
 
 from .projection import (
     nearest_index,
@@ -70,9 +69,13 @@ HOMOTOPY_POLISH = ((0.7, 60), (1.0, 60))
 _BLOCK = 2 ** 17
 
 
-def trial_seed(seed: int, index: int) -> SeedSequence:
-    """Stable per-trial seed stream, independent of scheduling order."""
-    return SeedSequence([seed, index])
+def trial_seed(seed: int, index: int) -> np.random.SeedSequence:
+    """Stable per-trial seed stream, independent of scheduling order.
+
+    numpy.random loads on this first use, so a command that draws nothing
+    never imports it.
+    """
+    return np.random.SeedSequence([seed, index])
 
 
 def build_model(spec: dict) -> SourceModel:

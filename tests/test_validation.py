@@ -17,7 +17,9 @@ from qmap.sources import (
     sample_paths,
 )
 from qmap.validation import (
+    REJECT_LEVEL,
     TailEstimate,
+    binomial_tail,
     chi_square_lower_bound,
     chi_square_tail,
     chi_square_upper_bound,
@@ -27,6 +29,7 @@ from qmap.validation import (
     inner_product_bound,
     inner_product_tail,
     mc_empirical_deviation,
+    normal_cdf,
     type_deviation_bound,
 )
 
@@ -144,6 +147,8 @@ def test_f_minimax_threshold():
 
 
 def test_gaussian_projection_check():
+    from scipy.special import ndtr
+
     for n in (2, 100):
         est = gaussian_projection_check(n, 10_000, 4)
         assert est.estimate < 0.02
@@ -151,6 +156,80 @@ def test_gaussian_projection_check():
         assert abs(est.params["mean"]) < 0.05
         assert abs(est.params["variance"] - 1.0) < 0.1
         assert est.respects_bound
+        # Dvoretzky-Kiefer-Wolfowitz-Massart for the KS distance, a normal
+        # test for the correlation
+        assert est.p_value == min(1.0, 2.0 * math.exp(-2.0 * 10_000 * est.estimate ** 2))
+        corr = est.params["correlation"]
+        assert est.params["correlation_p_value"] == pytest.approx(
+            2.0 * ndtr(-abs(corr) * 100.0), rel=1e-14)
+
+
+def test_normal_cdf_matches_scipy():
+    from scipy.special import ndtr
+
+    x = np.concatenate([np.linspace(-40.0, 40.0, 160_001),
+                        np.random.default_rng(0).normal(scale=3.0, size=100_000)])
+    assert np.abs(normal_cdf(x) - ndtr(x)).max() <= 4.5e-16
+    assert float(normal_cdf(0.0)) == 0.5
+
+
+@st.composite
+def binomial_cases(draw):
+    trials = draw(st.integers(1, 100_000))
+    p = draw(st.one_of(st.just(0.0), st.floats(1e-300, 1.0),
+                       st.sampled_from([1e-12, 1e-6, 0.5, 1.0 - 1e-9])))
+    sd = math.sqrt(trials * p * (1.0 - p))
+    near = round(trials * p + draw(st.floats(-40.0, 40.0)) * sd) + draw(st.integers(-2, 2))
+    hits = draw(st.one_of(st.integers(0, trials), st.just(min(max(near, 0), trials))))
+    return hits, trials, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=binomial_cases())
+def test_binomial_tail_matches_scipy(case):
+    from scipy.stats import binom
+
+    hits, trials, p = case
+    expect = float(binom.sf(hits - 1, trials, p))
+    if expect == 0.0:
+        # binom.sf returns 0 for some tails far above the smallest double,
+        # e.g. 1080 hits of 1112 at 1/2 (1.34e-273); the pmf sum does not
+        expect = float(binom.pmf(np.arange(hits, trials + 1), trials, p).sum())
+    # the lgamma terms of the first summand are off by up to about
+    # trials * log(trials) units in the last place: 2e-10 at 1e5 trials
+    assert binomial_tail(hits, trials, p) == pytest.approx(expect, rel=1e-8, abs=1e-300)
+
+
+@pytest.mark.parametrize("hits, trials, p", [
+    (0, 10, 0.0), (1, 10, 0.0), (10, 10, 0.0),  # bound 0: chi_square_lower_bound at tau >= 1
+    (0, 10, 0.3), (10, 10, 0.3), (10, 10, 0.01), (1, 10, 1e-12), (1, 1, 0.5),
+    # tails between 1e-308 and 1e-300
+    (1000, 1000, 0.5), (576, 1000, 0.1), (24817, 100_000, 0.2), (346, 2000, 0.01),
+])
+def test_binomial_tail_edges_match_scipy(hits, trials, p):
+    from scipy.stats import binom
+
+    expect = float(binom.sf(hits - 1, trials, p))
+    assert binomial_tail(hits, trials, p) == pytest.approx(expect, rel=1e-8, abs=0.0)
+
+
+def test_binomial_tail_outside_the_unit_interval_and_below_the_doubles():
+    # a bound at or above 1 is never rejected, whatever the hits
+    for bound in (1.0, 5.0, math.inf):
+        assert binomial_tail(10, 10, bound) == 1.0
+    # far below the smallest double: 0, not NaN
+    assert binomial_tail(100_000, 100_000, 1e-6) == 0.0
+    assert binomial_tail(5_000, 100_000, 1e-6) == 0.0
+
+
+def test_tail_estimate_is_rejected_only_below_the_level():
+    # P(Bin(10, 0.5) >= 9) = 11 / 1024 is not small enough to reject
+    assert TailEstimate("x", 10, 9, 0.9, 0.7, 1.0, bound=0.5).respects_bound
+    # 5 hits in 100000 trials at bound 1e-6 have probability 7.7e-8
+    est = TailEstimate("x", 100_000, 5, 5e-5, 0.0, 1.0, bound=1e-6)
+    assert est.p_value <= REJECT_LEVEL and not est.respects_bound
+    assert not TailEstimate("x", 10, 0, 0.0, 0.0, 1.0, bound=0.5, p_value=1.0,
+                            extra_ok=False).respects_bound
 
 
 def test_mc_empirical_deviation_impossible_epsilon():
@@ -301,5 +380,6 @@ def test_type_deviation_bound_formula():
 def test_tail_estimate_respects_vacuous_bound():
     est = TailEstimate("x", 10, 9, 0.9, 0.7, 1.0, bound=5.0)
     assert est.respects_bound
-    est2 = TailEstimate("x", 10, 9, 0.9, 0.7, 1.0, bound=0.5)
+    est2 = TailEstimate("x", 10, 10, 1.0, 0.7, 1.0, bound=0.01)
+    assert est2.p_value == pytest.approx(1e-20, rel=1e-12)
     assert not est2.respects_bound
