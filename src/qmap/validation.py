@@ -24,12 +24,15 @@ _Z95 = 1.959963984540054
 # a bound is rejected when data at least as extreme have at most this
 # probability under it
 REJECT_LEVEL = 1e-6
-# array cells a sampler holds per block, so its memory is bounded whatever
-# `trials`.  chi_square_tail and mc_empirical_deviation read one stream row
-# by row, so their hits do not depend on the block; inner_product_tail
-# alternates its two draws per block, so its hits above _BLOCK trials depend
-# on it.
-_BLOCK = 2 ** 18
+# array cells of working space a sampler holds per block, beyond the arrays
+# its random stream makes it keep, so its memory is bounded whatever
+# `trials`.  Every sampler reads its stream in the same order at any block,
+# so no hits depend on it.
+_BLOCK = 2 ** 16
+# inner_product_tail draws all chi-square variables of a period of this many
+# trials, then its normals.  It fixes the stream format, not the memory use:
+# changing it changes the hits above this many trials.
+_INNER_PRODUCT_PERIOD = 2 ** 18
 
 
 @dataclass
@@ -320,7 +323,12 @@ def inner_product_tail(alpha: float, m: int, tau: float, trials: int,
 
         (alpha Q + sqrt(1 - alpha^2) sqrt(Q) G) / m,
 
-    and each trial draws Q and G instead of 2m normals.
+    and each trial draws Q and G instead of 2m normals.  The stream holds,
+    period by period of _INNER_PRODUCT_PERIOD trials, the period's Q draws
+    and then its G draws, so the period fixes the hits above that many
+    trials.  The statistic is formed _BLOCK trials at a time, in place and
+    rounded as the whole-array expression rounds it, so the hits do not
+    depend on _BLOCK, and the sampler holds the period's Q and two blocks.
     gaussian_projection_check deliberately keeps its direct draws: it is the
     Monte Carlo check of the fact this sampler rests on.
     """
@@ -331,12 +339,24 @@ def inner_product_tail(alpha: float, m: int, tau: float, trials: int,
     rng = np.random.default_rng(seed)
     hits = 0
     root = math.sqrt(1.0 - alpha ** 2)
-    for done in range(0, trials, _BLOCK):
-        t = min(_BLOCK, trials - done)
-        q = rng.chisquare(m, t)
-        g = rng.standard_normal(t)
-        stat = (alpha * q + root * np.sqrt(q) * g) / m
-        hits += int((stat - alpha <= -tau).sum())
+    for done in range(0, trials, _INNER_PRODUCT_PERIOD):
+        q = rng.chisquare(m, min(_INNER_PRODUCT_PERIOD, trials - done))
+        g = np.empty(min(_BLOCK, q.size))
+        stat = np.empty_like(g)
+        for lo in range(0, q.size, _BLOCK):
+            qb = q[lo:lo + _BLOCK]
+            gb = rng.standard_normal(out=g[:qb.size])
+            sb = stat[:qb.size]
+            # (alpha q + sqrt(1 - alpha^2) sqrt(q) g) / m - alpha, one
+            # operation at a time
+            np.sqrt(qb, out=sb)
+            sb *= root
+            gb *= sb
+            np.multiply(qb, alpha, out=sb)
+            sb += gb
+            sb /= m
+            sb -= alpha
+            hits += int(np.count_nonzero(sb <= -tau))
     return _binomial_estimate(
         "inner_product",
         hits,
@@ -392,6 +412,30 @@ def f_minimax(alpha_grid: np.ndarray | None = None,
     return min(_max_over_s(float(a), s_grid) for a in alpha_grid)
 
 
+def _projections(n: int, trials: int, rng: np.random.Generator
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(<u, v> / ||u||, ||u||) over `trials` pairs of standard normal
+    n-vectors.
+
+    The stream holds all of u, then all of v, so u is held whole; the norms,
+    the v draws and the row sums take _BLOCK // n rows at a time, each row
+    reduced as the whole (trials, n) arrays reduce it.  u is freed on
+    return, before the caller sorts the statistic.
+    """
+    u = rng.standard_normal((trials, n))
+    rows = max(1, _BLOCK // n)
+    block = np.empty((min(rows, trials), n))
+    norms = np.empty(trials)
+    stat = np.empty(trials)
+    for lo in range(0, trials, rows):
+        ub = u[lo:lo + rows]
+        cells = block[:len(ub)]
+        norms[lo:lo + rows] = np.sqrt(np.multiply(ub, ub, out=cells).sum(axis=1))
+        v = rng.standard_normal(out=cells)
+        stat[lo:lo + rows] = np.multiply(v, ub, out=v).sum(axis=1) / norms[lo:lo + rows]
+    return stat, norms
+
+
 def gaussian_projection_check(n: int, trials: int, seed: int) -> TailEstimate:
     """Check that <U, V> / ||U|| is standard normal and uncorrelated with
     ||U|| for independent standard normal vectors.
@@ -401,13 +445,9 @@ def gaussian_projection_check(n: int, trials: int, seed: int) -> TailEstimate:
     empirical correlation and its p-value sit in params, and the check
     passes only if neither p-value is at most REJECT_LEVEL.
     """
-    if n < 2 or trials < 1:
-        raise ValueError("need n >= 2 and trials >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((trials, n))
-    v = rng.standard_normal((trials, n))
-    norms = np.linalg.norm(u, axis=1)
-    stat = (u * v).sum(axis=1) / norms
+    if n < 2 or trials < 2:
+        raise ValueError("need n >= 2 and trials >= 2")
+    stat, norms = _projections(n, trials, np.random.default_rng(seed))
     # Kolmogorov-Smirnov distance to N(0,1), as scipy.stats.kstest computes it
     cdf = normal_cdf(np.sort(stat))
     ks = float(max((np.arange(1.0, trials + 1) / trials - cdf).max(),

@@ -290,6 +290,16 @@ def test_shipped_config_runs_without_scipy(config, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_validate_refuses_one_gaussian_projection_trial(tmp_path, capsys):
+    # one trial has no correlation: it used to write correlation null with a
+    # false verdict and exit 1
+    cfg = {"seed": 1, "suites": {"gaussian_projection": [{"n": 2, "trials": 1}]}}
+    out = tmp_path / "v.json"
+    assert run(["validate", "--config", write_cfg(tmp_path, "g.json", cfg), "--out", out]) == 2
+    assert "1 is less than the minimum of 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_default_passes_at_seed_1(tmp_path):
     # one chi_square lower-tail hit at seed 1 used to fail the point
     # comparison estimate <= bound; the binomial test does not reject it

@@ -77,6 +77,33 @@ def test_chi_square_tail_blocks_match_one_draw():
         assert lower.hits == int((sums < m * (1.0 - tau)).sum())
 
 
+@pytest.mark.parametrize("m, tau, trials", [(7, 0.5, 2003), (100, 0.2, 1001)])
+def test_chi_square_tail_does_not_depend_on_the_block(m, tau, trials, monkeypatch):
+    import qmap.validation as validation
+
+    results = []
+    for block in (1, 7, validation._BLOCK):
+        monkeypatch.setattr(validation, "_BLOCK", block)
+        results.append([e.to_json() for e in chi_square_tail(m, tau, trials, 3)])
+    assert results[0] == results[1] == results[2]
+    assert results[0][0]["hits"] > 0
+
+
+@pytest.mark.parametrize("alpha, m", [(-0.5, 20), (0.5, 3)])
+def test_inner_product_tail_does_not_depend_on_the_block(alpha, m, monkeypatch):
+    import qmap.validation as validation
+
+    # below the stream's period of 2^18 trials, whose chi-square draws all
+    # come before its normals
+    trials = 5003
+    results = []
+    for block in (1, 7, validation._BLOCK):
+        monkeypatch.setattr(validation, "_BLOCK", block)
+        results.append(inner_product_tail(alpha, m, 0.45, trials, 12).to_json())
+    assert results[0] == results[1] == results[2]
+    assert results[0]["hits"] > 0
+
+
 def _inner_product_tail_exact(alpha, m, tau):
     # P(alpha Q + sqrt(1 - alpha^2) sqrt(Q) G <= m (alpha - tau)) with
     # Q ~ chi-square(m) and G ~ N(0, 1), by quadrature over Q
@@ -162,6 +189,28 @@ def test_gaussian_projection_check():
         corr = est.params["correlation"]
         assert est.params["correlation_p_value"] == pytest.approx(
             2.0 * ndtr(-abs(corr) * 100.0), rel=1e-14)
+
+
+def test_gaussian_projection_check_refuses_fewer_than_two_trials():
+    # one trial has no correlation: np.corrcoef warned and the report wrote
+    # correlation null with respects_bound false
+    with pytest.raises(ValueError, match="trials >= 2"):
+        gaussian_projection_check(2, 1, 1)
+    with pytest.raises(ValueError, match="n >= 2"):
+        gaussian_projection_check(1, 10, 1)
+    assert gaussian_projection_check(2, 2, 1).trials == 2
+
+
+@pytest.mark.parametrize("n, trials", [(3, 2001), (70, 301)])
+def test_gaussian_projection_does_not_depend_on_the_block(n, trials, monkeypatch):
+    import qmap.validation as validation
+
+    results = []
+    # one row, five rows, all rows per block; n = 70 > 64 takes one row
+    for block in (1, 5 * n, 64, validation._BLOCK):
+        monkeypatch.setattr(validation, "_BLOCK", block)
+        results.append(gaussian_projection_check(n, trials, 7).to_json())
+    assert all(r == results[0] for r in results[1:])
 
 
 def test_normal_cdf_matches_scipy():
@@ -383,3 +432,36 @@ def test_tail_estimate_respects_vacuous_bound():
     est2 = TailEstimate("x", 10, 10, 1.0, 0.7, 1.0, bound=0.01)
     assert est2.p_value == pytest.approx(1e-20, rel=1e-12)
     assert not est2.respects_bound
+
+
+WORKING_SETS = {
+    # name: (call, cells it draws, bytes of the arrays its random stream
+    # makes it keep)
+    "inner_product": (lambda: inner_product_tail(0.0, 20, 0.45, 100_000, 1),
+                      2 * 100_000, 8 * 100_000),  # the chi-square draws of one period
+    "empirical_deviation": (lambda: mc_empirical_deviation(
+        PiecewiseConstant(0.2), 4096, 1, 3, 0.1, 200, 1), 200 * 2 * 4096, 0),
+    "gaussian_projection": (lambda: gaussian_projection_check(100, 10_000, 1),
+                            2 * 10_000 * 100, 8 * 10_000 * 100),  # u, drawn before v
+    "chi_square": (lambda: chi_square_tail(10, 1.0, 300_000, 1), 300_000, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKING_SETS))
+def test_sampler_holds_its_stream_arrays_and_a_few_blocks(name):
+    import tracemalloc
+
+    import qmap.validation as validation
+
+    call, cells, forced = WORKING_SETS[name]
+    # the draws of a case that fits in one block could be held whole, with
+    # all their temporaries, inside the bound
+    assert cells > validation._BLOCK
+    call()  # leave first-call allocations out of the trace
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= forced + 3 * 8 * validation._BLOCK, peak
