@@ -135,6 +135,10 @@ def _stages(config: dict, spec: dict, projector, kernel, m: int) -> list:
         raise ValueError(f"unknown schedule {schedule!r}")
     if spec["kind"] != "l0":
         raise ValueError("the homotopy schedule requires the l0 projector")
+    for key in ("mu", "max_iters"):
+        if key in config:
+            # the homotopy stages set their own step sizes and budgets
+            raise ValueError(f"config {key} applies to the single schedule only, not homotopy")
     fine = build_alphabet(alphabet.lo, alphabet.hi, max(alphabet.b, HOMOTOPY_SOLVE_B))
     s_final = int(spec["s"])
     grow = sorted({max(1, math.ceil(s_final * j / 10)) for j in range(1, 11)})
@@ -342,7 +346,7 @@ def run_validate(config: dict) -> dict:
         "ok": all(r.respects_bound for r in results),
     }
     if "f_minimax" in suites:
-        entry = suites["f_minimax"] if isinstance(suites["f_minimax"], dict) else {}
+        entry = suites["f_minimax"]
         alpha_grid = np.linspace(
             -0.999, 0.999, int(entry.get("alpha_points", 401))
         )

@@ -19,14 +19,17 @@ sequence: the dynamic program runs backward over suffix costs, keeping for
 every (position, context) the smallest optimal symbol as a back-pointer,
 and the path is rebuilt forward by following them.
 
-The dense trellis costs O(n S^(k+1)) for an alphabet of S symbols.  A k=1
-table with one weight on its diagonal (hold) and one off it (jump), both
-finite and hold <= jump, as every pc_markov table is, takes a stay-or-jump
-pass instead, in O(n S): from a state, the best next symbol is the state
-itself or the first best jump target, which is the same for every state.
-Its cells are the dense pass's cells, summed in the same order, and its
-comparisons pick the first minimum of each dense row, so it returns the
-same bytes (see _stay_or_jump_pass).
+Every pass with k >= 1 forms the distortion a block of positions at a
+time, from the back, and hands each block to the step of the table, which
+writes the block's back-pointers; one start cost and one forward rebuild
+follow.  The dense step costs O(S^(k+1)) a position for an alphabet of S
+symbols.  A k=1 table with one weight on its diagonal (hold) and one off
+it (jump), both finite and hold <= jump, as every pc_markov table is,
+takes the stay-or-jump step instead, in O(S): from a state, the best next
+symbol is the state itself or the first best jump target, which is the
+same for every state.  Its cells are the dense step's, summed in the same
+order, and its comparisons pick the first minimum of each dense row, so it
+writes the same back-pointers (see _stay_or_jump_step).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .sources import WeightTable
 
 MAX_STATES = 2 ** 20          # alphabet^k context states
 MAX_TRELLIS_CELLS = 2 ** 24   # n * alphabet^k back-pointers kept alive
-STAY_OR_JUMP_BLOCK = 64       # positions whose cells the stay-or-jump pass forms at once
+VITERBI_BLOCK = 64            # positions whose distortion a pass forms at once
 
 
 class InfeasibleProjection(ValueError):
@@ -139,57 +142,73 @@ def project_lagrangian(
     _check_distortion(x, alphabet)
 
     aw = _scaled_weights(w.w, alpha)
-    if _is_stay_or_jump(w):
-        return _stay_or_jump_pass(x, alphabet.values, aw[0, 0], aw[0, 1], dist_scale)
-
-    dist = dist_scale * (alphabet.values[None, :] - x[:, None]) ** 2  # (n, s)
+    values = alphabet.values
     if k == 0:
         # decoupled: per-position minimum, argmin toward the smallest index
-        stage = dist + aw[None, :]
+        stage = dist_scale * (values[None, :] - x[:, None]) ** 2 + aw[None, :]
         if np.isinf(stage.min(axis=1)).any():
             raise InfeasibleProjection("every symbol is forbidden at some position")
         return np.argmin(stage, axis=1).astype(np.int64)
 
-    aw = aw.reshape(s ** k, s)  # cost of (state, symbol)
     # state id encodes the context base-s, most recent symbol in the low digit;
     # after symbol a the next state is (state mod s^(k-1)) * s + a
     states = s ** k
     low_states = s ** (k - 1)
-    rows = np.arange(states)
+    if _is_stay_or_jump(w):
+        step = _stay_or_jump_step(aw[0, 0], aw[0, 1], s)
+    else:
+        step = _dense_step(aw.reshape(states, s))  # cost of (state, symbol)
 
     # backward pass: suffix[state] is the best cost of positions i..n-1 after
     # the context state; back[i - k, state] is the first (smallest) symbol
-    # attaining it.  total is (dist + aw) + suffix[next state], summed in
-    # that order; a state's next-state row depends on its low k-1 digits only
+    # attaining it.  step(dist, back, suffix) takes a block's distortion,
+    # fills its rows of back and returns the suffix before the block.  No
+    # (n, S) distortion array is held beside the back-pointers
     suffix = np.zeros(states)
     back = np.empty((n - k, states), dtype=np.min_scalar_type(s - 1))
-    total = np.empty((states, s))
-    by_low_digits = total.reshape(s, low_states, s)
-    for i in range(n - 1, k - 1, -1):
-        np.add(dist[i], aw, out=total)
-        by_low_digits += suffix.reshape(low_states, s)
-        best_symbol = total.argmin(axis=1)
-        back[i - k] = best_symbol
-        suffix = total[rows, best_symbol]
+    for end in range(n, k, -VITERBI_BLOCK):
+        start = max(end - VITERBI_BLOCK, k)
+        dist = dist_scale * (values[None, :] - x[start:end, None]) ** 2
+        suffix = step(dist, back[start - k:end - k], suffix)
 
-    # fold the first k (distortion-only) positions into the initial context
-    prefix_dist = np.zeros(states)
-    for j in range(k):
-        digit = (rows // s ** (k - 1 - j)) % s
-        prefix_dist += dist[j][digit]
-    start_cost = prefix_dist + suffix
+    # fold the first k (distortion-only) positions into the initial context,
+    # summed from the first: appending symbol a to context c gives c * s + a
+    start_cost = np.zeros(1)
+    for dist in dist_scale * (values[None, :] - x[:k, None]) ** 2:
+        start_cost = np.add.outer(start_cost, dist).ravel()
+    start_cost += suffix
     state = int(start_cost.argmin())  # lex-smallest context
     if math.isinf(start_cost[state]):
         raise InfeasibleProjection("every length-n path has infinite cost")
 
-    out = np.empty(n, dtype=np.int64)
-    for j in range(k):
-        out[j] = (state // s ** (k - 1 - j)) % s
-    for i in range(k, n):
-        a = back.item(i - k, state)
-        out[i] = a
+    path = [(state // s ** (k - 1 - j)) % s for j in range(k)]
+    for i in range(n - k):
+        a = back.item(i, state)
+        path.append(a)
         state = (state % low_states) * s + a
-    return out
+    return np.array(path, dtype=np.int64)
+
+
+def _dense_step(aw: np.ndarray):
+    """The step of the dense trellis, O(S^(k+1)) a position, for the
+    (state, symbol) costs aw.  A cell is (dist + aw) + suffix[next state],
+    summed in that order; a state's next-state row depends on its low k-1
+    digits only."""
+    states, s = aw.shape
+    low_states = states // s
+    rows = np.arange(states)
+    total = np.empty((states, s))
+    by_low_digits = total.reshape(s, low_states, s)
+
+    def step(dist: np.ndarray, back: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+        for r in range(len(dist) - 1, -1, -1):
+            np.add(dist[r], aw, out=total)
+            np.add(by_low_digits, suffix.reshape(low_states, s), out=by_low_digits)
+            best_symbol = total.argmin(axis=1)
+            back[r] = best_symbol
+            suffix = total[rows, best_symbol]
+        return suffix
+    return step
 
 
 def _is_stay_or_jump(w: WeightTable) -> bool:
@@ -205,61 +224,40 @@ def _is_stay_or_jump(w: WeightTable) -> bool:
     return np.array_equal(w.w, table)
 
 
-def _stay_or_jump_pass(
-    x: np.ndarray, values: np.ndarray, hold: float, jump: float, dist_scale: float
-) -> np.ndarray:
-    """The k=1 trellis for a stay-or-jump table in O(n S): the bytes of the
-    dense pass, its cells summed as (dist + weight) + suffix in the same order.
+def _stay_or_jump_step(hold: float, jump: float, s: int):
+    """The step of a stay-or-jump table's k=1 trellis, O(S) a position: the
+    back-pointers of the dense step, its cells summed as (dist + weight) +
+    suffix in the same order.
 
     At a position, H[a] and J[a] are the cells that hold at a and that jump
     to a.  Row `state` of the dense trellis is J with H[state] on its
     diagonal, so its first minimum is state or j1, the first argmin of J:
     state < j1 holds iff H[state] <= J[j1], state > j1 iff H[state] < J[j1],
     and j1 itself always holds (H[j1] <= J[j1], as hold <= jump and float
-    rounding is monotone).  The next suffix is min(H, J[j1]).
+    rounding is monotone).  The next suffix is min(H, J[j1]); the step
+    writes it over the suffix it is given.
     """
-    n, s = len(x), len(values)
-    suffix = np.zeros(s)
-    holds = np.empty((n - 1, s), dtype=bool)  # position i + 1 keeps the state
-    jump_to = np.empty(n - 1, dtype=np.int64)  # else it moves to this symbol
-    symbols = np.arange(s)
-    # the distortion and the H and J cells of one block of positions at a
-    # time, from the back: no (n, 2, S) array beside the hold bits
-    block = min(STAY_OR_JUMP_BLOCK, n - 1)
-    cells = np.empty((block, 2, s))
+    cells = np.empty((VITERBI_BLOCK, 2, s))
     rows = list(cells)
     h_rows = [row[0] for row in rows]
     j_rows = [row[1] for row in rows]
-    for end in range(n, 1, -block):
-        start = max(end - block, 1)
-        m = end - start
-        dist = dist_scale * (values[None, :] - x[start:end, None]) ** 2
+    symbols = np.arange(s)
+    block_rows = np.arange(VITERBI_BLOCK)[:, None]
+
+    def step(dist: np.ndarray, back: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+        m = len(dist)
         np.add(dist, hold, out=cells[:m, 0])
         np.add(dist, jump, out=cells[:m, 1])
-        first = [0] * m
-        first_cost = [0.0] * m
         for r in range(m - 1, -1, -1):
             np.add(rows[r], suffix, out=rows[r])
-            j1 = j_rows[r].argmin()
-            v1 = j_rows[r][j1]
-            np.minimum(h_rows[r], v1, out=suffix)
-            first[r] = j1
-            first_cost[r] = v1
-        h = cells[:m, 0]
-        v1 = np.array(first_cost)[:, None]
-        j1 = np.array(first)[:, None]
-        holds[start - 1:end - 1] = (h < v1) | ((h == v1) & (symbols <= j1))
-        jump_to[start - 1:end - 1] = j1[:, 0]
-
-    start_cost = dist_scale * (values - x[0]) ** 2 + suffix
-    state = int(start_cost.argmin())  # lex-smallest first symbol
-    out = np.empty(n, dtype=np.int64)
-    out[0] = state
-    for i in range(1, n):
-        if not holds.item(i - 1, state):
-            state = jump_to.item(i - 1)
-        out[i] = state
-    return out
+            j = j_rows[r]
+            np.minimum(h_rows[r], j[j.argmin()], out=suffix)
+        h, j = cells[:m, 0], cells[:m, 1]
+        j1 = j.argmin(axis=1)[:, None]
+        v1 = j[block_rows[:m], j1]
+        back[:] = np.where((h < v1) | ((h == v1) & (symbols <= j1)), symbols, j1)
+        return suffix
+    return step
 
 
 def _min_cost_path(x: np.ndarray, w: WeightTable, alphabet: QuantAlphabet) -> np.ndarray:

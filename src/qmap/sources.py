@@ -210,8 +210,7 @@ def cond_entropy(kernel: QuantKernel) -> float:
     for weight, row in zip(kernel.marginal.ravel(), kernel.cond.reshape(-1, kernel.alphabet.size)):
         if weight == 0.0:
             continue
-        pos = row[row > 0.0]
-        total += weight * float(-(pos * np.log2(pos)).sum())
+        total += weight * _law_entropy(row)
     return float(total)
 
 

@@ -125,12 +125,13 @@ def binomial_tail(hits: int, trials: int, p: float) -> float:
     return math.exp(log_sum) if upper else max(0.0, -math.expm1(log_sum))
 
 
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
-
-
 def normal_cdf(x) -> np.ndarray:
-    """Phi(x) = erfc(-x / sqrt(2)) / 2, elementwise."""
-    return 0.5 * np.asarray(_ERFC(-np.asarray(x, dtype=float) / math.sqrt(2.0)), dtype=float)
+    """Phi(x) = erfc(-x / sqrt(2)) / 2, elementwise: math.erfc of each
+    element, written straight into a float array."""
+    z = -np.asarray(x, dtype=float) / math.sqrt(2.0)
+    cdf = np.fromiter(map(math.erfc, z.flat), dtype=float, count=z.size).reshape(z.shape)
+    cdf *= 0.5
+    return cdf
 
 
 def _binomial_estimate(name: str, hits: int, trials: int, bound: float,
@@ -448,11 +449,12 @@ def gaussian_projection_check(n: int, trials: int, seed: int) -> TailEstimate:
     if n < 2 or trials < 2:
         raise ValueError("need n >= 2 and trials >= 2")
     stat, norms = _projections(n, trials, np.random.default_rng(seed))
+    # the correlation first, so its stacked copies never sit beside the CDF
+    corr = float(np.corrcoef(stat, norms)[0, 1])
     # Kolmogorov-Smirnov distance to N(0,1), as scipy.stats.kstest computes it
     cdf = normal_cdf(np.sort(stat))
     ks = float(max((np.arange(1.0, trials + 1) / trials - cdf).max(),
                    (cdf - np.arange(0.0, trials) / trials).max()))
-    corr = float(np.corrcoef(stat, norms)[0, 1])
     # Dvoretzky-Kiefer-Wolfowitz with Massart's constant: P(KS >= t) <=
     # 2 exp(-2 trials t^2) under N(0,1), which gives the p-value and the
     # 95% band around the empirical KS distance

@@ -257,6 +257,15 @@ def test_k_differing_from_model_order_exits_1(tmp_path, capsys):
         assert "error: ValueError: config k=1 differs from the model's memory order k=0" in err
 
 
+@pytest.mark.parametrize("key,value", [("mu", 0.5), ("max_iters", 5)])
+def test_homotopy_run_with_a_single_schedule_key_exits_1(tmp_path, capsys, key, value):
+    for command, cfg in (("recover", RECOVER_CFG), ("phase", PHASE_CFG)):
+        path = write_cfg(tmp_path, f"{command}_{key}.json", dict(cfg, **{key: value}))
+        assert run([command, "--config", path, "--out", tmp_path / "h.out", "--jobs", 1]) == 1
+        err = capsys.readouterr().err
+        assert f"error: ValueError: config {key} applies to the single schedule only" in err
+
+
 def test_validate_failure_exits_1(tmp_path, monkeypatch):
     import qmap.experiments as experiments
 

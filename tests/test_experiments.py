@@ -107,6 +107,20 @@ def test_homotopy_stages_of_criterion_4():
     assert got == expected
 
 
+@pytest.mark.parametrize("key,value", [("mu", 0.5), ("max_iters", 5), ("mu", None)])
+def test_homotopy_refuses_the_single_schedule_keys(key, value):
+    # the homotopy stages set their own step sizes and budgets, so a mu or
+    # max_iters in the config would be ignored
+    spec = {"kind": "l0", "s": 6}
+    kernel = quantized_kernel(SpikeSlab(0.05), 6)
+    projector = partial(project_l0, alphabet=kernel.alphabet, s=6)
+    config = {"projector": spec, key: value}
+    with pytest.raises(ValueError, match=f"config {key} applies to the single schedule only"):
+        _stages(config, spec, projector, kernel, 32)
+    with pytest.raises(ValueError, match=f"config {key} "):
+        trial_row(dict(RECOVER_CFG, **{key: value}), 0)
+
+
 def test_l0_trial_builds_no_weight_table(monkeypatch):
     # the l0 projector never reads complexity weights, on either grid
     import qmap.experiments as experiments

@@ -106,17 +106,27 @@ def stay_or_jump_table(size: int, hold: float, jump: float) -> WeightTable:
     return WeightTable(alphabet=build_alphabet(0.0, size * 0.25, 2), k=1, w=w)
 
 
-def spy_stay_or_jump(mp) -> list:
-    """Count the calls of the O(n S) stay-or-jump pass."""
+def spy_step(mp, name: str) -> list:
+    """Record a copy of the distortion block handed to each call of the
+    Viterbi step that projection.<name> builds, one list entry per call."""
     calls = []
-    real = projection._stay_or_jump_pass
+    build = getattr(projection, name)
 
-    def counted(*args):
-        calls.append(None)
-        return real(*args)
+    def spied_build(*args):
+        step = build(*args)
 
-    mp.setattr(projection, "_stay_or_jump_pass", counted)
+        def counted(dist, back, suffix):
+            calls.append(dist.copy())
+            return step(dist, back, suffix)
+        return counted
+
+    mp.setattr(projection, name, spied_build)
     return calls
+
+
+def spy_stay_or_jump(mp) -> list:
+    """The distortion blocks handed to the O(S) stay-or-jump step."""
+    return spy_step(mp, "_stay_or_jump_step")
 
 
 @st.composite
@@ -149,7 +159,7 @@ def test_stay_or_jump_pass_matches_dense_and_bruteforce(case, dist_scale):
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_stay_or_jump(mp)
         u = project_lagrangian(x, w, w.alphabet, alpha, dist_scale)
-        assert len(calls) == 1
+        assert sum(map(len, calls)) == len(x) - 1
         mp.setattr(projection, "_is_stay_or_jump", lambda w: False)
         dense = project_lagrangian(x, w, w.alphabet, alpha, dist_scale)
     assert u.dtype == dense.dtype and u.tobytes() == dense.tobytes()
@@ -612,3 +622,29 @@ def test_runtime_scales_linearly_in_n(rng):
     t10, t11, t12 = best
     assert t11 / t10 < 2.5
     assert t12 / t11 < 2.5
+
+
+@pytest.mark.parametrize("n", [2 ** 10, 2 ** 11, 2 ** 12])
+@pytest.mark.parametrize("table,step", [
+    ("dense k=1", "_dense_step"),
+    ("dense k=2", "_dense_step"),
+    ("stay-or-jump", "_stay_or_jump_step"),
+])
+def test_one_pass_hands_each_position_to_its_step_once(table, step, n, monkeypatch):
+    # the deterministic side of test_runtime_scales_linearly_in_n: the work
+    # of one pass is its step's work on positions k..n-1, each taken once
+    rng = np.random.default_rng(n)
+    if table == "stay-or-jump":
+        w = stay_or_jump_table(4, 0.5, 2.0)
+    else:
+        w = random_weight_table(rng, 4, int(table[-1]))
+    ab = w.alphabet
+    x = rng.normal(0.5, 0.4, n)
+    calls = spy_step(monkeypatch, step)
+    other = spy_step(monkeypatch, ({"_dense_step", "_stay_or_jump_step"} - {step}).pop())
+    project_lagrangian(x, w, ab, 0.3)
+    assert other == []
+    assert all(0 < len(dist) <= projection.VITERBI_BLOCK for dist in calls)
+    # blocks come from the back; each row is the distortion of one position
+    handed = np.concatenate(calls[::-1])
+    assert handed.tobytes() == ((ab.values[None, :] - x[w.k:, None]) ** 2).tobytes()

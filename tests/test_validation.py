@@ -443,6 +443,10 @@ WORKING_SETS = {
         PiecewiseConstant(0.2), 4096, 1, 3, 0.1, 200, 1), 200 * 2 * 4096, 0),
     "gaussian_projection": (lambda: gaussian_projection_check(100, 10_000, 1),
                             2 * 10_000 * 100, 8 * 10_000 * 100),  # u, drawn before v
+    # at small n the per-trial arrays weigh as much as u: beside u, the
+    # statistic and the norms that the KS distance and the correlation read
+    "gaussian_projection_n2": (lambda: gaussian_projection_check(2, 100_000, 7),
+                               2 * 100_000 * 2, 8 * 100_000 * 2 + 2 * 8 * 100_000),
     "chi_square": (lambda: chi_square_tail(10, 1.0, 300_000, 1), 300_000, 0),
 }
 
