@@ -232,10 +232,6 @@ def load_config(path: str, command: str, seed_override: int | None) -> dict:
     return config
 
 
-def _default_out(command: str, fmt: str) -> str:
-    return f"{command}_results.{fmt}"
-
-
 def cmd_recover(config: dict, out: str, jobs: int) -> int:
     t0 = time.perf_counter()
     rows = experiments.run_recover(config, jobs=jobs)
@@ -313,13 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     runner, fmt = COMMANDS[args.command]
+    out = args.out or f"{args.command}_results.{fmt}"
     try:
         config = load_config(args.config, args.command, args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    out = args.out or _default_out(args.command, fmt)
-    try:
         return runner(config, out, max(1, args.jobs))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

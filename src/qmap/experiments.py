@@ -347,11 +347,7 @@ def run_validate(config: dict) -> dict:
     }
     if "f_minimax" in suites:
         entry = suites["f_minimax"]
-        alpha_grid = np.linspace(
-            -0.999, 0.999, int(entry.get("alpha_points", 401))
-        )
-        s_grid = np.linspace(1e-4, 1.0 - 1e-4, int(entry.get("s_points", 1000)))
-        value = f_minimax(alpha_grid, s_grid)
+        value = f_minimax(**{key: int(count) for key, count in entry.items()})
         report["f_minimax"] = {"value": value, "threshold": 0.05}
         report["ok"] = report["ok"] and value >= 0.05
     return report
@@ -388,13 +384,7 @@ def _read_vector(path: str) -> np.ndarray:
 
 def format_value(v) -> str:
     """Locale-free, round-trippable CSV field."""
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
-    return str(v)
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
 def write_csv(path: str, columns: list[str], rows: list[dict], config: dict) -> None:

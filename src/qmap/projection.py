@@ -255,7 +255,10 @@ def _stay_or_jump_step(hold: float, jump: float, s: int):
         h, j = cells[:m, 0], cells[:m, 1]
         j1 = j.argmin(axis=1)[:, None]
         v1 = j[block_rows[:m], j1]
-        back[:] = np.where((h < v1) | ((h == v1) & (symbols <= j1)), symbols, j1)
+        # straight into back's rows: no int64 temporary cast into them
+        back[:] = j1
+        np.copyto(back, symbols, casting="unsafe",
+                  where=(h < v1) | ((h == v1) & (symbols <= j1)))
         return suffix
     return step
 

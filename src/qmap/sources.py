@@ -108,34 +108,25 @@ class WeightTable:
 def sample_path(model: SourceModel, n: int, seed: int) -> np.ndarray:
     """Draw a length-n path; deterministic given (model, n, seed).
 
-    It is row 0 of sample_paths(model, n, 1, np.random.default_rng(seed)).
+    It is the expansion of a one-row sample_runs on np.random.default_rng(seed).
     """
-    return sample_paths(model, n, 1, np.random.default_rng(seed))[0]
-
-
-def sample_paths(model: SourceModel, n: int, rows: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Draw `rows` independent length-n paths from `rng`, as a (rows, n) array.
-
-    Row r of a spike-slab or piecewise-constant block takes uniforms
-    [2n r, 2n (r + 1)) of the stream: the n slab values first, then the n
-    spike or jump uniforms; X_1 of a piecewise-constant row is always a
-    fresh (stationary) draw.  Table rows are drawn one after another.  So a
-    block of rows is the same as that many one-row calls on the same rng.
-    The block is the expansion of sample_runs on the same rng.
-    """
-    values, _, lengths = sample_runs(model, n, rows, rng)
-    return np.repeat(values, lengths).reshape(rows, n)
+    values, _, lengths = sample_runs(model, n, 1, np.random.default_rng(seed))
+    return np.repeat(values, lengths)
 
 
 def sample_runs(model: SourceModel, n: int, rows: int, rng: np.random.Generator
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw the block of sample_paths in run-length form: (values, starts,
-    lengths), one entry per run, in path order.
+    """Draw `rows` independent length-n paths from `rng` in run-length form:
+    (values, starts, lengths), one entry per run, in path order.
 
     starts index the flattened (rows * n) block, and no run crosses a row.
     A piecewise-constant run lasts from one jump to the next; spike-slab and
-    table runs have length 1.
+    table runs have length 1.  Row r of a spike-slab or piecewise-constant
+    block takes uniforms [2n r, 2n (r + 1)) of the stream: the n slab values
+    first, then the n spike or jump uniforms; X_1 of a piecewise-constant
+    row is always a fresh (stationary) draw.  Table rows are drawn one after
+    another.  So a block of rows is the same as that many one-row calls on
+    the same rng.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

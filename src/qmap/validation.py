@@ -85,8 +85,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     return obj
 
 
@@ -393,23 +391,16 @@ def _max_over_s(alpha: float, s_fracs: np.ndarray) -> float:
     return float(vals[best])
 
 
-def f_minimax(alpha_grid: np.ndarray | None = None,
-              s_grid: np.ndarray | None = None) -> float:
+def f_minimax(alpha_points: int = 401, s_points: int = 1000) -> float:
     """min over alpha of max over s of the exponent; the flat 2^{-0.05 m}
     tail bound holds when this stays >= 0.05.
 
-    s_grid holds fractions of the per-alpha domain (0, 1/(1-alpha)).
+    alpha runs over alpha_points evenly spaced values in [-0.999, 0.999], and
+    s over s_points evenly spaced fractions in [1e-4, 1 - 1e-4] of the
+    per-alpha domain (0, 1/(1-alpha)).
     """
-    if alpha_grid is None:
-        alpha_grid = np.linspace(-0.999, 0.999, 401)
-    if s_grid is None:
-        s_grid = np.linspace(1e-4, 1.0 - 1e-4, 1000)
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
-    s_grid = np.asarray(s_grid, dtype=float)
-    if np.any((alpha_grid <= -1) | (alpha_grid >= 1)):
-        raise ValueError("alpha grid must lie inside (-1, 1)")
-    if np.any((s_grid <= 0) | (s_grid >= 1)):
-        raise ValueError("s grid must hold fractions inside (0, 1)")
+    alpha_grid = np.linspace(-0.999, 0.999, alpha_points)
+    s_grid = np.linspace(1e-4, 1.0 - 1e-4, s_points)
     return min(_max_over_s(float(a), s_grid) for a in alpha_grid)
 
 

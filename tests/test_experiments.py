@@ -21,6 +21,7 @@ from qmap.experiments import (
 )
 from qmap.projection import project_l0
 from qmap.sources import PiecewiseConstant, SpikeSlab, TableMarkov, quantized_kernel
+from qmap.validation import f_minimax
 
 RECOVER_CFG = {
     "model": {"kind": "spike_slab", "p": 0.05},
@@ -222,6 +223,10 @@ def test_run_validate_report():
     assert len(report["results"]) == 3  # upper + lower + projection
     assert report["config"] == cfg
     assert run_validate(cfg) == report
+    # the f_minimax entry's point counts reach f_minimax, as integers
+    small = run_validate({"seed": 9, "suites": {"f_minimax": {"alpha_points": 5,
+                                                             "s_points": 7.0}}})
+    assert small["f_minimax"]["value"] == f_minimax(5, 7) != f_minimax()
 
 
 def test_write_csv_embeds_config(tmp_path):
@@ -235,8 +240,19 @@ def test_write_csv_embeds_config(tmp_path):
     assert text[3] == "2,inf"
 
 
-def test_format_value_round_trips():
+def test_format_value_round_trips(tmp_path):
     for v in (0.1, 1e-17, 3.0, float(np.float64(2.5000000000000004))):
         assert float(format_value(v)) == v
     assert format_value(np.int64(3)) == "3"
     assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
+    # numpy scalars print as plain numbers, not as their reprs
+    values = [np.float64(0.1), np.int64(-7), float("inf"), 1e-17, 0.1, 3.0,
+              np.float64(2.5000000000000004), np.float32(0.25), -0.0]
+    columns = [f"c{i}" for i in range(len(values))]
+    path = tmp_path / "values.csv"
+    write_csv(str(path), columns, [dict(zip(columns, values))], {})
+    cells = path.read_text().splitlines()[2].split(",")
+    assert len(cells) == len(values)
+    for cell, v in zip(cells, values):
+        assert "np." not in cell
+        assert (int(cell) if isinstance(v, np.integer) else float(cell)) == v

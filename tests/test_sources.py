@@ -19,7 +19,7 @@ from qmap.sources import (
     ktuple_law,
     quantized_kernel,
     sample_path,
-    sample_paths,
+    sample_runs,
     weights_from_kernel,
 )
 
@@ -71,15 +71,24 @@ def test_sample_path_equals_its_two_draw_formula(kind, n, p, seed):
 
 
 @pytest.mark.parametrize("kind", ["spike_slab", "pc_markov", "table"])
-def test_sample_paths_block_equals_one_row_calls(kind, rng):
+def test_sample_runs_block_equals_one_row_calls(kind, rng):
     model = {"spike_slab": SpikeSlab(0.3), "pc_markov": PiecewiseConstant(0.2),
              "table": TableMarkov(random_kernel(rng, 3, 1))}[kind]
     n, rows = 37, 9
-    block = sample_paths(model, n, rows, np.random.default_rng(8))
+    block = sample_runs(model, n, rows, np.random.default_rng(8))
     one = np.random.default_rng(8)
-    assert block.shape == (rows, n)
-    assert block.tobytes() == np.concatenate(
-        [sample_paths(model, n, 1, one) for _ in range(rows)]).tobytes()
+    # row r's runs, their starts shifted by r n into the flattened block
+    calls = [sample_runs(model, n, 1, one) for _ in range(rows)]
+    joined = (np.concatenate([values for values, _, _ in calls]),
+              np.concatenate([starts + r * n for r, (_, starts, _) in enumerate(calls)]),
+              np.concatenate([lengths for _, _, lengths in calls]))
+    for got, want in zip(block, joined):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert block[2].sum() == rows * n
+    # sample_path expands one row of runs drawn on its seed's generator
+    values, _, lengths = calls[0]
+    assert sample_path(model, n, 8).tobytes() == np.repeat(values, lengths).tobytes()
 
 
 def test_pc_sampler_stationary_marginal():

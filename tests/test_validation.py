@@ -14,7 +14,7 @@ from qmap.sources import (
     TableMarkov,
     ktuple_law,
     quantized_kernel,
-    sample_paths,
+    sample_runs,
 )
 from qmap.validation import (
     REJECT_LEVEL,
@@ -167,10 +167,6 @@ def test_f_max_at_alpha_045_matches_dense_scan():
 def test_f_minimax_threshold():
     value = f_minimax()
     assert value >= 0.05
-    with pytest.raises(ValueError):
-        f_minimax(alpha_grid=np.array([-1.0, 0.0]))
-    with pytest.raises(ValueError):
-        f_minimax(s_grid=np.array([0.0, 0.5]))
 
 
 def test_gaussian_projection_check():
@@ -315,7 +311,8 @@ def _per_path_hits(model, n, k, b, epsilon, trials, seed):
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(trials):
-        path = sample_paths(model, n, 1, rng)[0]
+        values, _, lengths = sample_runs(model, n, 1, rng)
+        path = np.repeat(values, lengths)
         symbols = quantize_vector(path, kernel.alphabet).tolist()
         counts = Counter(tuple(symbols[i: i + k]) for i in range(n - k + 1))
         emp = np.array([counts[t] for t in np.ndindex(mu.shape)]) / (n - k + 1)
