@@ -360,9 +360,9 @@ def run_project(config: dict) -> list[dict]:
     alphabet = kernel.alphabet
     u = build_projector(config["projector"], kernel, alphabet)(x)
     return [
-        {"i": i, "x": float(x[i]), "value": float(alphabet.values[u[i]]),
-         "symbol": int(u[i])}
-        for i in range(len(x))
+        {"i": i, "x": xi, "value": value, "symbol": symbol}
+        for i, (xi, value, symbol) in enumerate(
+            zip(x.tolist(), alphabet.values[u].tolist(), u.tolist()))
     ]
 
 
@@ -390,10 +390,8 @@ def format_value(v) -> str:
 def write_csv(path: str, columns: list[str], rows: list[dict], config: dict) -> None:
     """UTF-8 CSV with a header row; the originating config is embedded as a
     leading comment line so every result file carries its provenance."""
-    lines = ["# config=" + canonical_json(config)]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_value(row[c]) for c in columns))
+    lines = ["# config=" + canonical_json(config), ",".join(columns)]
+    lines += [",".join([format_value(row[c]) for c in columns]) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

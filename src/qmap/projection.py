@@ -30,6 +30,11 @@ symbol is the state itself or the first best jump target, which is the
 same for every state.  Its cells are the dense step's, summed in the same
 order, and its comparisons pick the first minimum of each dense row, so it
 writes the same back-pointers (see _stay_or_jump_step).
+
+Two passes of the breakpoint search return the trellis's bytes without its
+per-position loop: the alpha -> 0+ pass on a k >= 1 table that forbids no
+window (_finite_cost_rounding), and the alpha_max pass on a stay-or-jump
+table when no state leaves its value (_held_pass).
 """
 
 from __future__ import annotations
@@ -118,6 +123,40 @@ def _check_trellis_size(n: int, s: int, k: int) -> None:
         )
 
 
+def _checked_pass_input(
+    x: np.ndarray, w: WeightTable, alphabet: QuantAlphabet, alpha: float
+) -> np.ndarray:
+    """x as floats, after the checks of every Viterbi pass, in one order:
+    the table's grid, finite x, n > k, alpha, the trellis size and x's
+    distance from the grid."""
+    _check_same_grid(w, alphabet)
+    x = _finite_vector(x)
+    n, k = len(x), w.k
+    if n <= k:
+        raise ValueError(f"need len(x) > k, got {n} <= {k}")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    _check_trellis_size(n, alphabet.size, k)
+    _check_distortion(x, alphabet)
+    return x
+
+
+def _start_state(head: np.ndarray, values: np.ndarray, suffix: np.ndarray | float,
+                 dist_scale: float = 1.0) -> int:
+    """The context of the first k = len(head) positions that starts a best
+    path, the lex-smallest one: their distortion, summed from the first
+    (appending symbol a to context c gives c * s + a), plus the suffix of
+    each context."""
+    start_cost = np.zeros(1)
+    for dist in dist_scale * (values[None, :] - head[:, None]) ** 2:
+        start_cost = np.add.outer(start_cost, dist).ravel()
+    start_cost += suffix
+    state = int(start_cost.argmin())
+    if math.isinf(start_cost[state]):
+        raise InfeasibleProjection("every length-n path has infinite cost")
+    return state
+
+
 def project_lagrangian(
     x: np.ndarray,
     w: WeightTable,
@@ -129,18 +168,10 @@ def project_lagrangian(
     weights, as symbol indices.  dist_scale multiplies the distortion term
     (used internally to realize a pure minimum-cost pass with dist_scale=0).
     """
-    _check_same_grid(w, alphabet)
-    x = _finite_vector(x)
+    x = _checked_pass_input(x, w, alphabet, alpha)
     n = len(x)
     k = w.k
     s = alphabet.size
-    if n <= k:
-        raise ValueError(f"need len(x) > k, got {n} <= {k}")
-    if not 0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    _check_trellis_size(n, s, k)
-    _check_distortion(x, alphabet)
-
     aw = _scaled_weights(w.w, alpha)
     values = alphabet.values
     if k == 0:
@@ -171,16 +202,7 @@ def project_lagrangian(
         dist = dist_scale * (values[None, :] - x[start:end, None]) ** 2
         suffix = step(dist, back[start - k:end - k], suffix)
 
-    # fold the first k (distortion-only) positions into the initial context,
-    # summed from the first: appending symbol a to context c gives c * s + a
-    start_cost = np.zeros(1)
-    for dist in dist_scale * (values[None, :] - x[:k, None]) ** 2:
-        start_cost = np.add.outer(start_cost, dist).ravel()
-    start_cost += suffix
-    state = int(start_cost.argmin())  # lex-smallest context
-    if math.isinf(start_cost[state]):
-        raise InfeasibleProjection("every length-n path has infinite cost")
-
+    state = _start_state(x[:k], values, suffix, dist_scale)
     path = [(state // s ** (k - 1 - j)) % s for j in range(k)]
     for i in range(n - k):
         a = back.item(i, state)
@@ -270,9 +292,77 @@ def _min_cost_path(x: np.ndarray, w: WeightTable, alphabet: QuantAlphabet) -> np
 
 def _finite_cost_rounding(x: np.ndarray, w: WeightTable, alphabet: QuantAlphabet) -> np.ndarray:
     """The alpha -> 0+ limit of the Lagrangian projection: the nearest
-    sequence among those of finite cost (every finite weight set to 0)."""
-    allowed = WeightTable(alphabet=alphabet, k=w.k, w=np.where(np.isinf(w.w), np.inf, 0.0))
-    return project_lagrangian(x, allowed, alphabet, alpha=1.0)
+    sequence among those of finite cost (every finite weight set to 0).
+
+    A table of k >= 1 that forbids no window, as every pc_markov table,
+    then costs every window 0, so the trellis's suffix is one number a
+    position, the same for every context: c_i = min_a d_i[a] + c_{i+1}, as
+    rounding is monotone.  So position i >= k takes the first argmin of
+    d_i + c_{i+1}, its cells summed as the trellis sums them, and the first
+    k positions the trellis's start rule: the trellis's bytes, without its
+    per-position loop.
+    """
+    allowed = np.where(np.isinf(w.w), np.inf, 0.0)
+    # a k = 0 pass has no trellis loop to skip
+    if w.k == 0 or np.isinf(allowed).any():
+        return project_lagrangian(x, WeightTable(w.alphabet, w.k, allowed), alphabet, alpha=1.0)
+    x = _checked_pass_input(x, w, alphabet, 1.0)
+    n, k, values = len(x), w.k, alphabet.values
+    path = np.empty(n, dtype=np.int64)
+    sums = np.zeros(VITERBI_BLOCK + 1)  # sums[j] = c_{end - j}
+    for end in range(n, k, -VITERBI_BLOCK):
+        m = min(VITERBI_BLOCK, end - k)
+        # row j is position end - 1 - j: the block from the back
+        dist = (values[None, :] - x[end - m:end][::-1, None]) ** 2
+        dist.min(axis=1, out=sums[1:m + 1])
+        np.cumsum(sums[:m + 1], out=sums[:m + 1])
+        path[end - m:end][::-1] = (dist + sums[:m, None]).argmin(axis=1)
+        sums[0] = sums[m]
+    path[:k] = np.unravel_index(_start_state(x[:k], values, sums[0]), (alphabet.size,) * k)
+    return path
+
+
+def _held_pass(x: np.ndarray, w: WeightTable, alphabet: QuantAlphabet, alpha: float) -> np.ndarray:
+    """project_lagrangian(x, w, alphabet, alpha), without the trellis's
+    per-position loop where no state leaves its value, as at a large alpha
+    on a stay-or-jump table.
+
+    If every state holds, each state's suffix is F_i = (d_i + alpha hold)
+    + F_{i+1}, a sum from the back.  Those are the trellis's suffixes when,
+    at every position, every hold cell F_i[a] is <= the least jump cell
+    v1 = (d_i[j1] + alpha jump) + F_{i+1}[j1], and the path then holds the
+    start state at every position unless it ties v1 with a smaller j1,
+    where the trellis's first minimum jumps.  Any other input, and every
+    other table, takes the trellis.
+    """
+    if not _is_stay_or_jump(w):
+        return project_lagrangian(x, w, alphabet, alpha)
+    x = _checked_pass_input(x, w, alphabet, alpha)
+    aw = _scaled_weights(w.w, alpha)
+    hold, jump = aw[0, 0], aw[0, 1]
+    values, symbols = alphabet.values, np.arange(alphabet.size)
+    held = np.zeros((VITERBI_BLOCK + 1, alphabet.size))  # held[j] = F_{end - j}
+    ties_down = np.zeros(alphabet.size, dtype=bool)  # states that jump on a tie
+    for end in range(len(x), 1, -VITERBI_BLOCK):
+        m = min(VITERBI_BLOCK, end - 1)
+        # row j is position end - 1 - j: the block from the back
+        dist = (values[None, :] - x[end - m:end][::-1, None]) ** 2
+        np.add(dist, hold, out=held[1:m + 1])
+        np.cumsum(held[:m + 1], axis=0, out=held[:m + 1])
+        cells = held[1:m + 1]
+        jumps = (dist + jump) + held[:m]
+        v1 = jumps.min(axis=1, keepdims=True)
+        at_least = cells >= v1
+        if at_least.any():
+            if (cells > v1).any():
+                return project_lagrangian(x, w, alphabet, alpha)
+            j1 = jumps.argmin(axis=1)[:, None]
+            ties_down |= (at_least & (symbols > j1)).any(axis=0)
+        held[0] = held[m]
+    state = _start_state(x[:1], values, held[0])
+    if ties_down[state]:
+        return project_lagrangian(x, w, alphabet, alpha)
+    return np.full(len(x), state, dtype=np.int64)
 
 
 class _SweepPoint(NamedTuple):
@@ -309,6 +399,8 @@ def project_constrained(
     hull edge and R is returned.  Every pass shrinks the bracket, so the
     search is exact and finite.  When the constrained optimum is not a hull
     vertex (a duality gap) the best feasible vertex is returned instead.
+    The first pass and the alpha_max pass skip the trellis loop where their
+    table allows (_finite_cost_rounding, _held_pass).
     """
     _check_same_grid(w, alphabet)
     x = _finite_vector(x)
@@ -324,7 +416,7 @@ def project_constrained(
         alpha_max = 2.0 * w.max_finite() * len(x)
         if alpha_max <= 0:
             alpha_max = 1.0
-        right = sweep_pass(project_lagrangian(x, w, alphabet, alpha_max))
+        right = sweep_pass(_held_pass(x, w, alphabet, alpha_max))
         if right.cost > gamma:
             left = right
             right = sweep_pass(_min_cost_path(x, w, alphabet))
@@ -368,10 +460,9 @@ def project_l0(x: np.ndarray, alphabet: QuantAlphabet, s: int) -> np.ndarray:
     zero_idx = alphabet.zero_index()
     if zero_idx is None:
         raise ValueError("alphabet does not contain 0")
-    q = nearest_index(alphabet, x)
+    q, v = _nearest(alphabet, x)
     if s == 0:
         return np.full_like(q, zero_idx)
-    v = alphabet.values[q]
     # half of x^2 - (x - v)^2, which would overflow for |x| near 1e300
     gains = v * (x - 0.5 * v)
     # the s-th largest gain of each row: each row has at least s gains at or
@@ -389,12 +480,18 @@ def project_l0(x: np.ndarray, alphabet: QuantAlphabet, s: int) -> np.ndarray:
 
 def nearest_index(alphabet: QuantAlphabet, x: np.ndarray) -> np.ndarray:
     """Index of the closest grid value to each coordinate (lower on ties)."""
-    values = alphabet.values
-    # clipped first, so the scaled offset stays in [0, size - 1] for any x
-    x = np.minimum(np.maximum(x, values[0]), values[-1])
-    lo_idx = np.floor((x - values[0]) * 2.0 ** alphabet.b).astype(np.int64)
-    hi_idx = np.minimum(lo_idx + 1, alphabet.size - 1)
-    # hi_idx is lo_idx + 1, or lo_idx itself at the top, where d_hi == d_lo
-    lo_idx += np.abs(x - values[hi_idx]) < np.abs(x - values[lo_idx])
-    return lo_idx
+    return _nearest(alphabet, x)[0]
 
+
+def _nearest(alphabet: QuantAlphabet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and value of the closest grid value to each coordinate (lower
+    on ties).  Scaling by 2^b, the floor and lo + 1/2 are all exact, so
+    t > lo + 1/2 compares exactly.  The fraction t - lo would not be: for
+    t in (-1/2, 0) it is 1 + t, which can round to 1/2."""
+    values = alphabet.values
+    scale = 2.0 ** alphabet.b
+    # clipped first, so t stays on the scaled grid for any x
+    t = np.minimum(np.maximum(x, values[0]), values[-1]) * scale
+    lo = np.floor(t)
+    lo += t > lo + 0.5
+    return (lo - values[0] * scale).astype(np.int64), lo / scale

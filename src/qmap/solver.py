@@ -189,7 +189,10 @@ def pgd_solve_stack(
             trace = traces[i]
             t0 = seen[i].setdefault(idx[j].tobytes(), t)
             going = t0 == t and t < cfg.max_iters
-            record(j, i, going)
+            if t0 == t:
+                record(j, i, going)
+            else:  # a repeat of iterate t0, whose residual the trace holds
+                trace.residuals.append(trace.residuals[t0])
             if t0 == t - 1:
                 trace.status = "converged"
             elif t0 < t:

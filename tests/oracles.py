@@ -3,9 +3,10 @@
 None of the qmap commands runs these.  They check the package from outside:
 brute-force projection and Q-MAP optimum over every grid sequence at toy
 scale, k-types and the empirical quantities of the cost decomposition, the
-scalar quantizer the vector one must agree with, the spike-and-slab weight
-gap, the contraction floor of the error recursion, and the error path of a
-PGD run against the quantized truth.
+scalar quantizer the vector one must agree with, nearest-grid rounding by
+distances, the spike-and-slab weight gap, the contraction floor of the
+error recursion, and the error path of a PGD run against the quantized
+truth.
 """
 
 from __future__ import annotations
@@ -212,6 +213,18 @@ def quantize_scalar(x: float, b: int) -> float:
     # frac in [0, 1); frac * 2**b and the division below are exact float ops.
     frac = x - fl
     return fl + math.floor(frac * scale) / scale
+
+
+def nearest_index_by_distance(alphabet: QuantAlphabet, x: np.ndarray) -> np.ndarray:
+    """The closest grid value's index to each coordinate, by comparing the
+    distances to the grid values below and above it (lower on ties)."""
+    values = alphabet.values
+    x = np.minimum(np.maximum(x, values[0]), values[-1])
+    lo_idx = np.floor((x - values[0]) * 2.0 ** alphabet.b).astype(np.int64)
+    hi_idx = np.minimum(lo_idx + 1, alphabet.size - 1)
+    # hi_idx is lo_idx + 1, or lo_idx itself at the top, where d_hi == d_lo
+    lo_idx += np.abs(x - values[hi_idx]) < np.abs(x - values[lo_idx])
+    return lo_idx
 
 
 def weight_gap(p: float, b: int) -> float:

@@ -13,6 +13,7 @@ from conftest import random_weight_table
 from oracles import (
     enumerate_sequences,
     lagrangian_objective,
+    nearest_index_by_distance,
     project_bruteforce,
     sequence_costs,
     weight_gap,
@@ -387,6 +388,146 @@ def test_constrained_pass_count_on_piecewise_constant_path(monkeypatch):
     u = project_constrained(x, w, w.alphabet, gamma)
     assert complexity_cost(u, w) <= gamma
     assert len(passes) <= 20
+    # the alpha -> 0+ and alpha_max passes skip the trellis: two passes
+    # fewer than the same search with both end passes on the trellis
+    assert len(passes) == 9
+    passes.clear()
+    monkeypatch.setattr(projection, "_finite_cost_rounding", trellis_finite_cost_rounding)
+    monkeypatch.setattr(projection, "_held_pass", projection.project_lagrangian)
+    assert project_constrained(x, w, w.alphabet, gamma).tobytes() == u.tobytes()
+    assert len(passes) == 11
+
+
+def trellis_finite_cost_rounding(x, w, alphabet):
+    """The alpha -> 0+ pass on the trellis: every finite weight set to 0."""
+    allowed = WeightTable(w.alphabet, w.k, np.where(np.isinf(w.w), np.inf, 0.0))
+    return projection.project_lagrangian(x, allowed, alphabet, 1.0)
+
+
+def off_grid_points(rng, ab, n):
+    """n coordinates of grid values, midpoints and points far off the grid
+    (up to 2^40 grid steps beyond an end), in runs."""
+    step = 2.0 ** -ab.b
+    pool = np.concatenate([
+        ab.values, ab.values + 0.5 * step,
+        ab.values[[0, -1]] + np.array([-1.0, 1.0]) * step * 2.0 ** rng.integers(1, 41, 2),
+    ])
+    return np.repeat(rng.choice(pool, n), rng.integers(1, 20, n))[:n]
+
+
+@st.composite
+def zero_cost_cases(draw):
+    kind = draw(st.sampled_from(["pc", "dense k=1", "dense k=2"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "pc":
+        p = draw(st.sampled_from([0.1, 0.5]))
+        w = weights_from_kernel(quantized_kernel(PiecewiseConstant(p), draw(st.integers(1, 6))))
+    else:
+        w = random_weight_table(rng, draw(st.integers(2, 4)), int(kind[-1]))
+    n = draw(st.integers(w.k + 1, 3 * projection.VITERBI_BLOCK))
+    x = off_grid_points(rng, w.alphabet, n)
+    if draw(st.booleans()):
+        x = x + rng.normal(0.0, 0.05, n)
+    return x, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_cost_cases())
+def test_zero_cost_pass_equals_the_trellis(case):
+    # a table that forbids no window: the alpha -> 0+ pass skips the
+    # trellis and returns its bytes
+    x, w = case
+    with pytest.MonkeyPatch.context() as mp:
+        passes = count_viterbi_passes(mp)
+        u = projection._finite_cost_rounding(x, w, w.alphabet)
+    assert passes == []
+    assert u.tobytes() == trellis_finite_cost_rounding(x, w, w.alphabet).tobytes()
+
+
+@st.composite
+def held_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        w = weights_from_kernel(quantized_kernel(
+            PiecewiseConstant(draw(st.sampled_from([0.1, 0.5]))), draw(st.integers(1, 6))))
+    else:
+        # dyadic weights, x and alpha keep cells exact, so ties are common
+        hold, jump = sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2)))
+        w = stay_or_jump_table(draw(st.integers(2, 6)), hold / 4, jump / 4)
+    n = draw(st.integers(2, 3 * projection.VITERBI_BLOCK))
+    x = off_grid_points(rng, w.alphabet, n)
+    alpha = 2.0 * w.max_finite() * n  # the alpha_max of the breakpoint search
+    alpha = draw(st.sampled_from([alpha, alpha / 64, 0.25, 1.0]))
+    return x, w, alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(held_cases())
+def test_held_pass_equals_the_trellis(case):
+    x, w, alpha = case
+    assert (projection._held_pass(x, w, w.alphabet, alpha).tobytes()
+            == project_lagrangian(x, w, w.alphabet, alpha).tobytes())
+
+
+@pytest.mark.parametrize("case", ["holds", "must jump", "start ties a smaller jump"])
+def test_held_pass_takes_the_trellis_unless_every_state_holds(case, monkeypatch):
+    if case == "holds":
+        w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), 3))
+        x = np.full(100, 0.3) + np.random.default_rng(1).normal(0.0, 0.1, 100)
+        alpha, expect, trellis_passes = 2.0 * w.max_finite() * 100, None, 0
+    elif case == "must jump":
+        # holding 0 through the last three positions costs more than one jump
+        w = stay_or_jump_table(4, 0.5, 2.0)
+        x = np.array([0.0, 0.0, 0.0, 0.75, 0.75, 0.75])
+        alpha, expect, trellis_passes = 0.125, [0, 0, 0, 3, 3, 3], 1
+    else:
+        # hold == jump: at position 1 the start state 1's hold cell ties the
+        # best jump cell, whose first target j1 = 0 is smaller, so the
+        # trellis's first minimum jumps to 0
+        w = stay_or_jump_table(2, 1.0, 1.0)
+        x = np.array([0.25, 0.125])
+        alpha, expect, trellis_passes = 1.0, [1, 0], 1
+    passes = count_viterbi_passes(monkeypatch)
+    u = projection._held_pass(x, w, w.alphabet, alpha)
+    assert len(passes) == trellis_passes
+    assert u.tobytes() == projection.project_lagrangian(x, w, w.alphabet, alpha).tobytes()
+    if expect is not None:
+        assert u.tolist() == expect
+    else:
+        assert len(set(u.tolist())) == 1
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "too far", "n <= k", "too large", "another grid",
+                                 "inf alpha", "alpha overflows a weight"])
+def test_closed_form_passes_raise_what_the_trellis_raises(bad, monkeypatch):
+    w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.3), 2))
+    ab = w.alphabet
+    x = np.array([0.1, 0.6, 0.62, 0.3, 0.9, 0.2])
+    alpha = 2.0 * w.max_finite() * len(x)
+    if bad in ("nan", "inf", "too far"):
+        x[2] = {"nan": math.nan, "inf": math.inf, "too far": 1e16}[bad]
+    elif bad == "n <= k":
+        x = x[:1]
+    elif bad == "too large":
+        monkeypatch.setattr(projection, "MAX_TRELLIS_CELLS", len(x) * ab.size - 1)
+    elif bad == "another grid":
+        ab = build_alphabet(0, 1, 3)
+    else:
+        alpha = math.inf if bad == "inf alpha" else 1e308
+    pairs = [(lambda: projection._held_pass(x, w, ab, alpha),
+              lambda: project_lagrangian(x, w, ab, alpha))]
+    if "alpha" not in bad:
+        pairs.append((lambda: projection._finite_cost_rounding(x, w, ab),
+                      lambda: trellis_finite_cost_rounding(x, w, ab)))
+    for closed_form, trellis in pairs:
+        with pytest.raises(ValueError) as want:
+            trellis()
+        with pytest.MonkeyPatch.context() as mp:
+            passes = count_viterbi_passes(mp)
+            with pytest.raises(type(want.value)) as got:
+                closed_form()
+        assert str(got.value) == str(want.value)
+        assert passes == []
 
 
 def test_constrained_starts_at_the_nearest_finite_cost_sequence(monkeypatch):
@@ -573,6 +714,40 @@ def test_project_l0_is_exact_constrained_projection(rng):
         dists = ((ab.values[seqs] - x) ** 2).sum(axis=1)
         assert dist == pytest.approx(float(dists[ok].min()), abs=1e-12)
         assert np.count_nonzero(ab.values[got]) <= s
+
+
+@st.composite
+def rounding_cases(draw):
+    """A stack or vector of coordinates and a grid of b <= 12 bits, some
+    with lo < 0: grid values, midpoints, either one nudged by one ulp,
+    points beyond the ends and huge values."""
+    b = draw(st.integers(1, 12))
+    lo = draw(st.sampled_from([0.0, -1.0, -0.375, 0.3]))
+    ab = build_alphabet(lo, lo + draw(st.sampled_from([0.5, 1.0, 3.0])), b)
+    half_steps = st.integers(-4, 2 * ab.size + 2)
+    # values[0] + h/2 grid steps: a grid value for even h, a midpoint for odd h
+    point = half_steps.map(lambda h: ab.values[0] + h * 2.0 ** -(b + 1))
+    nudged = st.tuples(point, st.sampled_from([-math.inf, math.inf])).map(
+        lambda pair: float(np.nextafter(*pair)))
+    coordinate = (point | nudged | st.floats(lo - 1.0, lo + 4.0)
+                  | st.sampled_from([1e300, -1e300, 1.7e308, -0.0, 5e-324]))
+    shape = draw(st.sampled_from([(5,), (3, 4), (1, 1)]))
+    size = int(np.prod(shape))
+    x = np.array(draw(st.lists(coordinate, min_size=size, max_size=size))).reshape(shape)
+    return x, ab
+
+
+@settings(max_examples=400, deadline=None)
+@given(rounding_cases())
+@example((  # t = -1/2 + 2^-54: 1 + t, the fraction, rounds to 1/2
+    np.array([np.nextafter(-0.25, 0.0)]), build_alphabet(-0.5, 0.5, 1)))
+def test_nearest_index_equals_rounding_by_distance(case):
+    x, ab = case
+    q = nearest_index(ab, x)
+    assert q.dtype == np.int64
+    assert q.tobytes() == nearest_index_by_distance(ab, x).tobytes()
+    # project_l0 takes its values from the same rounding, not from values[q]
+    assert projection._nearest(ab, x)[1].tobytes() == ab.values[q].tobytes()
 
 
 def test_lagrangian_refuses_a_coordinate_too_far_from_the_grid():

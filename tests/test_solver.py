@@ -375,6 +375,40 @@ def test_stack_rows_stop_each_their_own_way():
         assert len({trace.iters for trace in traces if trace.status != "cycle"}) > 1
 
 
+def plain_residuals(A, y, ab, projector, mu, max_iters, start):
+    """The residual of every iterate of a PGD run that never stops early,
+    each computed afresh from its iterate."""
+    est = ab.values[start]
+    residuals = []
+    for t in range(max_iters + 1):
+        resid = y - A.entries @ est
+        residuals.append(math.sqrt(resid @ resid))
+        if t < max_iters:
+            est = ab.values[projector(est + mu * (resid @ A.entries))]
+    return residuals
+
+
+def test_repeated_iterates_reuse_their_recorded_residual():
+    # a row whose iterate repeats an earlier one records that iterate's
+    # residual from its trace; every entry equals a fresh computation
+    A, y, ab, mu = cycling_grow_stage()
+    n = A.n
+    rng = np.random.default_rng(3)
+    fixed = ab.values[rng.integers(0, ab.size, n)] * (rng.random(n) < 0.05)
+    B = gen_gaussian(A.m, n, "unit", 8)
+    designs = [A, B, B]
+    ys = np.array([y, B.entries @ fixed, B.entries @ fixed])
+    start = np.zeros((3, n), dtype=np.int64)
+    start[1] = quantize_vector(fixed, ab)
+    projector = partial(project_l0, alphabet=ab, s=20)
+    max_iters = 12
+    _, traces = pgd_solve_stack(designs, ys, ab, PgdConfig(projector, mu, max_iters, start))
+    assert [trace.status for trace in traces] == ["cycle", "converged", "max_iters"]
+    for A_i, y_i, start_i, trace in zip(designs, ys, start, traces):
+        plain = plain_residuals(A_i, y_i, ab, projector, mu, max_iters, start_i)
+        assert trace.residuals == plain[:len(trace.residuals)]
+
+
 def test_int32_projector_finds_the_repeated_start():
     # the start is a fixed point, so the first projection repeats it: the
     # run converges at t = 1 whatever integer type the projector returns
