@@ -9,8 +9,8 @@ are byte-identical across reruns and across worker-pool sizes.
 Recovery protocol.  The convergence theory pairs the step 1/m with unit
 Gaussian designs but needs many more measurements than the interesting
 desk-scale regime; at m close to n times the information dimension a single
-constant-step run either diverges (large mu) or freezes on the quantization
-grid (small mu).  The default "homotopy" schedule therefore chains plain
+constant-step run either cycles (large mu; every iterate is a grid point,
+so no run can diverge) or freezes on the quantization grid (small mu).  The default "homotopy" schedule therefore chains plain
 constant-step PGD runs: the sparsity budget grows stepwise at a fine solve
 grid (where the quantization dead zone is negligible, and which contains
 the target grid), and a short step-size ladder at the target grid snaps the

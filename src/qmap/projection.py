@@ -7,9 +7,11 @@ project_lagrangian solves
 
 exactly with a Viterbi dynamic program over the alphabet^k context states
 (the first k positions incur distortion only).  project_constrained meets
-a hard complexity budget by an exact search over the breakpoints of alpha
-(Everett's generalized Lagrange multipliers), and project_l0 is the exact
-fast path for memoryless spike-and-slab weights.  Every projector requires
+a hard complexity budget by a search over the breakpoints of alpha
+(Everett's generalized Lagrange multipliers); it returns the best feasible
+Lagrangian solution, which is the constrained optimum only where that is a
+vertex of the (cost, distortion) hull.  project_l0 is the exact fast path
+for memoryless spike-and-slab weights.  Every projector requires
 finite x; the Viterbi projectors also refuse an x with a coordinate 2^52
 grid steps or more from the grid, where squared distances lose its offset,
 and a weight table on another grid than the alphabet.
@@ -29,12 +31,12 @@ takes the stay-or-jump step instead, in O(S): from a state, the best next
 symbol is the state itself or the first best jump target, which is the
 same for every state.  Its cells are the dense step's, summed in the same
 order, and its comparisons pick the first minimum of each dense row, so it
-writes the same back-pointers (see _stay_or_jump_step).
-
-Two passes of the breakpoint search return the trellis's bytes without its
-per-position loop: the alpha -> 0+ pass on a k >= 1 table that forbids no
-window (_finite_cost_rounding), and the alpha_max pass on a stay-or-jump
-table when no state leaves its value (_held_pass).
+writes the same back-pointers (see _stay_or_jump_step).  Two cases need
+no per-position loop.  A table whose scaled weights are all 0, as in the
+alpha -> 0+ pass of the breakpoint search, takes the free step, whose
+suffix is one number a position.  The stay-or-jump step first tries each
+block as one where no state leaves its value, as at the search's
+alpha_max.
 """
 
 from __future__ import annotations
@@ -123,40 +125,6 @@ def _check_trellis_size(n: int, s: int, k: int) -> None:
         )
 
 
-def _checked_pass_input(
-    x: np.ndarray, w: WeightTable, alphabet: QuantAlphabet, alpha: float
-) -> np.ndarray:
-    """x as floats, after the checks of every Viterbi pass, in one order:
-    the table's grid, finite x, n > k, alpha, the trellis size and x's
-    distance from the grid."""
-    _check_same_grid(w, alphabet)
-    x = _finite_vector(x)
-    n, k = len(x), w.k
-    if n <= k:
-        raise ValueError(f"need len(x) > k, got {n} <= {k}")
-    if not 0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    _check_trellis_size(n, alphabet.size, k)
-    _check_distortion(x, alphabet)
-    return x
-
-
-def _start_state(head: np.ndarray, values: np.ndarray, suffix: np.ndarray | float,
-                 dist_scale: float = 1.0) -> int:
-    """The context of the first k = len(head) positions that starts a best
-    path, the lex-smallest one: their distortion, summed from the first
-    (appending symbol a to context c gives c * s + a), plus the suffix of
-    each context."""
-    start_cost = np.zeros(1)
-    for dist in dist_scale * (values[None, :] - head[:, None]) ** 2:
-        start_cost = np.add.outer(start_cost, dist).ravel()
-    start_cost += suffix
-    state = int(start_cost.argmin())
-    if math.isinf(start_cost[state]):
-        raise InfeasibleProjection("every length-n path has infinite cost")
-    return state
-
-
 def project_lagrangian(
     x: np.ndarray,
     w: WeightTable,
@@ -168,10 +136,18 @@ def project_lagrangian(
     weights, as symbol indices.  dist_scale multiplies the distortion term
     (used internally to realize a pure minimum-cost pass with dist_scale=0).
     """
-    x = _checked_pass_input(x, w, alphabet, alpha)
+    _check_same_grid(w, alphabet)
+    x = _finite_vector(x)
     n = len(x)
     k = w.k
     s = alphabet.size
+    if n <= k:
+        raise ValueError(f"need len(x) > k, got {n} <= {k}")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    _check_trellis_size(n, s, k)
+    _check_distortion(x, alphabet)
+
     aw = _scaled_weights(w.w, alpha)
     values = alphabet.values
     if k == 0:
@@ -185,7 +161,9 @@ def project_lagrangian(
     # after symbol a the next state is (state mod s^(k-1)) * s + a
     states = s ** k
     low_states = s ** (k - 1)
-    if _is_stay_or_jump(w):
+    if not aw.any():
+        step = _free_step
+    elif _is_stay_or_jump(w):
         step = _stay_or_jump_step(aw[0, 0], aw[0, 1], s)
     else:
         step = _dense_step(aw.reshape(states, s))  # cost of (state, symbol)
@@ -199,13 +177,25 @@ def project_lagrangian(
     back = np.empty((n - k, states), dtype=np.min_scalar_type(s - 1))
     for end in range(n, k, -VITERBI_BLOCK):
         start = max(end - VITERBI_BLOCK, k)
-        dist = dist_scale * (values[None, :] - x[start:end, None]) ** 2
+        dist = (values[None, :] - x[start:end, None]) ** 2
+        if dist_scale != 1.0:  # 1.0 * dist is dist: no product to form
+            dist *= dist_scale
         suffix = step(dist, back[start - k:end - k], suffix)
 
-    state = _start_state(x[:k], values, suffix, dist_scale)
+    # fold the first k (distortion-only) positions into the initial context,
+    # summed from the first: appending symbol a to context c gives c * s + a
+    start_cost = np.zeros(1)
+    for dist in dist_scale * (values[None, :] - x[:k, None]) ** 2:
+        start_cost = np.add.outer(start_cost, dist).ravel()
+    start_cost += suffix
+    state = int(start_cost.argmin())  # lex-smallest context
+    if math.isinf(start_cost[state]):
+        raise InfeasibleProjection("every length-n path has infinite cost")
+
     path = [(state // s ** (k - 1 - j)) % s for j in range(k)]
-    for i in range(n - k):
-        a = back.item(i, state)
+    flat = memoryview(back.reshape(-1))  # a back-pointer read as an int, with no numpy call
+    for row in range(0, (n - k) * states, states):
+        a = flat[row + state]
         path.append(a)
         state = (state % low_states) * s + a
     return np.array(path, dtype=np.int64)
@@ -233,6 +223,22 @@ def _dense_step(aw: np.ndarray):
     return step
 
 
+def _free_step(dist: np.ndarray, back: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+    """The step of a table whose scaled weights are all 0.  Every context's
+    suffix is then one number, c_i = min_a d_i[a] + c_{i+1} (rounding is
+    monotone), and every context's back-pointer the first argmin of
+    d_i + c_{i+1}: the dense step's cells and back-pointers, with no
+    per-position loop."""
+    m = len(dist)
+    sums = np.empty(m + 1)  # sums[j] = c_{m - j} in the block, from the back
+    sums[0] = suffix[0]
+    dist[::-1].min(axis=1, out=sums[1:])
+    np.cumsum(sums, out=sums)
+    back[:] = (dist + sums[m - 1::-1, None]).argmin(axis=1)[:, None]
+    suffix[:] = sums[m]
+    return suffix
+
+
 def _is_stay_or_jump(w: WeightTable) -> bool:
     """A k=1 table with one weight on its diagonal (hold) and one off it
     (jump), both finite, hold <= jump: the form of every pc_markov table."""
@@ -258,111 +264,61 @@ def _stay_or_jump_step(hold: float, jump: float, s: int):
     and j1 itself always holds (H[j1] <= J[j1], as hold <= jump and float
     rounding is monotone).  The next suffix is min(H, J[j1]); the step
     writes it over the suffix it is given.
+
+    A block first assumes that no state leaves its value in it, as at a
+    large alpha.  Each state's suffix is then the sum of its hold cells
+    from the back, F_r = (d_r + hold) + F_{r+1}, and H = F.  If every H is
+    <= J[j1] at every position of the block, these are the loop's cells and
+    the block keeps them: every state holds where every H < J[j1], and a
+    tie takes the rule above.  Otherwise the block runs the per-position
+    loop, and so does every later block of the pass.
     """
     cells = np.empty((VITERBI_BLOCK, 2, s))
     rows = list(cells)
     h_rows = [row[0] for row in rows]
     j_rows = [row[1] for row in rows]
+    held = np.empty((VITERBI_BLOCK + 1, s))
     symbols = np.arange(s)
     block_rows = np.arange(VITERBI_BLOCK)[:, None]
+    try_held = True
+
+    def write_back(h: np.ndarray, j: np.ndarray, back: np.ndarray) -> None:
+        j1 = j.argmin(axis=1)[:, None]
+        v1 = j[block_rows[:len(j)], j1]
+        # straight into back's rows: no int64 temporary cast into them
+        back[:] = j1
+        np.copyto(back, symbols, casting="unsafe",
+                  where=(h < v1) | ((h == v1) & (symbols <= j1)))
 
     def step(dist: np.ndarray, back: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+        nonlocal try_held
         m = len(dist)
+        if try_held:
+            # rows from the back of the block: f[i] = F, i positions before its end
+            f = held[:m + 1]
+            f[0] = suffix
+            np.add(dist[::-1], hold, out=f[1:])
+            np.cumsum(f, axis=0, out=f)
+            h, j = f[1:], (dist[::-1] + jump) + f[:m]
+            v1 = j.min(axis=1, keepdims=True)
+            if (h < v1).all():
+                back[:] = symbols
+            elif (h <= v1).all():
+                write_back(h[::-1], j[::-1], back)
+            else:
+                try_held = False
+            if try_held:
+                suffix[:] = f[m]
+                return suffix
         np.add(dist, hold, out=cells[:m, 0])
         np.add(dist, jump, out=cells[:m, 1])
         for r in range(m - 1, -1, -1):
             np.add(rows[r], suffix, out=rows[r])
             j = j_rows[r]
             np.minimum(h_rows[r], j[j.argmin()], out=suffix)
-        h, j = cells[:m, 0], cells[:m, 1]
-        j1 = j.argmin(axis=1)[:, None]
-        v1 = j[block_rows[:m], j1]
-        # straight into back's rows: no int64 temporary cast into them
-        back[:] = j1
-        np.copyto(back, symbols, casting="unsafe",
-                  where=(h < v1) | ((h == v1) & (symbols <= j1)))
+        write_back(cells[:m, 0], cells[:m, 1], back)
         return suffix
     return step
-
-
-def _min_cost_path(x: np.ndarray, w: WeightTable, alphabet: QuantAlphabet) -> np.ndarray:
-    """A sequence of minimum achievable complexity cost (distortion ignored)."""
-    return project_lagrangian(x, w, alphabet, alpha=1.0, dist_scale=0.0)
-
-
-def _finite_cost_rounding(x: np.ndarray, w: WeightTable, alphabet: QuantAlphabet) -> np.ndarray:
-    """The alpha -> 0+ limit of the Lagrangian projection: the nearest
-    sequence among those of finite cost (every finite weight set to 0).
-
-    A table of k >= 1 that forbids no window, as every pc_markov table,
-    then costs every window 0, so the trellis's suffix is one number a
-    position, the same for every context: c_i = min_a d_i[a] + c_{i+1}, as
-    rounding is monotone.  So position i >= k takes the first argmin of
-    d_i + c_{i+1}, its cells summed as the trellis sums them, and the first
-    k positions the trellis's start rule: the trellis's bytes, without its
-    per-position loop.
-    """
-    allowed = np.where(np.isinf(w.w), np.inf, 0.0)
-    # a k = 0 pass has no trellis loop to skip
-    if w.k == 0 or np.isinf(allowed).any():
-        return project_lagrangian(x, WeightTable(w.alphabet, w.k, allowed), alphabet, alpha=1.0)
-    x = _checked_pass_input(x, w, alphabet, 1.0)
-    n, k, values = len(x), w.k, alphabet.values
-    path = np.empty(n, dtype=np.int64)
-    sums = np.zeros(VITERBI_BLOCK + 1)  # sums[j] = c_{end - j}
-    for end in range(n, k, -VITERBI_BLOCK):
-        m = min(VITERBI_BLOCK, end - k)
-        # row j is position end - 1 - j: the block from the back
-        dist = (values[None, :] - x[end - m:end][::-1, None]) ** 2
-        dist.min(axis=1, out=sums[1:m + 1])
-        np.cumsum(sums[:m + 1], out=sums[:m + 1])
-        path[end - m:end][::-1] = (dist + sums[:m, None]).argmin(axis=1)
-        sums[0] = sums[m]
-    path[:k] = np.unravel_index(_start_state(x[:k], values, sums[0]), (alphabet.size,) * k)
-    return path
-
-
-def _held_pass(x: np.ndarray, w: WeightTable, alphabet: QuantAlphabet, alpha: float) -> np.ndarray:
-    """project_lagrangian(x, w, alphabet, alpha), without the trellis's
-    per-position loop where no state leaves its value, as at a large alpha
-    on a stay-or-jump table.
-
-    If every state holds, each state's suffix is F_i = (d_i + alpha hold)
-    + F_{i+1}, a sum from the back.  Those are the trellis's suffixes when,
-    at every position, every hold cell F_i[a] is <= the least jump cell
-    v1 = (d_i[j1] + alpha jump) + F_{i+1}[j1], and the path then holds the
-    start state at every position unless it ties v1 with a smaller j1,
-    where the trellis's first minimum jumps.  Any other input, and every
-    other table, takes the trellis.
-    """
-    if not _is_stay_or_jump(w):
-        return project_lagrangian(x, w, alphabet, alpha)
-    x = _checked_pass_input(x, w, alphabet, alpha)
-    aw = _scaled_weights(w.w, alpha)
-    hold, jump = aw[0, 0], aw[0, 1]
-    values, symbols = alphabet.values, np.arange(alphabet.size)
-    held = np.zeros((VITERBI_BLOCK + 1, alphabet.size))  # held[j] = F_{end - j}
-    ties_down = np.zeros(alphabet.size, dtype=bool)  # states that jump on a tie
-    for end in range(len(x), 1, -VITERBI_BLOCK):
-        m = min(VITERBI_BLOCK, end - 1)
-        # row j is position end - 1 - j: the block from the back
-        dist = (values[None, :] - x[end - m:end][::-1, None]) ** 2
-        np.add(dist, hold, out=held[1:m + 1])
-        np.cumsum(held[:m + 1], axis=0, out=held[:m + 1])
-        cells = held[1:m + 1]
-        jumps = (dist + jump) + held[:m]
-        v1 = jumps.min(axis=1, keepdims=True)
-        at_least = cells >= v1
-        if at_least.any():
-            if (cells > v1).any():
-                return project_lagrangian(x, w, alphabet, alpha)
-            j1 = jumps.argmin(axis=1)[:, None]
-            ties_down |= (at_least & (symbols > j1)).any(axis=0)
-        held[0] = held[m]
-    state = _start_state(x[:1], values, held[0])
-    if ties_down[state]:
-        return project_lagrangian(x, w, alphabet, alpha)
-    return np.full(len(x), state, dtype=np.int64)
 
 
 class _SweepPoint(NamedTuple):
@@ -397,10 +353,8 @@ def project_constrained(
     and a result strictly inside the bracket, or of lower distortion at an
     end's cost, replaces the end on its side of gamma.  Otherwise L-R is a
     hull edge and R is returned.  Every pass shrinks the bracket, so the
-    search is exact and finite.  When the constrained optimum is not a hull
-    vertex (a duality gap) the best feasible vertex is returned instead.
-    The first pass and the alpha_max pass skip the trellis loop where their
-    table allows (_finite_cost_rounding, _held_pass).
+    search is finite.  When the constrained optimum is not a hull vertex (a
+    duality gap) the best feasible vertex is returned instead.
     """
     _check_same_grid(w, alphabet)
     x = _finite_vector(x)
@@ -410,16 +364,19 @@ def project_constrained(
     def sweep_pass(u: np.ndarray) -> _SweepPoint:
         return _SweepPoint(u, complexity_cost(u, w), _distortion(x, u, alphabet))
 
-    left = sweep_pass(_finite_cost_rounding(x, w, alphabet))
+    # alpha -> 0+: every finite weight set to 0
+    allowed = WeightTable(w.alphabet, w.k, np.where(np.isinf(w.w), np.inf, 0.0))
+    left = sweep_pass(project_lagrangian(x, allowed, alphabet, alpha=1.0))
     right = left
     if left.cost > gamma:
         alpha_max = 2.0 * w.max_finite() * len(x)
         if alpha_max <= 0:
             alpha_max = 1.0
-        right = sweep_pass(_held_pass(x, w, alphabet, alpha_max))
+        right = sweep_pass(project_lagrangian(x, w, alphabet, alpha_max))
         if right.cost > gamma:
             left = right
-            right = sweep_pass(_min_cost_path(x, w, alphabet))
+            # the minimum-cost path: distortion ignored
+            right = sweep_pass(project_lagrangian(x, w, alphabet, 1.0, dist_scale=0.0))
             if right.cost > gamma:
                 raise InfeasibleProjection(
                     f"no sequence attains cost <= {gamma}", min_cost=right.cost

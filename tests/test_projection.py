@@ -130,6 +130,38 @@ def spy_stay_or_jump(mp) -> list:
     return spy_step(mp, "_stay_or_jump_step")
 
 
+def dense_steps_only(mp) -> None:
+    """Send every pass with k >= 1 to the dense step, the reference: the
+    free and stay-or-jump steps are never selected."""
+    mp.setattr(projection, "_is_stay_or_jump", lambda w: False)
+    mp.setattr(projection, "_free_step", lambda dist, back, suffix: projection._dense_step(
+        np.zeros((len(suffix), dist.shape[1])))(dist, back, suffix))
+
+
+def count_loop_rows(mp) -> list:
+    """One entry per project_lagrangian call made through qmap.projection:
+    the positions its stay-or-jump step ran through the per-position loop,
+    which makes one np.minimum call a position."""
+    rows = []
+    real_np, real_pass = projection.np, projection.project_lagrangian
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(real_np, name)
+
+        def minimum(self, *args, **kwargs):
+            rows[-1] += 1
+            return real_np.minimum(*args, **kwargs)
+
+    def counted(*args, **kwargs):
+        rows.append(0)
+        return real_pass(*args, **kwargs)
+
+    mp.setattr(projection, "np", CountingNumpy())
+    mp.setattr(projection, "project_lagrangian", counted)
+    return rows
+
+
 @st.composite
 def stay_or_jump_cases(draw):
     # dyadic inputs, weights and alpha keep every cell exact, so ties are
@@ -160,8 +192,9 @@ def test_stay_or_jump_pass_matches_dense_and_bruteforce(case, dist_scale):
     with pytest.MonkeyPatch.context() as mp:
         calls = spy_stay_or_jump(mp)
         u = project_lagrangian(x, w, w.alphabet, alpha, dist_scale)
-        assert sum(map(len, calls)) == len(x) - 1
-        mp.setattr(projection, "_is_stay_or_jump", lambda w: False)
+        # all-zero scaled weights take the free step
+        assert sum(map(len, calls)) == (len(x) - 1 if alpha * w.max_finite() > 0 else 0)
+        dense_steps_only(mp)
         dense = project_lagrangian(x, w, w.alphabet, alpha, dist_scale)
     assert u.dtype == dense.dtype and u.tobytes() == dense.tobytes()
     if w.alphabet.size ** len(x) <= 4 ** 8 and dist_scale == 1.0:
@@ -384,24 +417,20 @@ def test_constrained_pass_count_on_piecewise_constant_path(monkeypatch):
     w = weights_from_kernel(quantized_kernel(PiecewiseConstant(p), b))
     half_jump = 0.5 * (w.w[0, 1] - w.w[0, 0]) / (n - 1)
     gamma = complexity_cost(nearest_index(w.alphabet, clean), w) + half_jump
-    passes = count_viterbi_passes(monkeypatch)
+    dense = spy_step(monkeypatch, "_dense_step")
+    rows = count_loop_rows(monkeypatch)
     u = project_constrained(x, w, w.alphabet, gamma)
     assert complexity_cost(u, w) <= gamma
-    assert len(passes) <= 20
-    # the alpha -> 0+ and alpha_max passes skip the trellis: two passes
-    # fewer than the same search with both end passes on the trellis
-    assert len(passes) == 9
-    passes.clear()
-    monkeypatch.setattr(projection, "_finite_cost_rounding", trellis_finite_cost_rounding)
-    monkeypatch.setattr(projection, "_held_pass", projection.project_lagrangian)
+    assert len(rows) <= 20
+    assert len(rows) == 11
+    # the alpha -> 0+ pass takes the free step and the alpha_max pass holds
+    # every block, so neither runs a per-position loop; the passes between
+    # them do
+    assert rows[:2] == [0, 0]
+    assert all(rows[2:])
+    assert dense == []
+    dense_steps_only(monkeypatch)
     assert project_constrained(x, w, w.alphabet, gamma).tobytes() == u.tobytes()
-    assert len(passes) == 11
-
-
-def trellis_finite_cost_rounding(x, w, alphabet):
-    """The alpha -> 0+ pass on the trellis: every finite weight set to 0."""
-    allowed = WeightTable(w.alphabet, w.k, np.where(np.isinf(w.w), np.inf, 0.0))
-    return projection.project_lagrangian(x, allowed, alphabet, 1.0)
 
 
 def off_grid_points(rng, ab, n):
@@ -434,14 +463,16 @@ def zero_cost_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(zero_cost_cases())
 def test_zero_cost_pass_equals_the_trellis(case):
-    # a table that forbids no window: the alpha -> 0+ pass skips the
-    # trellis and returns its bytes
+    # the alpha -> 0+ pass of the breakpoint search on a table that forbids
+    # no window: every scaled weight is 0, so it takes the free step
     x, w = case
+    zeroed = WeightTable(w.alphabet, w.k, np.zeros_like(w.w))
     with pytest.MonkeyPatch.context() as mp:
-        passes = count_viterbi_passes(mp)
-        u = projection._finite_cost_rounding(x, w, w.alphabet)
-    assert passes == []
-    assert u.tobytes() == trellis_finite_cost_rounding(x, w, w.alphabet).tobytes()
+        steps = [spy_step(mp, name) for name in ("_dense_step", "_stay_or_jump_step")]
+        u = project_lagrangian(x, zeroed, w.alphabet, 1.0)
+        assert steps == [[], []]
+        dense_steps_only(mp)
+        assert u.tobytes() == project_lagrangian(x, zeroed, w.alphabet, 1.0).tobytes()
 
 
 @st.composite
@@ -464,9 +495,12 @@ def held_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(held_cases())
 def test_held_pass_equals_the_trellis(case):
+    # blocks where every state holds skip the stay-or-jump step's loop
     x, w, alpha = case
-    assert (projection._held_pass(x, w, w.alphabet, alpha).tobytes()
-            == project_lagrangian(x, w, w.alphabet, alpha).tobytes())
+    u = project_lagrangian(x, w, w.alphabet, alpha)
+    with pytest.MonkeyPatch.context() as mp:
+        dense_steps_only(mp)
+        assert u.tobytes() == project_lagrangian(x, w, w.alphabet, alpha).tobytes()
 
 
 @pytest.mark.parametrize("case", ["holds", "must jump", "start ties a smaller jump"])
@@ -474,23 +508,25 @@ def test_held_pass_takes_the_trellis_unless_every_state_holds(case, monkeypatch)
     if case == "holds":
         w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), 3))
         x = np.full(100, 0.3) + np.random.default_rng(1).normal(0.0, 0.1, 100)
-        alpha, expect, trellis_passes = 2.0 * w.max_finite() * 100, None, 0
+        alpha, expect, loop_rows = 2.0 * w.max_finite() * 100, None, 0
     elif case == "must jump":
         # holding 0 through the last three positions costs more than one jump
         w = stay_or_jump_table(4, 0.5, 2.0)
         x = np.array([0.0, 0.0, 0.0, 0.75, 0.75, 0.75])
-        alpha, expect, trellis_passes = 0.125, [0, 0, 0, 3, 3, 3], 1
+        alpha, expect, loop_rows = 0.125, [0, 0, 0, 3, 3, 3], 5
     else:
         # hold == jump: at position 1 the start state 1's hold cell ties the
         # best jump cell, whose first target j1 = 0 is smaller, so the
-        # trellis's first minimum jumps to 0
+        # dense row's first minimum jumps to 0; the block still holds
         w = stay_or_jump_table(2, 1.0, 1.0)
         x = np.array([0.25, 0.125])
-        alpha, expect, trellis_passes = 1.0, [1, 0], 1
-    passes = count_viterbi_passes(monkeypatch)
-    u = projection._held_pass(x, w, w.alphabet, alpha)
-    assert len(passes) == trellis_passes
-    assert u.tobytes() == projection.project_lagrangian(x, w, w.alphabet, alpha).tobytes()
+        alpha, expect, loop_rows = 1.0, [1, 0], 0
+    with pytest.MonkeyPatch.context() as mp:
+        rows = count_loop_rows(mp)
+        u = projection.project_lagrangian(x, w, w.alphabet, alpha)
+    assert rows == [loop_rows]
+    dense_steps_only(monkeypatch)
+    assert u.tobytes() == project_lagrangian(x, w, w.alphabet, alpha).tobytes()
     if expect is not None:
         assert u.tolist() == expect
     else:
@@ -500,10 +536,11 @@ def test_held_pass_takes_the_trellis_unless_every_state_holds(case, monkeypatch)
 @pytest.mark.parametrize("bad", ["nan", "inf", "too far", "n <= k", "too large", "another grid",
                                  "inf alpha", "alpha overflows a weight"])
 def test_closed_form_passes_raise_what_the_trellis_raises(bad, monkeypatch):
+    # the end passes of the breakpoint search are trellis passes, and so
+    # fail as a trellis pass fails
     w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.3), 2))
     ab = w.alphabet
     x = np.array([0.1, 0.6, 0.62, 0.3, 0.9, 0.2])
-    alpha = 2.0 * w.max_finite() * len(x)
     if bad in ("nan", "inf", "too far"):
         x[2] = {"nan": math.nan, "inf": math.inf, "too far": 1e16}[bad]
     elif bad == "n <= k":
@@ -513,21 +550,17 @@ def test_closed_form_passes_raise_what_the_trellis_raises(bad, monkeypatch):
     elif bad == "another grid":
         ab = build_alphabet(0, 1, 3)
     else:
-        alpha = math.inf if bad == "inf alpha" else 1e308
-    pairs = [(lambda: projection._held_pass(x, w, ab, alpha),
-              lambda: project_lagrangian(x, w, ab, alpha))]
-    if "alpha" not in bad:
-        pairs.append((lambda: projection._finite_cost_rounding(x, w, ab),
-                      lambda: trellis_finite_cost_rounding(x, w, ab)))
-    for closed_form, trellis in pairs:
-        with pytest.raises(ValueError) as want:
-            trellis()
-        with pytest.MonkeyPatch.context() as mp:
-            passes = count_viterbi_passes(mp)
-            with pytest.raises(type(want.value)) as got:
-                closed_form()
-        assert str(got.value) == str(want.value)
-        assert passes == []
+        # a jump weight whose alpha_max, 2 * jump * n, is inf, or scales
+        # the jump weight to inf
+        w = stay_or_jump_table(4, 0.0, 2e307 if bad == "inf alpha" else 1e160)
+        ab = w.alphabet
+    alpha_max = 2.0 * w.max_finite() * len(x)
+    with pytest.raises(ValueError) as want:
+        project_lagrangian(x, w, ab, alpha_max)
+    with pytest.raises(type(want.value)) as got:
+        project_constrained(x, w, ab, 0.0)
+    assert str(got.value) == str(want.value)
+    assert "alpha" in str(got.value) or "alpha" not in bad
 
 
 def test_constrained_starts_at_the_nearest_finite_cost_sequence(monkeypatch):
