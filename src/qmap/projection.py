@@ -7,11 +7,13 @@ project_lagrangian solves
 
 exactly with a Viterbi dynamic program over the alphabet^k context states
 (the first k positions incur distortion only).  project_constrained meets
-a hard complexity budget by a search over the breakpoints of alpha
-(Everett's generalized Lagrange multipliers); it returns the best feasible
-Lagrangian solution, which is the constrained optimum only where that is a
-vertex of the (cost, distortion) hull.  project_l0 is the exact fast path
-for memoryless spike-and-slab weights.  Every projector requires
+a hard complexity budget.  On a stay-or-jump table (below), where the cost
+counts jumps, it is exact: one dynamic program over (position, jumps
+left, value).  On any other table it searches the breakpoints of alpha
+(Everett's generalized Lagrange multipliers) and returns the best
+feasible Lagrangian solution, which is the constrained optimum only where
+that is a vertex of the (cost, distortion) hull.  project_l0 is the exact
+fast path for memoryless spike-and-slab weights.  Every projector requires
 finite x; the Viterbi projectors also refuse an x with a coordinate 2^52
 grid steps or more from the grid, where squared distances lose its offset,
 and a weight table on another grid than the alphabet.
@@ -31,12 +33,10 @@ takes the stay-or-jump step instead, in O(S): from a state, the best next
 symbol is the state itself or the first best jump target, which is the
 same for every state.  Its cells are the dense step's, summed in the same
 order, and its comparisons pick the first minimum of each dense row, so it
-writes the same back-pointers (see _stay_or_jump_step).  Two cases need
-no per-position loop.  A table whose scaled weights are all 0, as in the
-alpha -> 0+ pass of the breakpoint search, takes the free step, whose
-suffix is one number a position.  The stay-or-jump step first tries each
-block as one where no state leaves its value, as at the search's
-alpha_max.
+writes the same back-pointers (see _stay_or_jump_step).  A table whose
+scaled weights are all 0, as in the alpha -> 0+ pass of the breakpoint
+search, takes the free step, whose suffix is one number a position and
+which needs no per-position loop.
 """
 
 from __future__ import annotations
@@ -116,13 +116,17 @@ def _check_same_grid(w: WeightTable, alphabet: QuantAlphabet) -> None:
         )
 
 
-def _check_trellis_size(n: int, s: int, k: int) -> None:
+def _check_trellis_input(x: np.ndarray, alphabet: QuantAlphabet, k: int) -> None:
+    n, s = len(x), alphabet.size
+    if n <= k:
+        raise ValueError(f"need len(x) > k, got {n} <= {k}")
     if s ** k > MAX_STATES:
         raise ProblemTooLarge(f"trellis needs {s}^{k} states; limit is {MAX_STATES}")
     if n * s ** k > MAX_TRELLIS_CELLS:
         raise ProblemTooLarge(
             f"trellis needs {n} x {s}^{k} back-pointers; limit is {MAX_TRELLIS_CELLS}"
         )
+    _check_distortion(x, alphabet)
 
 
 def project_lagrangian(
@@ -141,12 +145,9 @@ def project_lagrangian(
     n = len(x)
     k = w.k
     s = alphabet.size
-    if n <= k:
-        raise ValueError(f"need len(x) > k, got {n} <= {k}")
     if not 0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    _check_trellis_size(n, s, k)
-    _check_distortion(x, alphabet)
+    _check_trellis_input(x, alphabet, k)
 
     aw = _scaled_weights(w.w, alpha)
     values = alphabet.values
@@ -264,23 +265,13 @@ def _stay_or_jump_step(hold: float, jump: float, s: int):
     and j1 itself always holds (H[j1] <= J[j1], as hold <= jump and float
     rounding is monotone).  The next suffix is min(H, J[j1]); the step
     writes it over the suffix it is given.
-
-    A block first assumes that no state leaves its value in it, as at a
-    large alpha.  Each state's suffix is then the sum of its hold cells
-    from the back, F_r = (d_r + hold) + F_{r+1}, and H = F.  If every H is
-    <= J[j1] at every position of the block, these are the loop's cells and
-    the block keeps them: every state holds where every H < J[j1], and a
-    tie takes the rule above.  Otherwise the block runs the per-position
-    loop, and so does every later block of the pass.
     """
     cells = np.empty((VITERBI_BLOCK, 2, s))
     rows = list(cells)
     h_rows = [row[0] for row in rows]
     j_rows = [row[1] for row in rows]
-    held = np.empty((VITERBI_BLOCK + 1, s))
     symbols = np.arange(s)
     block_rows = np.arange(VITERBI_BLOCK)[:, None]
-    try_held = True
 
     def write_back(h: np.ndarray, j: np.ndarray, back: np.ndarray) -> None:
         j1 = j.argmin(axis=1)[:, None]
@@ -291,25 +282,7 @@ def _stay_or_jump_step(hold: float, jump: float, s: int):
                   where=(h < v1) | ((h == v1) & (symbols <= j1)))
 
     def step(dist: np.ndarray, back: np.ndarray, suffix: np.ndarray) -> np.ndarray:
-        nonlocal try_held
         m = len(dist)
-        if try_held:
-            # rows from the back of the block: f[i] = F, i positions before its end
-            f = held[:m + 1]
-            f[0] = suffix
-            np.add(dist[::-1], hold, out=f[1:])
-            np.cumsum(f, axis=0, out=f)
-            h, j = f[1:], (dist[::-1] + jump) + f[:m]
-            v1 = j.min(axis=1, keepdims=True)
-            if (h < v1).all():
-                back[:] = symbols
-            elif (h <= v1).all():
-                write_back(h[::-1], j[::-1], back)
-            else:
-                try_held = False
-            if try_held:
-                suffix[:] = f[m]
-                return suffix
         np.add(dist, hold, out=cells[:m, 0])
         np.add(dist, jump, out=cells[:m, 1])
         for r in range(m - 1, -1, -1):
@@ -335,18 +308,28 @@ def project_constrained(
     alphabet: QuantAlphabet,
     gamma: float,
 ) -> np.ndarray:
-    """Feasible sequence (complexity cost <= gamma) of smallest distortion
-    among the Lagrangian solutions, found by a breakpoint search.
+    """Feasible sequence (complexity cost <= gamma) of smallest distortion:
+    the constrained optimum on a stay-or-jump table, the best Lagrangian
+    solution within gamma on any other.
 
-    The Lagrangian solutions are the vertices of the lower convex hull of
-    (cost, distortion) (Everett 1963; Shoham & Gersho 1988).  The first pass
-    is the alpha -> 0+ limit of the Lagrangian projection, the nearest
-    sequence of finite cost; it is the alpha = 0 rounding whenever that has
-    finite cost, and it is returned if feasible.  Otherwise the search
-    brackets gamma by an infeasible left end L, this first pass, and a
-    feasible right end R: the alpha_max pass is R if feasible, else it is L
-    and the minimum-cost path is R.  Every further pass is at the alpha
-    where L and R tie,
+    On a stay-or-jump table a sequence with J jumps costs
+    (hold * (n - 1 - J) + jump * J) / (n - 1), so the budget is at most
+    J(gamma) jumps (see _jump_budget, exact in rational arithmetic), and
+    one jump-count pass returns the sequence of least distortion among
+    them (see _project_jumps).  When J(gamma) >= n - 1 that is the nearest
+    sequence, the search's first pass below.  complexity_cost sums the
+    window weights in floats, so on its output it may exceed gamma by a
+    few ulps: fewer than D + 2 ulps of gamma, for D distinct windows.
+
+    On any other table the search runs.  The Lagrangian solutions are the
+    vertices of the lower convex hull of (cost, distortion) (Everett 1963;
+    Shoham & Gersho 1988).  The first pass is the alpha -> 0+ limit of the
+    Lagrangian projection, the nearest sequence of finite cost; it is the
+    alpha = 0 rounding whenever that has finite cost, and it is returned if
+    feasible.  Otherwise the search brackets gamma by an infeasible left
+    end L, this first pass, and a feasible right end R: the alpha_max pass
+    is R if feasible, else it is L and the minimum-cost path is R.  Every
+    further pass is at the alpha where L and R tie,
 
         alpha = (d_R - d_L) / ((c_L - c_R) * (n - k)),
 
@@ -360,12 +343,23 @@ def project_constrained(
     x = _finite_vector(x)
     if math.isnan(gamma):
         raise ValueError("gamma must not be NaN")
+    # alpha -> 0+: every finite weight set to 0
+    allowed = WeightTable(w.alphabet, w.k, np.where(np.isinf(w.w), np.inf, 0.0))
+    if _is_stay_or_jump(w):
+        n = len(x)
+        _check_trellis_input(x, alphabet, w.k)
+        jumps = _jump_budget(w, n, gamma)
+        if jumps < 0:
+            # every constant sequence has the least cost
+            raise InfeasibleProjection(f"no sequence attains cost <= {gamma}",
+                                       min_cost=complexity_cost(np.zeros(n, np.int64), w))
+        if jumps >= n - 1:  # every sequence fits: the nearest one
+            return project_lagrangian(x, allowed, alphabet, alpha=1.0)
+        return _project_jumps(x, alphabet, jumps)
 
     def sweep_pass(u: np.ndarray) -> _SweepPoint:
         return _SweepPoint(u, complexity_cost(u, w), _distortion(x, u, alphabet))
 
-    # alpha -> 0+: every finite weight set to 0
-    allowed = WeightTable(w.alphabet, w.k, np.where(np.isinf(w.w), np.inf, 0.0))
     left = sweep_pass(project_lagrangian(x, allowed, alphabet, alpha=1.0))
     right = left
     if left.cost > gamma:
@@ -395,6 +389,111 @@ def project_constrained(
         else:
             left = point
     return right.u
+
+
+def _jump_budget(w: WeightTable, n: int, gamma: float) -> int:
+    """J(gamma), the most jumps a length-n sequence may make within gamma on
+    a stay-or-jump table: the largest J with
+
+        hold * (n - 1 - J) + jump * J <= gamma * (n - 1),
+
+    in exact rational arithmetic on the three floats (their denominators
+    are powers of 2).  Negative when no sequence fits, n - 1 or more when
+    every sequence does."""
+    if math.isinf(gamma):
+        return n - 1 if gamma > 0 else -1
+    ratios = [float(v).as_integer_ratio() for v in (w.w[0, 0], w.w[0, 1], gamma)]
+    scale = max(den for _, den in ratios)
+    hold, jump, budget = (num * (scale // den) for num, den in ratios)
+    room = (budget - hold) * (n - 1)
+    if jump == hold:
+        return n - 1 if room >= 0 else -1
+    return room // (jump - hold)
+
+
+def _project_jumps(x: np.ndarray, alphabet: QuantAlphabet, jumps: int) -> np.ndarray:
+    """The grid sequence of least distortion with at most `jumps` value
+    changes, 0 <= jumps < n - 1, as symbol indices: Bellman's segmented
+    least squares on the grid, O(n * (jumps + 1) * S).
+
+    G[r, a] is the least distortion of the positions after i, given value a
+    at i and r jumps left; H = G + d_i is the same from i on, summed from
+    the back as the trellis sums it.  Going back a position, from value a
+    with r jumps left the next value either holds, at H[r, a], or jumps to
+    j1, the first argmin of row r - 1 of H, at its minimum M[r - 1]; so
+    G[r] = min(H[r], M[r - 1]), and G[0] = H[0].  The value holds iff
+    (H[r, a], a) <= (M[r - 1], j1) lexicographically: every choice takes
+    the smallest optimal next value, keeping a jump when the next value is
+    a itself, so the rebuild from the first argmin of d_0 + G[jumps] gives
+    the lexicographically smallest optimal sequence, as the trellis does.
+
+    Two kinds of row are not formed.  The start has i windows behind it at
+    position i, so it reaches no row r < jumps - i + 1 of the G before i;
+    and a row with more jumps left than windows ahead equals the row with
+    as many, so the rebuild reads that one.  The hold flags are kept
+    packed, eight values to a byte, beside j1 of every row.
+    """
+    n, s = len(x), alphabet.size
+    values = alphabet.values
+    flag_bytes = -(-s // 8)
+    target_type = np.min_scalar_type(s - 1)
+    held = (n - 1) * jumps * (flag_bytes + target_type.itemsize)
+    if held > MAX_TRELLIS_CELLS:
+        raise ProblemTooLarge(
+            f"jump-count pass needs {held} bytes of hold flags and jump targets for "
+            f"{n} positions, {jumps} jumps and {s} values; limit is {MAX_TRELLIS_CELLS}"
+        )
+    # for position i: flags[i - 1, r - 1] (bit a) holds at a with r jumps
+    # left, targets[i - 1, r] is j1 of row r
+    flags = np.empty((n - 1, jumps, flag_bytes), dtype=np.uint8)
+    targets = np.empty((n - 1, jumps), dtype=target_type)
+    g = np.zeros((jumps + 1, s))
+    g_flat = g.reshape(-1)
+    row_starts = np.arange(jumps + 1) * s
+    symbols = np.arange(s)
+    block_flags = np.zeros((VITERBI_BLOCK, jumps, s), dtype=bool)
+    block_targets = np.zeros((VITERBI_BLOCK, jumps + 1), dtype=np.intp)
+    # M[r - 1] spread across row r: numpy compares same-shape rows faster
+    # than it broadcasts a column
+    jump_in = np.empty((jumps, s))
+    ties = np.empty((jumps, s), dtype=bool)
+    for end in range(n, 1, -VITERBI_BLOCK):
+        start = max(end - VITERBI_BLOCK, 1)
+        dist = (values[None, :] - x[start:end, None]) ** 2
+        for i in range(end - 1, start - 1, -1):
+            # the rows of H that the rows jumps - i + 1 .. hi of the next G
+            # read; row n - i of that G is new and starts as row n - i - 1
+            lo, hi = max(jumps - i, 0), min(jumps, n - i)
+            if hi == n - i:
+                g[hi] = g[hi - 1]
+            h = g[lo:hi + 1]
+            h += dist[i - start]
+            j1 = block_targets[i - start, lo:hi + 1]
+            h.argmin(axis=1, out=j1)
+            jump = jump_in[lo:hi]
+            np.copyto(jump, g_flat[row_starts[lo:hi] + j1[:-1]][:, None])
+            hold = block_flags[i - start, lo:hi]
+            stay = h[1:]
+            np.less(stay, jump, out=hold)
+            if np.equal(stay, jump, out=ties[lo:hi]).any():
+                hold |= ties[lo:hi] & (symbols <= j1[:-1, None])
+            np.minimum(stay, jump, out=stay)
+        rows = end - start
+        flags[start - 1:end - 1] = np.packbits(block_flags[:rows], axis=-1, bitorder="little")
+        targets[start - 1:end - 1] = block_targets[:rows, :jumps]
+
+    a = int(((values - x[0]) ** 2 + g[jumps]).argmin())
+    path = [a]
+    r = jumps
+    # a flag byte or a target read as an int, with no numpy call
+    flag_view, target_view = memoryview(flags.reshape(-1)), memoryview(targets.reshape(-1))
+    for row in range(n - 1):
+        r = min(r, n - 1 - row)  # no more jumps left than windows ahead
+        if r and not flag_view[(row * jumps + r - 1) * flag_bytes + (a >> 3)] >> (a & 7) & 1:
+            r -= 1
+            a = target_view[row * jumps + r]
+        path.append(a)
+    return np.array(path, dtype=np.int64)
 
 
 def _distortion(x: np.ndarray, u: np.ndarray, alphabet: QuantAlphabet) -> float:

@@ -1,12 +1,12 @@
 """Exhaustive oracles and closed-form reference quantities for the tests.
 
 None of the qmap commands runs these.  They check the package from outside:
-brute-force projection and Q-MAP optimum over every grid sequence at toy
-scale, k-types and the empirical quantities of the cost decomposition, the
-scalar quantizer the vector one must agree with, nearest-grid rounding by
-distances, the spike-and-slab weight gap, the contraction floor of the
-error recursion, and the error path of a PGD run against the quantized
-truth.
+brute-force projection (Lagrangian, cost-budget and jump-count) and Q-MAP
+optimum over every grid sequence at toy scale, k-types and the empirical
+quantities of the cost decomposition, the scalar quantizer the vector one
+must agree with, nearest-grid rounding by distances, the spike-and-slab
+weight gap, the contraction floor of the error recursion, and the error
+path of a PGD run against the quantized truth.
 """
 
 from __future__ import annotations
@@ -93,6 +93,22 @@ def project_bruteforce(
         )
     dist = np.where(feasible, dist, np.inf)
     return seqs[int(np.flatnonzero(dist == dist.min())[0])]
+
+
+def project_jumps_bruteforce(x: np.ndarray, alphabet: QuantAlphabet, jumps: int) -> np.ndarray:
+    """Exhaustive projection onto the grid sequences with at most `jumps`
+    value changes.  Each sequence's distortion is summed from the back, as
+    the jump-count pass sums it, so the oracle and the pass compare the
+    same floats; the lexicographically smallest sequence of least
+    distortion is returned."""
+    x = np.asarray(x, dtype=float)
+    seqs = enumerate_sequences(alphabet.size, len(x))
+    seqs = seqs[np.count_nonzero(np.diff(seqs, axis=1), axis=1) <= jumps]
+    dist = (alphabet.values[seqs] - x[None, :]) ** 2
+    total = np.zeros(len(seqs))
+    for column in dist.T[::-1]:
+        total = total + column
+    return seqs[int(np.flatnonzero(total == total.min())[0])]
 
 
 def qmap_bruteforce(

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from oracles import (
     lagrangian_objective,
     nearest_index_by_distance,
     project_bruteforce,
+    project_jumps_bruteforce,
     sequence_costs,
     weight_gap,
 )
@@ -136,30 +138,6 @@ def dense_steps_only(mp) -> None:
     mp.setattr(projection, "_is_stay_or_jump", lambda w: False)
     mp.setattr(projection, "_free_step", lambda dist, back, suffix: projection._dense_step(
         np.zeros((len(suffix), dist.shape[1])))(dist, back, suffix))
-
-
-def count_loop_rows(mp) -> list:
-    """One entry per project_lagrangian call made through qmap.projection:
-    the positions its stay-or-jump step ran through the per-position loop,
-    which makes one np.minimum call a position."""
-    rows = []
-    real_np, real_pass = projection.np, projection.project_lagrangian
-
-    class CountingNumpy:
-        def __getattr__(self, name):
-            return getattr(real_np, name)
-
-        def minimum(self, *args, **kwargs):
-            rows[-1] += 1
-            return real_np.minimum(*args, **kwargs)
-
-    def counted(*args, **kwargs):
-        rows.append(0)
-        return real_pass(*args, **kwargs)
-
-    mp.setattr(projection, "np", CountingNumpy())
-    mp.setattr(projection, "project_lagrangian", counted)
-    return rows
 
 
 @st.composite
@@ -406,7 +384,9 @@ def test_constrained_is_best_feasible_hull_vertex(case):
 
 def test_constrained_pass_count_on_piecewise_constant_path(monkeypatch):
     # a noisy piecewise-constant path whose budget allows the clean path's
-    # jumps plus half a jump, as in the project benchmark, at S=64, n=1024
+    # jumps plus half a jump, as in the project benchmark, at S=64, n=1024.
+    # One jump weight of the pc_markov table is raised, so the table is not
+    # stay-or-jump and the breakpoint search runs
     n, p, b = 1024, 0.1, 6
     rng = np.random.default_rng(7)
     values = rng.random(n)
@@ -415,22 +395,202 @@ def test_constrained_pass_count_on_piecewise_constant_path(monkeypatch):
     clean = values[np.maximum.accumulate(np.where(jumps, np.arange(n), 0))]
     x = clean + 0.05 * rng.standard_normal(n)
     w = weights_from_kernel(quantized_kernel(PiecewiseConstant(p), b))
-    half_jump = 0.5 * (w.w[0, 1] - w.w[0, 0]) / (n - 1)
+    w.w[0, 1] += 1.0
+    half_jump = 0.5 * (w.w[1, 0] - w.w[0, 0]) / (n - 1)
     gamma = complexity_cost(nearest_index(w.alphabet, clean), w) + half_jump
     dense = spy_step(monkeypatch, "_dense_step")
-    rows = count_loop_rows(monkeypatch)
+    passes = count_viterbi_passes(monkeypatch)
     u = project_constrained(x, w, w.alphabet, gamma)
     assert complexity_cost(u, w) <= gamma
-    assert len(rows) <= 20
-    assert len(rows) == 11
-    # the alpha -> 0+ pass takes the free step and the alpha_max pass holds
-    # every block, so neither runs a per-position loop; the passes between
-    # them do
-    assert rows[:2] == [0, 0]
-    assert all(rows[2:])
-    assert dense == []
+    assert len(passes) == 11
+    # the alpha -> 0+ pass takes the free step; every other pass hands each
+    # block to the dense step
+    blocks = -(-(n - 1) // projection.VITERBI_BLOCK)
+    assert len(dense) == (len(passes) - 1) * blocks
     dense_steps_only(monkeypatch)
     assert project_constrained(x, w, w.alphabet, gamma).tobytes() == u.tobytes()
+
+
+def exact_jump_budget(w: WeightTable, n: int, gamma: float) -> int:
+    """The most jumps of a length-n sequence whose cost is within gamma, on
+    a stay-or-jump table, by exact rational arithmetic; -1 if none fits."""
+    hold, jump, budget = (Fraction(float(v)) for v in (w.w[0, 0], w.w[0, 1], gamma))
+    fits = [j for j in range(n) if hold * (n - 1 - j) + jump * j <= budget * (n - 1)]
+    return max(fits, default=-1)
+
+
+@st.composite
+def jump_budget_cases(draw):
+    """A stay-or-jump table at b 1-3, an x and a gamma at the exact cost of
+    some jump count, or one ulp either side of it."""
+    b = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        w = weights_from_kernel(quantized_kernel(
+            PiecewiseConstant(draw(st.sampled_from([0.1, 0.3, 0.5]))), b))
+    else:
+        # dyadic weights: ties between budgets, and hold == jump
+        hold, jump = sorted(draw(st.lists(st.integers(0, 12), min_size=2, max_size=2)))
+        w = stay_or_jump_table(2 ** b, hold / 4, jump / 4)
+    n = draw(st.integers(2, 8 if b < 3 else 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        # grid values and midpoints, with one step beyond each end: ties
+        step = w.alphabet.values[1] - w.alphabet.values[0]
+        x = w.alphabet.values[0] + rng.integers(-2, 2 * w.alphabet.size + 1, n) * (step / 2)
+    else:
+        x = rng.normal(w.alphabet.values.mean(), np.ptp(w.alphabet.values) / 2, n)
+    jumps = draw(st.integers(0, n - 1))
+    hold, jump = Fraction(float(w.w[0, 0])), Fraction(float(w.w[0, 1]))
+    gamma = float((hold * (n - 1 - jumps) + jump * jumps) / (n - 1))
+    gamma = float(np.nextafter(gamma, draw(st.sampled_from([-math.inf, gamma, math.inf]))))
+    return x, w, gamma
+
+
+@settings(max_examples=400, deadline=None)
+@given(jump_budget_cases())
+def test_jump_count_pass_is_the_exact_constrained_projection(case):
+    # on a stay-or-jump table the cost counts jumps, so the feasible set is
+    # {at most J(gamma) jumps}, J(gamma) taken in exact arithmetic
+    x, w, gamma = case
+    n = len(x)
+    jumps = exact_jump_budget(w, n, gamma)
+    if jumps < 0:
+        with pytest.raises(InfeasibleProjection) as exc:
+            project_constrained(x, w, w.alphabet, gamma)
+        assert exc.value.min_cost == complexity_cost(np.zeros(n, np.int64), w)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        passes = count_viterbi_passes(mp)
+        u = project_constrained(x, w, w.alphabet, gamma)
+    assert u.dtype == np.int64
+    if jumps >= n - 1:
+        # every sequence fits: the search's first pass, the nearest rounding
+        free = WeightTable(w.alphabet, w.k, np.zeros_like(w.w))
+        assert len(passes) == 1
+        assert u.tobytes() == project_lagrangian(x, free, w.alphabet, 1.0).tobytes()
+    else:
+        assert passes == []
+        assert u.tobytes() == project_jumps_bruteforce(x, w.alphabet, jumps).tobytes()
+    assert np.count_nonzero(np.diff(u)) <= jumps
+    # complexity_cost sums the weight of each of the D distinct windows in
+    # floats, then divides by n - 1: D + 1 roundings of nonnegative terms
+    # whose exact sum is within gamma, so it exceeds gamma by less than
+    # D + 2 ulps of gamma
+    distinct = len(set(zip(u[:-1].tolist(), u[1:].tolist())))
+    assert complexity_cost(u, w) <= gamma + (distinct + 2) * math.ulp(gamma)
+
+
+def jump_count_reference(x: np.ndarray, alphabet, jumps: int) -> np.ndarray:
+    """The jump-count pass spelled out: every row at every position, kept
+    unpacked, and the hold rule as a lexicographic comparison of (cost,
+    value) pairs."""
+    n, s = len(x), alphabet.size
+    d = (alphabet.values[None, :] - x[:, None]) ** 2
+    g = np.zeros((jumps + 1, s))
+    hold = np.ones((n, jumps + 1, s), dtype=bool)  # no jump is left at r = 0
+    target = np.zeros((n, jumps + 1), dtype=np.int64)
+    symbols = np.arange(s)
+    for i in range(n - 1, 0, -1):
+        h = g + d[i]
+        target[i] = h.argmin(axis=1)
+        best = h.min(axis=1)[:-1, None]
+        hold[i, 1:] = (h[1:] < best) | ((h[1:] == best) & (symbols <= target[i, :-1, None]))
+        g = h.copy()
+        g[1:] = np.minimum(h[1:], best)
+    a = int((d[0] + g[jumps]).argmin())
+    path, r = [a], jumps
+    for i in range(1, n):
+        if not hold[i, r, a]:
+            r -= 1
+            a = int(target[i, r])
+        path.append(a)
+    return np.array(path, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 3 * projection.VITERBI_BLOCK + 5),
+       st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_jump_count_pass_equals_the_plain_dynamic_program(b, n, budget, ties, seed):
+    # over several distortion blocks, with the unreachable and saturated
+    # rows the pass leaves out, and its packed flags
+    rng = np.random.default_rng(seed)
+    w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), b))
+    ab = w.alphabet
+    if ties:
+        x = ab.values[rng.integers(0, ab.size, n)] + rng.choice([0.0, 2.0 ** -(b + 1)], n)
+    else:
+        x = np.repeat(rng.random(n), rng.integers(1, 30, n))[:n] + rng.normal(0.0, 0.05, n)
+    jumps = min(int(budget * (n - 1)), n - 2)
+    if jumps < 0:
+        return
+    assert (projection._project_jumps(x, ab, jumps).tobytes()
+            == jump_count_reference(x, ab, jumps).tobytes())
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "too far", "n <= k", "too large", "another grid",
+                                 "NaN gamma", "-inf gamma", "gamma below hold"])
+def test_jump_count_pass_raises_what_the_search_raises(bad, monkeypatch):
+    w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.3), 2))
+    ab = w.alphabet
+    x = np.array([0.1, 0.6, 0.62, 0.3, 0.9, 0.2])
+    gamma = 1.5
+    if bad in ("nan", "inf", "too far"):
+        x[2] = {"nan": math.nan, "inf": math.inf, "too far": 1e16}[bad]
+    elif bad == "n <= k":
+        x = x[:1]
+    elif bad == "too large":
+        monkeypatch.setattr(projection, "MAX_TRELLIS_CELLS", len(x) * ab.size - 1)
+    elif bad == "another grid":
+        ab = build_alphabet(0, 1, 3)
+    else:
+        gamma = {"NaN gamma": math.nan, "-inf gamma": -math.inf,
+                 "gamma below hold": w.w[0, 0] / 2}[bad]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projection, "_is_stay_or_jump", lambda w: False)  # the search
+        with pytest.raises(ValueError) as want:
+            project_constrained(x, w, ab, gamma)
+    with pytest.raises(type(want.value)) as got:
+        project_constrained(x, w, ab, gamma)
+    assert str(got.value) == str(want.value)
+    if isinstance(want.value, InfeasibleProjection):
+        assert got.value.min_cost == want.value.min_cost
+
+
+def test_jump_count_pass_refuses_more_flags_than_the_cap(monkeypatch):
+    # n - 1 positions of packed hold flags (one byte for 8 values) and jump
+    # targets (one byte each) for J(gamma) rows
+    w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), 3))
+    x = np.random.default_rng(3).random(40)
+    gamma = 2.0
+    jumps = exact_jump_budget(w, len(x), gamma)
+    assert 0 < jumps < len(x) - 1
+    u = project_constrained(x, w, w.alphabet, gamma)
+    held = (len(x) - 1) * jumps * 2
+    monkeypatch.setattr(projection, "MAX_TRELLIS_CELLS", held)
+    assert project_constrained(x, w, w.alphabet, gamma).tobytes() == u.tobytes()
+    monkeypatch.setattr(projection, "MAX_TRELLIS_CELLS", held - 1)
+    with pytest.raises(ProblemTooLarge, match="jump-count pass"):
+        project_constrained(x, w, w.alphabet, gamma)
+
+
+def test_jump_count_pass_is_no_worse_than_the_search():
+    # noisy piecewise-constant paths with a binding budget, as in the
+    # project benchmark: the search returns a hull vertex within the budget,
+    # the pass the best sequence within it
+    w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), 4))
+    n = 300
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        clean = np.repeat(rng.random(n), rng.geometric(0.1, n))[:n]
+        x = clean + 0.05 * rng.standard_normal(n)
+        gamma = complexity_cost(nearest_index(w.alphabet, clean), w)
+        u = project_constrained(x, w, w.alphabet, gamma)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(projection, "_is_stay_or_jump", lambda w: False)
+            searched = project_constrained(x, w, w.alphabet, gamma)
+        assert np.count_nonzero(np.diff(u)) <= exact_jump_budget(w, n, gamma)
+        d, d_search = (float(((w.alphabet.values[v] - x) ** 2).sum()) for v in (u, searched))
+        assert d <= d_search * (1 + 1e-12)
 
 
 def off_grid_points(rng, ab, n):
@@ -495,7 +655,8 @@ def held_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(held_cases())
 def test_held_pass_equals_the_trellis(case):
-    # blocks where every state holds skip the stay-or-jump step's loop
+    # at a large alpha, as at the alpha_max of the breakpoint search, most
+    # states hold; the stay-or-jump step still writes the dense step's bytes
     x, w, alpha = case
     u = project_lagrangian(x, w, w.alphabet, alpha)
     with pytest.MonkeyPatch.context() as mp:
@@ -504,27 +665,24 @@ def test_held_pass_equals_the_trellis(case):
 
 
 @pytest.mark.parametrize("case", ["holds", "must jump", "start ties a smaller jump"])
-def test_held_pass_takes_the_trellis_unless_every_state_holds(case, monkeypatch):
+def test_stay_or_jump_step_hand_cases(case, monkeypatch):
     if case == "holds":
         w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), 3))
         x = np.full(100, 0.3) + np.random.default_rng(1).normal(0.0, 0.1, 100)
-        alpha, expect, loop_rows = 2.0 * w.max_finite() * 100, None, 0
+        alpha, expect = 2.0 * w.max_finite() * 100, None
     elif case == "must jump":
         # holding 0 through the last three positions costs more than one jump
         w = stay_or_jump_table(4, 0.5, 2.0)
         x = np.array([0.0, 0.0, 0.0, 0.75, 0.75, 0.75])
-        alpha, expect, loop_rows = 0.125, [0, 0, 0, 3, 3, 3], 5
+        alpha, expect = 0.125, [0, 0, 0, 3, 3, 3]
     else:
         # hold == jump: at position 1 the start state 1's hold cell ties the
         # best jump cell, whose first target j1 = 0 is smaller, so the
-        # dense row's first minimum jumps to 0; the block still holds
+        # dense row's first minimum jumps to 0
         w = stay_or_jump_table(2, 1.0, 1.0)
         x = np.array([0.25, 0.125])
-        alpha, expect, loop_rows = 1.0, [1, 0], 0
-    with pytest.MonkeyPatch.context() as mp:
-        rows = count_loop_rows(mp)
-        u = projection.project_lagrangian(x, w, w.alphabet, alpha)
-    assert rows == [loop_rows]
+        alpha, expect = 1.0, [1, 0]
+    u = projection.project_lagrangian(x, w, w.alphabet, alpha)
     dense_steps_only(monkeypatch)
     assert u.tobytes() == project_lagrangian(x, w, w.alphabet, alpha).tobytes()
     if expect is not None:
@@ -537,8 +695,10 @@ def test_held_pass_takes_the_trellis_unless_every_state_holds(case, monkeypatch)
                                  "inf alpha", "alpha overflows a weight"])
 def test_closed_form_passes_raise_what_the_trellis_raises(bad, monkeypatch):
     # the end passes of the breakpoint search are trellis passes, and so
-    # fail as a trellis pass fails
+    # fail as a trellis pass fails.  The search runs on tables that are not
+    # stay-or-jump: here a pc_markov table with one jump weight raised
     w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.3), 2))
+    w.w[0, 1] += 1.0
     ab = w.alphabet
     x = np.array([0.1, 0.6, 0.62, 0.3, 0.9, 0.2])
     if bad in ("nan", "inf", "too far"):
@@ -553,6 +713,7 @@ def test_closed_form_passes_raise_what_the_trellis_raises(bad, monkeypatch):
         # a jump weight whose alpha_max, 2 * jump * n, is inf, or scales
         # the jump weight to inf
         w = stay_or_jump_table(4, 0.0, 2e307 if bad == "inf alpha" else 1e160)
+        w.w[0, 1] = 1.0
         ab = w.alphabet
     alpha_max = 2.0 * w.max_finite() * len(x)
     with pytest.raises(ValueError) as want:
