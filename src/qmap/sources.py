@@ -137,7 +137,11 @@ def sample_runs(model: SourceModel, n: int, rows: int, rng: np.random.Generator
         starts = np.flatnonzero(jumps)
         # the slab value at flat position r n + j sits at u.flat[2n r + j]
         values = u.ravel()[starts + starts // n * n]
-        return values, starts, np.diff(starts, append=rows * n)
+        # a run lasts to the next start, the last one to the block's end
+        lengths = np.empty_like(starts)
+        np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+        lengths[-1:] = rows * n - starts[-1:]
+        return values, starts, lengths
     if isinstance(model, SpikeSlab):
         u = rng.random((rows, 2 * n))
         values = np.where(u[:, n:] < model.p, u[:, :n], 0.0).ravel()

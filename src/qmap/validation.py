@@ -6,11 +6,15 @@ bound the true tail, of data at least as extreme as the data drawn.  An
 estimate respects its bound unless that p-value is at most REJECT_LEVEL, so
 a correct program fails an entry on no more than about one seed in a
 million.  Bounds that blow up at desk scale are flagged as vacuous instead
-of being silently clipped.  Only numpy and the standard library are used.
+of being silently clipped.  f_minimax evaluates its exponent on batches of
+alpha rows and of concatenated refinement grids, holding at most _F_CELLS
+cells at once, and returns the value of the per-alpha scan bit for bit.
+Only numpy and the standard library are used.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +33,10 @@ REJECT_LEVEL = 1e-6
 # `trials`.  Every sampler reads its stream in the same order at any block,
 # so no hits depend on it.
 _BLOCK = 2 ** 16
+# exponent values f_minimax evaluates in one call, unless one alpha row or
+# one refinement grid alone is longer; the call holds a few temporaries of
+# that size
+_F_CELLS = _BLOCK // 4
 # inner_product_tail draws all chi-square variables of a period of this many
 # trials, then its normals.  It fixes the stream format, not the memory use:
 # changing it changes the hits above this many trials.
@@ -376,32 +384,61 @@ def f_exponent(alpha: np.ndarray | float, s: np.ndarray | float) -> np.ndarray:
     return np.where(arg > 0, val, -np.inf)
 
 
-def _max_over_s(alpha: float, s_fracs: np.ndarray) -> float:
-    s_hi = 1.0 / (1.0 - alpha)
-    s = s_fracs * s_hi
-    vals = f_exponent(alpha, s)
-    best = int(np.argmax(vals))
-    # local refinement around the best grid point at 1e-4 resolution in s
-    lo = s[max(0, best - 1)]
-    hi = s[min(len(s) - 1, best + 1)]
-    fine = np.arange(lo, hi, 1e-4)
-    if fine.size:
-        vals_fine = f_exponent(alpha, fine)
-        return float(max(vals[best], vals_fine.max()))
-    return float(vals[best])
-
-
 def f_minimax(alpha_points: int = 401, s_points: int = 1000) -> float:
     """min over alpha of max over s of the exponent; the flat 2^{-0.05 m}
     tail bound holds when this stays >= 0.05.
 
     alpha runs over alpha_points evenly spaced values in [-0.999, 0.999], and
     s over s_points evenly spaced fractions in [1e-4, 1 - 1e-4] of the
-    per-alpha domain (0, 1/(1-alpha)).
+    per-alpha domain (0, 1/(1-alpha)).  Each alpha's maximum is then refined
+    on np.arange(lo, hi, 1e-4) between the grid neighbours of its best s.
+    The exponent is evaluated on batches of alpha rows, then on concatenated
+    refinement grids, at most _F_CELLS cells a call (one row or one grid
+    more when it alone is longer); the value is the per-alpha scan's, bit
+    for bit.
     """
-    alpha_grid = np.linspace(-0.999, 0.999, alpha_points)
+    if alpha_points < 1 or s_points < 1:
+        raise ValueError(f"need alpha_points >= 1 and s_points >= 1, "
+                         f"got {alpha_points} and {s_points}")
+    alpha = np.linspace(-0.999, 0.999, alpha_points)
     s_grid = np.linspace(1e-4, 1.0 - 1e-4, s_points)
-    return min(_max_over_s(float(a), s_grid) for a in alpha_grid)
+    peak, lo, hi = np.empty((3, alpha_points))
+    batch = max(1, _F_CELLS // s_points)
+    for start in range(0, alpha_points, batch):
+        rows = slice(start, start + batch)
+        s = s_grid * (1.0 / (1.0 - alpha[rows]))[:, None]
+        vals = f_exponent(alpha[rows, None], s)
+        best = vals.argmax(axis=1)  # the first maximum of each row
+        at = np.arange(len(s))
+        peak[rows] = vals[at, best]
+        lo[rows] = s[at, np.maximum(best - 1, 0)]
+        hi[rows] = s[at, np.minimum(best + 1, s_points - 1)]
+    # np.arange(lo, hi, 1e-4) of each row by numpy's fill rule: its length is
+    # ceil((hi - lo) / 1e-4) (hi >= lo here), element 1 is lo + 1e-4 and
+    # element i >= 2 is lo + i ((lo + 1e-4) - lo).  Element 1 is also
+    # lo + 1 ((lo + 1e-4) - lo) whenever lo > 2.2e-5, as here (lo >= 1e-4 /
+    # 1.999): the difference is exact or off by under a quarter ulp of the sum
+    sizes = np.ceil((hi - lo) / 1e-4).astype(np.intp)
+    step = (lo + 1e-4) - lo
+    todo = np.flatnonzero(sizes)  # an empty grid keeps its coarse peak
+    ends = np.cumsum(sizes[todo]).tolist()
+    b = 0
+    while b < len(ends):
+        # the grids todo[b:e]: as many consecutive ones as fit in _F_CELLS,
+        # one at least
+        base = ends[b - 1] if b else 0
+        e = max(b + 1, bisect.bisect_right(ends, base + _F_CELLS))
+        rows, n = todo[b:e], sizes[todo[b:e]]
+        first = np.cumsum(n) - n  # where each row's grid starts
+        # lo + i step in place: i is exact in float, and so is each operation
+        fine = np.arange(ends[e - 1] - base, dtype=float)
+        fine -= np.repeat(first, n)
+        fine *= np.repeat(step[rows], n)
+        fine += np.repeat(lo[rows], n)
+        vals = f_exponent(np.repeat(alpha[rows], n), fine)
+        peak[rows] = np.maximum(peak[rows], np.maximum.reduceat(vals, first))
+        b = e
+    return float(peak.min())
 
 
 def _projections(n: int, trials: int, rng: np.random.Generator

@@ -5,8 +5,9 @@ brute-force projection (Lagrangian, cost-budget and jump-count) and Q-MAP
 optimum over every grid sequence at toy scale, k-types and the empirical
 quantities of the cost decomposition, the scalar quantizer the vector one
 must agree with, nearest-grid rounding by distances, the spike-and-slab
-weight gap, the contraction floor of the error recursion, and the error
-path of a PGD run against the quantized truth.
+weight gap, the contraction floor of the error recursion, the per-alpha
+scan of the f_minimax exponent, and the error path of a PGD run against the
+quantized truth.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from qmap.quantize import QuantAlphabet, quantize_vector
 from qmap.sensing import SenseMatrix
 from qmap.solver import PgdConfig, pgd_solve
 from qmap.sources import WeightTable
+from qmap.validation import f_exponent
 
 MAX_BRUTEFORCE = 10 ** 6      # alphabet^n sequences
 
@@ -272,6 +274,29 @@ def contraction_floor(n: int, m: int, b: int, sigma: float, dbar: float,
         noise = 0.0
     return math.sqrt(n) * (quant + noise)
 
+
+def max_over_s(alpha: float, s_fracs: np.ndarray) -> float:
+    """max over s of f_exponent at one alpha: the best of the s_fracs grid
+    of (0, 1/(1-alpha)), refined at 1e-4 between its grid neighbours."""
+    s_hi = 1.0 / (1.0 - alpha)
+    s = s_fracs * s_hi
+    vals = f_exponent(alpha, s)
+    best = int(np.argmax(vals))
+    # local refinement around the best grid point at 1e-4 resolution in s
+    lo = s[max(0, best - 1)]
+    hi = s[min(len(s) - 1, best + 1)]
+    fine = np.arange(lo, hi, 1e-4)
+    if fine.size:
+        vals_fine = f_exponent(alpha, fine)
+        return float(max(vals[best], vals_fine.max()))
+    return float(vals[best])
+
+
+def f_minimax_scan(alpha_points: int = 401, s_points: int = 1000) -> float:
+    """f_minimax one alpha at a time: min over the alpha grid of max_over_s."""
+    alpha_grid = np.linspace(-0.999, 0.999, alpha_points)
+    s_grid = np.linspace(1e-4, 1.0 - 1e-4, s_points)
+    return min(max_over_s(float(a), s_grid) for a in alpha_grid)
 
 # ------------------------------------------------------------- error paths
 

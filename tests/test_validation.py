@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+import qmap.validation as validation
 from conftest import random_kernel
+from oracles import f_minimax_scan, max_over_s
 from qmap.quantize import quantize_vector
 from qmap.sources import (
     PiecewiseConstant,
@@ -79,8 +82,6 @@ def test_chi_square_tail_blocks_match_one_draw():
 
 @pytest.mark.parametrize("m, tau, trials", [(7, 0.5, 2003), (100, 0.2, 1001)])
 def test_chi_square_tail_does_not_depend_on_the_block(m, tau, trials, monkeypatch):
-    import qmap.validation as validation
-
     results = []
     for block in (1, 7, validation._BLOCK):
         monkeypatch.setattr(validation, "_BLOCK", block)
@@ -91,8 +92,6 @@ def test_chi_square_tail_does_not_depend_on_the_block(m, tau, trials, monkeypatc
 
 @pytest.mark.parametrize("alpha, m", [(-0.5, 20), (0.5, 3)])
 def test_inner_product_tail_does_not_depend_on_the_block(alpha, m, monkeypatch):
-    import qmap.validation as validation
-
     # below the stream's period of 2^18 trials, whose chi-square draws all
     # come before its normals
     trials = 5003
@@ -158,15 +157,61 @@ def test_f_max_at_alpha_045_matches_dense_scan():
     s_hi = 1.0 / (1.0 - alpha)
     fine = np.arange(1e-6, s_hi, 1e-6)
     expect = float(f_exponent(alpha, fine).max())
-    from qmap.validation import _max_over_s
-
-    got = _max_over_s(alpha, np.linspace(1e-4, 1 - 1e-4, 1000))
+    got = max_over_s(alpha, np.linspace(1e-4, 1 - 1e-4, 1000))
     assert got == pytest.approx(expect, abs=1e-7)
 
 
 def test_f_minimax_threshold():
     value = f_minimax()
     assert value >= 0.05
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 300), st.integers(3, 4000), st.sampled_from([None, 1, 64, 5000]))
+def test_f_minimax_equals_the_per_alpha_scan(alpha_points, s_points, cells):
+    # batched rows and concatenated refinement grids reproduce the per-alpha
+    # scan exactly, at the shipped cap and at caps that split every batch
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:
+            mp.setattr(validation, "_F_CELLS", cells)
+        assert f_minimax(alpha_points, s_points) == f_minimax_scan(alpha_points, s_points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(2.2e-5, 1e3))
+def test_arange_second_element_is_one_step(lo):
+    # f_minimax forms element 1 of np.arange(lo, hi, 1e-4) by the rule of
+    # the later ones; its lo is at least 1e-4 / 1.999
+    step = (lo + 1e-4) - lo
+    assert lo + 1 * step == lo + 1e-4 == np.arange(lo, lo + 2e-4, 1e-4)[1]
+
+
+@pytest.mark.parametrize("alpha_points,s_points", [(401, 1000), (3, 100000), (2000, 3), (1, 1)])
+def test_f_minimax_equals_the_scan_in_bounded_calls(alpha_points, s_points, monkeypatch):
+    # no exponent call holds more than the cap, one coarse row or one
+    # refinement grid; the per-alpha scan's calls are those rows and grids
+    def spy(module):
+        sizes = []
+        exponent = module.f_exponent
+
+        def counted(alpha, s):
+            sizes.append(np.broadcast(alpha, s).size)
+            return exponent(alpha, s)
+        monkeypatch.setattr(module, "f_exponent", counted)
+        return sizes
+
+    batched, scanned = spy(validation), spy(oracles)
+    assert f_minimax(alpha_points, s_points) == f_minimax_scan(alpha_points, s_points)
+    assert max(batched) <= max(validation._F_CELLS, max(scanned))
+    if (alpha_points, s_points) == (401, 1000):
+        # 26 batches of 16 alpha rows, then 3 batches of refinement grids
+        assert len(batched) == 29
+
+
+@pytest.mark.parametrize("alpha_points,s_points", [(0, 10), (5, 0), (-3, 5)])
+def test_f_minimax_refuses_an_empty_grid(alpha_points, s_points):
+    with pytest.raises(ValueError, match="alpha_points >= 1 and s_points >= 1"):
+        f_minimax(alpha_points, s_points)
 
 
 def test_gaussian_projection_check():
@@ -199,8 +244,6 @@ def test_gaussian_projection_check_refuses_fewer_than_two_trials():
 
 @pytest.mark.parametrize("n, trials", [(3, 2001), (70, 301)])
 def test_gaussian_projection_does_not_depend_on_the_block(n, trials, monkeypatch):
-    import qmap.validation as validation
-
     results = []
     # one row, five rows, all rows per block; n = 70 > 64 takes one row
     for block in (1, 5 * n, 64, validation._BLOCK):
@@ -348,8 +391,6 @@ def test_mc_empirical_deviation_equals_per_path_loop_for_every_model(name, k, si
        epsilon=st.sampled_from([0.05, 0.2, 0.35, 0.7]), seed=st.integers(0, 2 ** 32 - 1))
 def test_mc_empirical_deviation_hits_match_per_path_loop_at_any_block(
         name, k, extra, trials, block, epsilon, seed):
-    import qmap.validation as validation
-
     model, b = MODELS[name]
     n = k + 1 + extra
     with pytest.MonkeyPatch.context() as mp:
@@ -363,8 +404,6 @@ def test_mc_empirical_deviation_hits_match_per_path_loop_at_any_block(
     (5, 4, 8, 3, None),  # 2^20 types a row: one row per block
 ])
 def test_mc_empirical_deviation_bounds_its_count_array(b, k, n, trials, block, monkeypatch):
-    import qmap.validation as validation
-
     if block is not None:
         monkeypatch.setattr(validation, "_BLOCK", block)
     limit = max(validation._BLOCK, (2 ** b) ** k)
@@ -385,8 +424,6 @@ def test_mc_empirical_deviation_bounds_its_count_array(b, k, n, trials, block, m
                                                (SpikeSlab(0.3), 2, 0.2)])
 def test_mc_empirical_deviation_hits_do_not_depend_on_the_block(model, k, epsilon,
                                                                 monkeypatch):
-    import qmap.validation as validation
-
     n, b, trials, seed = 100, 2, 23, 41
     hits = []
     # a row takes 2n cells: one row, three rows, all 23 rows per block
@@ -451,8 +488,6 @@ WORKING_SETS = {
 @pytest.mark.parametrize("name", sorted(WORKING_SETS))
 def test_sampler_holds_its_stream_arrays_and_a_few_blocks(name):
     import tracemalloc
-
-    import qmap.validation as validation
 
     call, cells, forced = WORKING_SETS[name]
     # the draws of a case that fits in one block could be held whole, with
