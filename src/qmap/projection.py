@@ -24,19 +24,13 @@ every (position, context) the smallest optimal symbol as a back-pointer,
 and the path is rebuilt forward by following them.
 
 Every pass with k >= 1 forms the distortion a block of positions at a
-time, from the back, and hands each block to the step of the table, which
-writes the block's back-pointers; one start cost and one forward rebuild
-follow.  The dense step costs O(S^(k+1)) a position for an alphabet of S
-symbols.  A k=1 table with one weight on its diagonal (hold) and one off
-it (jump), both finite and hold <= jump, as every pc_markov table is,
-takes the stay-or-jump step instead, in O(S): from a state, the best next
-symbol is the state itself or the first best jump target, which is the
-same for every state.  Its cells are the dense step's, summed in the same
-order, and its comparisons pick the first minimum of each dense row, so it
-writes the same back-pointers (see _stay_or_jump_step).  A table whose
-scaled weights are all 0, as in the alpha -> 0+ pass of the breakpoint
-search, takes the free step, whose suffix is one number a position and
-which needs no per-position loop.
+time, from the back, and hands each block to the dense step, which writes
+the block's back-pointers in O(S^(k+1)) a position for an alphabet of S
+symbols, whatever the table; one start cost and one forward rebuild
+follow.  A budget of fewer than n - 1 jumps on a stay-or-jump table (a
+k=1 table with one weight on its diagonal, hold, and one off it, jump,
+both finite and hold <= jump, as every pc_markov table is) takes the
+jump-count pass instead, in O((jumps + 1) * S) a position.
 """
 
 from __future__ import annotations
@@ -162,12 +156,7 @@ def project_lagrangian(
     # after symbol a the next state is (state mod s^(k-1)) * s + a
     states = s ** k
     low_states = s ** (k - 1)
-    if not aw.any():
-        step = _free_step
-    elif _is_stay_or_jump(w):
-        step = _stay_or_jump_step(aw[0, 0], aw[0, 1], s)
-    else:
-        step = _dense_step(aw.reshape(states, s))  # cost of (state, symbol)
+    step = _dense_step(aw.reshape(states, s))  # cost of (state, symbol)
 
     # backward pass: suffix[state] is the best cost of positions i..n-1 after
     # the context state; back[i - k, state] is the first (smallest) symbol
@@ -224,22 +213,6 @@ def _dense_step(aw: np.ndarray):
     return step
 
 
-def _free_step(dist: np.ndarray, back: np.ndarray, suffix: np.ndarray) -> np.ndarray:
-    """The step of a table whose scaled weights are all 0.  Every context's
-    suffix is then one number, c_i = min_a d_i[a] + c_{i+1} (rounding is
-    monotone), and every context's back-pointer the first argmin of
-    d_i + c_{i+1}: the dense step's cells and back-pointers, with no
-    per-position loop."""
-    m = len(dist)
-    sums = np.empty(m + 1)  # sums[j] = c_{m - j} in the block, from the back
-    sums[0] = suffix[0]
-    dist[::-1].min(axis=1, out=sums[1:])
-    np.cumsum(sums, out=sums)
-    back[:] = (dist + sums[m - 1::-1, None]).argmin(axis=1)[:, None]
-    suffix[:] = sums[m]
-    return suffix
-
-
 def _is_stay_or_jump(w: WeightTable) -> bool:
     """A k=1 table with one weight on its diagonal (hold) and one off it
     (jump), both finite, hold <= jump: the form of every pc_markov table."""
@@ -251,47 +224,6 @@ def _is_stay_or_jump(w: WeightTable) -> bool:
     table = np.full_like(w.w, jump)
     np.fill_diagonal(table, hold)
     return np.array_equal(w.w, table)
-
-
-def _stay_or_jump_step(hold: float, jump: float, s: int):
-    """The step of a stay-or-jump table's k=1 trellis, O(S) a position: the
-    back-pointers of the dense step, its cells summed as (dist + weight) +
-    suffix in the same order.
-
-    At a position, H[a] and J[a] are the cells that hold at a and that jump
-    to a.  Row `state` of the dense trellis is J with H[state] on its
-    diagonal, so its first minimum is state or j1, the first argmin of J:
-    state < j1 holds iff H[state] <= J[j1], state > j1 iff H[state] < J[j1],
-    and j1 itself always holds (H[j1] <= J[j1], as hold <= jump and float
-    rounding is monotone).  The next suffix is min(H, J[j1]); the step
-    writes it over the suffix it is given.
-    """
-    cells = np.empty((VITERBI_BLOCK, 2, s))
-    rows = list(cells)
-    h_rows = [row[0] for row in rows]
-    j_rows = [row[1] for row in rows]
-    symbols = np.arange(s)
-    block_rows = np.arange(VITERBI_BLOCK)[:, None]
-
-    def write_back(h: np.ndarray, j: np.ndarray, back: np.ndarray) -> None:
-        j1 = j.argmin(axis=1)[:, None]
-        v1 = j[block_rows[:len(j)], j1]
-        # straight into back's rows: no int64 temporary cast into them
-        back[:] = j1
-        np.copyto(back, symbols, casting="unsafe",
-                  where=(h < v1) | ((h == v1) & (symbols <= j1)))
-
-    def step(dist: np.ndarray, back: np.ndarray, suffix: np.ndarray) -> np.ndarray:
-        m = len(dist)
-        np.add(dist, hold, out=cells[:m, 0])
-        np.add(dist, jump, out=cells[:m, 1])
-        for r in range(m - 1, -1, -1):
-            np.add(rows[r], suffix, out=rows[r])
-            j = j_rows[r]
-            np.minimum(h_rows[r], j[j.argmin()], out=suffix)
-        write_back(cells[:m, 0], cells[:m, 1], back)
-        return suffix
-    return step
 
 
 class _SweepPoint(NamedTuple):
@@ -316,16 +248,19 @@ def project_constrained(
     (hold * (n - 1 - J) + jump * J) / (n - 1), so the budget is at most
     J(gamma) jumps (see _jump_budget, exact in rational arithmetic), and
     one jump-count pass returns the sequence of least distortion among
-    them (see _project_jumps).  When J(gamma) >= n - 1 that is the nearest
-    sequence, the search's first pass below.  complexity_cost sums the
+    them (see _project_jumps).  When J(gamma) >= n - 1 every sequence fits
+    and the search's first pass below is returned.  complexity_cost sums the
     window weights in floats, so on its output it may exceed gamma by a
     few ulps: fewer than D + 2 ulps of gamma, for D distinct windows.
 
     On any other table the search runs.  The Lagrangian solutions are the
     vertices of the lower convex hull of (cost, distortion) (Everett 1963;
     Shoham & Gersho 1988).  The first pass is the alpha -> 0+ limit of the
-    Lagrangian projection, the nearest sequence of finite cost; it is the
-    alpha = 0 rounding whenever that has finite cost, and it is returned if
+    Lagrangian projection, a trellis pass whose finite weights are all 0: the
+    lexicographically smallest sequence of finite cost whose distortion, as
+    the trellis sums it in floats from the back, is least.  Near a midpoint
+    that can be the lower neighbour where nearest_index rounds up.  It is
+    the alpha = 0 pass whenever that has finite cost, and it is returned if
     feasible.  Otherwise the search brackets gamma by an infeasible left
     end L, this first pass, and a feasible right end R: the alpha_max pass
     is R if feasible, else it is L and the minimum-cost path is R.  Every
@@ -353,7 +288,7 @@ def project_constrained(
             # every constant sequence has the least cost
             raise InfeasibleProjection(f"no sequence attains cost <= {gamma}",
                                        min_cost=complexity_cost(np.zeros(n, np.int64), w))
-        if jumps >= n - 1:  # every sequence fits: the nearest one
+        if jumps >= n - 1:  # every sequence fits: the search's first pass
             return project_lagrangian(x, allowed, alphabet, alpha=1.0)
         return _project_jumps(x, alphabet, jumps)
 

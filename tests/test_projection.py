@@ -68,6 +68,31 @@ def test_alpha_zero_is_nearest_rounding(rng):
     assert project_lagrangian(np.array([0.125, 0.3]), w, ab, 0.0)[0] == 0
 
 
+def test_zero_weight_pass_may_round_a_nudged_midpoint_down(monkeypatch):
+    # a pass whose weights are all 0 returns the lexicographically smallest
+    # sequence of least distortion as the trellis sums it, in floats from
+    # the back.  One ulp above the midpoint 0.125, the distortions of 0 and
+    # 0.25 differ by less than an ulp of the suffix sum, so both neighbours
+    # tie there and the pass takes 0, where nearest_index rounds up to 0.25
+    w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), 2))
+    ab = w.alphabet
+    x = np.full(100, 0.125)
+    x[[0, 50]] = np.nextafter(0.125, 1.0)
+    assert nearest_index(ab, x)[[0, 50]].tolist() == [1, 1]
+    dense = spy_step(monkeypatch, "_dense_step")
+    # alpha = 0, and no budget (J(gamma) >= n - 1): one dense pass each
+    for u in (project_lagrangian(x, w, ab, 0.0), project_constrained(x, w, ab, math.inf)):
+        assert u.dtype == np.int64 and u.tolist() == [0] * 100
+    assert len(dense) == 2 * -(-99 // projection.VITERBI_BLOCK)
+    # the exhaustive minimizer sums the distortion from the front, and at
+    # n = 8 it takes 0 too
+    x8 = np.full(8, 0.125)
+    x8[0] = np.nextafter(0.125, 1.0)
+    assert project_bruteforce(x8, w, ab, alpha=0.0).tolist() == [0] * 8
+    assert project_lagrangian(x8, w, ab, 0.0).tolist() == [0] * 8
+    assert nearest_index(ab, x8)[0] == 1
+
+
 def test_grid_sequence_is_fixed_point_for_small_alpha(rng):
     ab = build_alphabet(0, 1, 2)
     w = random_weight_table(rng, 4, 1)
@@ -127,19 +152,6 @@ def spy_step(mp, name: str) -> list:
     return calls
 
 
-def spy_stay_or_jump(mp) -> list:
-    """The distortion blocks handed to the O(S) stay-or-jump step."""
-    return spy_step(mp, "_stay_or_jump_step")
-
-
-def dense_steps_only(mp) -> None:
-    """Send every pass with k >= 1 to the dense step, the reference: the
-    free and stay-or-jump steps are never selected."""
-    mp.setattr(projection, "_is_stay_or_jump", lambda w: False)
-    mp.setattr(projection, "_free_step", lambda dist, back, suffix: projection._dense_step(
-        np.zeros((len(suffix), dist.shape[1])))(dist, back, suffix))
-
-
 @st.composite
 def stay_or_jump_cases(draw):
     # dyadic inputs, weights and alpha keep every cell exact, so ties are
@@ -159,7 +171,8 @@ def stay_or_jump_cases(draw):
         x = rng.choice(points, n)
     else:
         x = np.full(n, draw(st.sampled_from(points.tolist())))
-    alpha = draw(st.sampled_from([0.0, 0.0625, 0.5, 1.0, 4.0]))
+    # the last is the alpha_max of the breakpoint search, where most states hold
+    alpha = draw(st.sampled_from([0.0, 0.0625, 0.5, 1.0, 4.0, 2.0 * w.max_finite() * n]))
     return x, w, alpha
 
 
@@ -167,16 +180,17 @@ def stay_or_jump_cases(draw):
 @given(stay_or_jump_cases(), st.sampled_from([1.0, 0.0]))
 def test_stay_or_jump_pass_matches_dense_and_bruteforce(case, dist_scale):
     x, w, alpha = case
-    with pytest.MonkeyPatch.context() as mp:
-        calls = spy_stay_or_jump(mp)
-        u = project_lagrangian(x, w, w.alphabet, alpha, dist_scale)
-        # all-zero scaled weights take the free step
-        assert sum(map(len, calls)) == (len(x) - 1 if alpha * w.max_finite() > 0 else 0)
-        dense_steps_only(mp)
-        dense = project_lagrangian(x, w, w.alphabet, alpha, dist_scale)
-    assert u.dtype == dense.dtype and u.tobytes() == dense.tobytes()
-    if w.alphabet.size ** len(x) <= 4 ** 8 and dist_scale == 1.0:
+    u = project_lagrangian(x, w, w.alphabet, alpha, dist_scale)
+    assert u.dtype == np.int64
+    if w.alphabet.size ** len(x) > 4 ** 8:
+        return
+    if dist_scale == 1.0:
         assert u.tobytes() == project_bruteforce(x, w, w.alphabet, alpha=alpha).tobytes()
+    else:
+        # the minimum-cost pass: the lexicographically smallest sequence of
+        # least scaled weight, every sum exact on dyadic weights and alpha
+        seqs = enumerate_sequences(w.alphabet.size, len(x))
+        assert u.tobytes() == seqs[(sequence_costs(seqs, w) * alpha).argmin()].tobytes()
 
 
 @pytest.mark.parametrize("table", [
@@ -187,14 +201,12 @@ def test_stay_or_jump_pass_matches_dense_and_bruteforce(case, dist_scale):
 ])
 def test_other_k1_tables_take_the_dense_pass(table, monkeypatch):
     w = WeightTable(alphabet=build_alphabet(0.0, 0.75, 2), k=1, w=table)
-    calls = spy_stay_or_jump(monkeypatch)
     rng = np.random.default_rng(5)
     for alpha in (0.0, 0.125, 0.5, 2.0):
         for _ in range(5):
             x = rng.choice(np.arange(-1, 7) * 0.125, 7)
             u = project_lagrangian(x, w, w.alphabet, alpha)
             assert u.tobytes() == project_bruteforce(x, w, w.alphabet, alpha=alpha).tobytes()
-    assert calls == []
 
 
 def test_all_forbidden_raises(rng):
@@ -403,12 +415,9 @@ def test_constrained_pass_count_on_piecewise_constant_path(monkeypatch):
     u = project_constrained(x, w, w.alphabet, gamma)
     assert complexity_cost(u, w) <= gamma
     assert len(passes) == 11
-    # the alpha -> 0+ pass takes the free step; every other pass hands each
-    # block to the dense step
+    # every pass, the alpha -> 0+ one too, hands each block to the dense step
     blocks = -(-(n - 1) // projection.VITERBI_BLOCK)
-    assert len(dense) == (len(passes) - 1) * blocks
-    dense_steps_only(monkeypatch)
-    assert project_constrained(x, w, w.alphabet, gamma).tobytes() == u.tobytes()
+    assert len(dense) == len(passes) * blocks
 
 
 def exact_jump_budget(w: WeightTable, n: int, gamma: float) -> int:
@@ -464,10 +473,10 @@ def test_jump_count_pass_is_the_exact_constrained_projection(case):
         u = project_constrained(x, w, w.alphabet, gamma)
     assert u.dtype == np.int64
     if jumps >= n - 1:
-        # every sequence fits: the search's first pass, the nearest rounding
-        free = WeightTable(w.alphabet, w.k, np.zeros_like(w.w))
+        # every sequence fits: the search's first pass, all weights 0
+        zeroed = WeightTable(w.alphabet, w.k, np.zeros_like(w.w))
         assert len(passes) == 1
-        assert u.tobytes() == project_lagrangian(x, free, w.alphabet, 1.0).tobytes()
+        assert u.tobytes() == project_lagrangian(x, zeroed, w.alphabet, 1.0).tobytes()
     else:
         assert passes == []
         assert u.tobytes() == project_jumps_bruteforce(x, w.alphabet, jumps).tobytes()
@@ -593,79 +602,8 @@ def test_jump_count_pass_is_no_worse_than_the_search():
         assert d <= d_search * (1 + 1e-12)
 
 
-def off_grid_points(rng, ab, n):
-    """n coordinates of grid values, midpoints and points far off the grid
-    (up to 2^40 grid steps beyond an end), in runs."""
-    step = 2.0 ** -ab.b
-    pool = np.concatenate([
-        ab.values, ab.values + 0.5 * step,
-        ab.values[[0, -1]] + np.array([-1.0, 1.0]) * step * 2.0 ** rng.integers(1, 41, 2),
-    ])
-    return np.repeat(rng.choice(pool, n), rng.integers(1, 20, n))[:n]
-
-
-@st.composite
-def zero_cost_cases(draw):
-    kind = draw(st.sampled_from(["pc", "dense k=1", "dense k=2"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if kind == "pc":
-        p = draw(st.sampled_from([0.1, 0.5]))
-        w = weights_from_kernel(quantized_kernel(PiecewiseConstant(p), draw(st.integers(1, 6))))
-    else:
-        w = random_weight_table(rng, draw(st.integers(2, 4)), int(kind[-1]))
-    n = draw(st.integers(w.k + 1, 3 * projection.VITERBI_BLOCK))
-    x = off_grid_points(rng, w.alphabet, n)
-    if draw(st.booleans()):
-        x = x + rng.normal(0.0, 0.05, n)
-    return x, w
-
-
-@settings(max_examples=200, deadline=None)
-@given(zero_cost_cases())
-def test_zero_cost_pass_equals_the_trellis(case):
-    # the alpha -> 0+ pass of the breakpoint search on a table that forbids
-    # no window: every scaled weight is 0, so it takes the free step
-    x, w = case
-    zeroed = WeightTable(w.alphabet, w.k, np.zeros_like(w.w))
-    with pytest.MonkeyPatch.context() as mp:
-        steps = [spy_step(mp, name) for name in ("_dense_step", "_stay_or_jump_step")]
-        u = project_lagrangian(x, zeroed, w.alphabet, 1.0)
-        assert steps == [[], []]
-        dense_steps_only(mp)
-        assert u.tobytes() == project_lagrangian(x, zeroed, w.alphabet, 1.0).tobytes()
-
-
-@st.composite
-def held_cases(draw):
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if draw(st.booleans()):
-        w = weights_from_kernel(quantized_kernel(
-            PiecewiseConstant(draw(st.sampled_from([0.1, 0.5]))), draw(st.integers(1, 6))))
-    else:
-        # dyadic weights, x and alpha keep cells exact, so ties are common
-        hold, jump = sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2)))
-        w = stay_or_jump_table(draw(st.integers(2, 6)), hold / 4, jump / 4)
-    n = draw(st.integers(2, 3 * projection.VITERBI_BLOCK))
-    x = off_grid_points(rng, w.alphabet, n)
-    alpha = 2.0 * w.max_finite() * n  # the alpha_max of the breakpoint search
-    alpha = draw(st.sampled_from([alpha, alpha / 64, 0.25, 1.0]))
-    return x, w, alpha
-
-
-@settings(max_examples=200, deadline=None)
-@given(held_cases())
-def test_held_pass_equals_the_trellis(case):
-    # at a large alpha, as at the alpha_max of the breakpoint search, most
-    # states hold; the stay-or-jump step still writes the dense step's bytes
-    x, w, alpha = case
-    u = project_lagrangian(x, w, w.alphabet, alpha)
-    with pytest.MonkeyPatch.context() as mp:
-        dense_steps_only(mp)
-        assert u.tobytes() == project_lagrangian(x, w, w.alphabet, alpha).tobytes()
-
-
 @pytest.mark.parametrize("case", ["holds", "must jump", "start ties a smaller jump"])
-def test_stay_or_jump_step_hand_cases(case, monkeypatch):
+def test_stay_or_jump_step_hand_cases(case):
     if case == "holds":
         w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), 3))
         x = np.full(100, 0.3) + np.random.default_rng(1).normal(0.0, 0.1, 100)
@@ -682,9 +620,7 @@ def test_stay_or_jump_step_hand_cases(case, monkeypatch):
         w = stay_or_jump_table(2, 1.0, 1.0)
         x = np.array([0.25, 0.125])
         alpha, expect = 1.0, [1, 0]
-    u = projection.project_lagrangian(x, w, w.alphabet, alpha)
-    dense_steps_only(monkeypatch)
-    assert u.tobytes() == project_lagrangian(x, w, w.alphabet, alpha).tobytes()
+    u = project_lagrangian(x, w, w.alphabet, alpha)
     if expect is not None:
         assert u.tolist() == expect
     else:
@@ -806,7 +742,7 @@ def test_non_finite_alpha_and_nan_gamma_are_refused(source):
     with pytest.raises(ValueError, match="gamma") as exc:
         project_constrained(x, w, w.alphabet, math.nan)
     assert not isinstance(exc.value, InfeasibleProjection)
-    # +inf means no budget: the nearest rounding; -inf is a budget no
+    # +inf means no budget: the alpha = 0 pass; -inf is a budget no
     # sequence meets
     assert np.array_equal(project_constrained(x, w, w.alphabet, math.inf),
                           project_lagrangian(x, w, w.alphabet, 0.0))
@@ -981,15 +917,19 @@ def test_runtime_scales_linearly_in_n(rng):
     xs = [rng.normal(0.5, 0.4, n) for n in (2 ** 10, 2 ** 11, 2 ** 12)]
     for x in xs:
         project_lagrangian(x, w, ab, 0.3)  # warm up allocation paths
-    # interleaved rounds; each ratio pairs back-to-back calls of one round,
+    # interleaved rounds; each ratio pairs back-to-back samples of one round,
     # so a slow phase of the host slows both of its sides, and the median
-    # over the rounds drops a round that a phase change split
+    # over the rounds drops a round that a phase change split.  A sample is
+    # 5 back-to-back calls, over 20 ms at n = 2^10 (about 4.6 ms a call on
+    # one Xeon core), so a scheduler stall of a few ms moves a ratio by far
+    # less than the 25 % between 2.0 and the bound
     ratios = []
     for _ in range(7):
         times = []
         for x in xs:
             t0 = time.perf_counter()
-            project_lagrangian(x, w, ab, 0.3)
+            for _ in range(5):
+                project_lagrangian(x, w, ab, 0.3)
             times.append(time.perf_counter() - t0)
         ratios.append([times[1] / times[0], times[2] / times[1]])
     r11, r12 = np.median(ratios, axis=0)
@@ -1001,22 +941,16 @@ def test_runtime_scales_linearly_in_n(rng):
 @pytest.mark.parametrize("table,step", [
     ("dense k=1", "_dense_step"),
     ("dense k=2", "_dense_step"),
-    ("stay-or-jump", "_stay_or_jump_step"),
 ])
 def test_one_pass_hands_each_position_to_its_step_once(table, step, n, monkeypatch):
     # the deterministic side of test_runtime_scales_linearly_in_n: the work
     # of one pass is its step's work on positions k..n-1, each taken once
     rng = np.random.default_rng(n)
-    if table == "stay-or-jump":
-        w = stay_or_jump_table(4, 0.5, 2.0)
-    else:
-        w = random_weight_table(rng, 4, int(table[-1]))
+    w = random_weight_table(rng, 4, int(table[-1]))
     ab = w.alphabet
     x = rng.normal(0.5, 0.4, n)
     calls = spy_step(monkeypatch, step)
-    other = spy_step(monkeypatch, ({"_dense_step", "_stay_or_jump_step"} - {step}).pop())
     project_lagrangian(x, w, ab, 0.3)
-    assert other == []
     assert all(0 < len(dist) <= projection.VITERBI_BLOCK for dist in calls)
     # blocks come from the back; each row is the distortion of one position
     handed = np.concatenate(calls[::-1])
