@@ -34,7 +34,7 @@ class ConfigError(Exception):
 # jsonschema's semantics and message wording: 2.0 is an integer, a bool is
 # neither an integer nor a number, numeric bounds apply to numbers only, and
 # unevaluatedProperties counts the properties evaluated through $ref, allOf
-# and if/then/else.  Errors are (path, message) pairs in jsonschema's order.
+# and if/then.  Errors are (path, message) pairs in jsonschema's order.
 
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
@@ -74,7 +74,7 @@ def _check_keywords(schema: dict) -> None:
             subschemas = list(arg.values())
         elif key == "allOf":
             subschemas = arg
-        elif key in ("items", "propertyNames", "not", "if", "then", "else"):
+        elif key in ("items", "propertyNames", "if", "then"):
             subschemas = [arg]
         elif _is_leaf(key, arg):
             continue
@@ -159,13 +159,8 @@ def _errors(value, schema: dict, doc: dict, path: tuple = ()):
         elif key == "allOf":
             for subschema in arg:
                 yield from _errors(value, subschema, doc, path)
-        elif key == "if":
-            branch = "then" if _valid(value, arg, doc) else "else"
-            if branch in schema:
-                yield from _errors(value, schema[branch], doc, path)
-        elif key == "not":
-            if _valid(value, arg, doc):
-                yield path, f"{value!r} should not be valid under {arg!r}"
+        elif key == "if" and "then" in schema and _valid(value, arg, doc):
+            yield from _errors(value, schema["then"], doc, path)
 
 
 def _valid(value, schema: dict, doc: dict) -> bool:
@@ -180,12 +175,9 @@ def _evaluated(value: dict, schema: dict, doc: dict) -> set:
     for subschema in schema.get("allOf", ()):
         if _valid(value, subschema, doc):
             keys |= _evaluated(value, subschema, doc)
-    if "if" in schema:
-        if _valid(value, schema["if"], doc):
-            keys |= _evaluated(value, schema["if"], doc)
-            keys |= _evaluated(value, schema.get("then", {}), doc)
-        else:
-            keys |= _evaluated(value, schema.get("else", {}), doc)
+    if "if" in schema and _valid(value, schema["if"], doc):
+        keys |= _evaluated(value, schema["if"], doc)
+        keys |= _evaluated(value, schema.get("then", {}), doc)
     return keys
 
 
@@ -300,9 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs", type=int, default=os.cpu_count() or 1,
             help="worker processes (default: available parallelism)",
         )
-        cmd.add_argument(
-            "--seed", type=int, default=None, help="override the config seed"
-        )
+        if name in ("recover", "phase", "validate"):
+            cmd.add_argument("--seed", type=int, help="override the config seed")
     return parser
 
 
@@ -311,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     runner, fmt = COMMANDS[args.command]
     out = args.out or f"{args.command}_results.{fmt}"
     try:
-        config = load_config(args.config, args.command, args.seed)
+        config = load_config(args.config, args.command, getattr(args, "seed", None))
         return runner(config, out, max(1, args.jobs))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

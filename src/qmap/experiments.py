@@ -85,12 +85,7 @@ def build_model(spec: dict) -> SourceModel:
     if kind == "pc_markov":
         return PiecewiseConstant(float(spec["p"]))
     if kind == "table_markov":
-        if "path" in spec:
-            with open(spec["path"], "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        else:
-            doc = spec["kernel"]
-        return TableMarkov(kernel_from_json(doc))
+        return TableMarkov(kernel_from_json(spec["kernel"]))
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -121,24 +116,19 @@ def _stages(config: dict, spec: dict, projector, kernel, m: int) -> list:
     """The PGD runs of one trial, in order, as (alphabet, PgdConfig) pairs.
 
     "single" is one run of projector on the target grid, the alphabet of
-    kernel.  "homotopy" grows the l0 budget s stepwise on the solve grid (the
-    same range at 12 bits, or b if finer), then polishes with projector on
-    the target grid at a rising step size."""
+    kernel, at the paired step (mu = None).  "homotopy" grows the l0 budget
+    s stepwise on the solve grid (the same range at 12 bits, or b if finer),
+    then polishes with projector on the target grid at a rising step size."""
     alphabet = kernel.alphabet
     schedule = _schedule(config, spec)
     if schedule == "single":
-        mu = config.get("mu")
-        return [(alphabet, PgdConfig(
-            projector, None if mu is None else float(mu), int(config.get("max_iters", 200)),
-        ))]
+        return [(alphabet, PgdConfig(projector, max_iters=int(config.get("max_iters", 200))))]
     if schedule != "homotopy":
         raise ValueError(f"unknown schedule {schedule!r}")
     if spec["kind"] != "l0":
         raise ValueError("the homotopy schedule requires the l0 projector")
-    for key in ("mu", "max_iters"):
-        if key in config:
-            # the homotopy stages set their own step sizes and budgets
-            raise ValueError(f"config {key} applies to the single schedule only, not homotopy")
+    if "max_iters" in config:  # the homotopy stages set their own budgets
+        raise ValueError("config max_iters applies to the single schedule only, not homotopy")
     fine = build_alphabet(alphabet.lo, alphabet.hi, max(alphabet.b, HOMOTOPY_SOLVE_B))
     s_final = int(spec["s"])
     grow = sorted({max(1, math.ceil(s_final * j / 10)) for j in range(1, 11)})
@@ -258,7 +248,7 @@ def run_phase(config: dict, jobs: int = 1) -> list[dict]:
     processes."""
     n = int(config["n"])
     b = int(config["b"])
-    p_grid = config.get("p_grid") or [config["model"]["p"]]
+    p_grid = config.get("p_grid", [config["model"]["p"]])
     cells = []
     for p in p_grid:
         for frac in config["m_over_n"]:

@@ -124,10 +124,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert constant in capsys.readouterr().err
         assert not out.exists()
 
-    # keys that no code path reads, and trial keys that phase sets itself
+    # keys that no code path reads, and trial keys that phase sets itself: a
+    # single run takes the paired step, and infodim draws nothing
     for command, cfg, key in (
         ("recover", dict(RECOVER_CFG, solve_b=12), "solve_b"),
         ("recover", dict(RECOVER_CFG, delta=0.1), "delta"),
+        ("recover", dict(RECOVER_CFG, mu=0.5), "mu"),
+        ("phase", dict(PHASE_CFG, mu=0.5), "mu"),
+        ("infodim", dict(INFODIM_CFG, seed=1), "seed"),
         # every iterate is a grid point: a run stops only on an exact repeat
         ("recover", dict(RECOVER_CFG, stop_tol=0.0), "stop_tol"),
         ("phase", dict(PHASE_CFG, stop_tol=0.1), "stop_tol"),
@@ -146,14 +150,34 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert run(["phase", "--config", write_cfg(tmp_path, "t.json", cfg)]) == 2
         assert "'table_markov' is not one of" in capsys.readouterr().err
 
-    # project searches the model kernel's grid, so it takes no lo or hi
+    # p_grid lists the p of each cell; null and [] used to run the model's p
+    for p_grid, message in ((None, "None is not of type 'array'"), ([], "[] should be non-empty")):
+        cfg = dict(PHASE_CFG, p_grid=p_grid)
+        assert run(["phase", "--config", write_cfg(tmp_path, "pg.json", cfg)]) == 2
+        assert f"p_grid: {message}" in capsys.readouterr().err
+
+    # project searches the model kernel's grid, so it takes no lo or hi, and
+    # it draws nothing, so it takes no seed
     vec = tmp_path / "vec.csv"
     vec.write_text("0.1\n0.6\n")
-    for key in ("lo", "hi"):
+    for key in ("lo", "hi", "seed"):
         cfg = {"input": str(vec), "model": {"kind": "pc_markov", "p": 0.3}, "b": 2,
                "projector": {"kind": "lagrangian", "alpha": 0.01}, key: 0.0}
         assert run(["project", "--config", write_cfg(tmp_path, "lh.json", cfg)]) == 2
         assert f"'{key}' was unexpected" in capsys.readouterr().err
+
+    # an inline kernel is checked before it is read: a malformed one used to
+    # exit 1 with a KeyError
+    for row, message in (
+        (None, "model/kernel: 'b' is a required property"),
+        ({"context": []}, "model/kernel/rows/0: 'probs' is a required property"),
+        ({"context": [], "probs": [0.75, 0.25], "weight": 1},
+         "model/kernel/rows/0: Additional properties are not allowed ('weight' was unexpected)"),
+    ):
+        kernel = {} if row is None else {"b": 1, "k": 0, "lo": 0.0, "hi": 1.0, "rows": [row]}
+        cfg = dict(INFODIM_CFG, model={"kind": "table_markov", "kernel": kernel})
+        assert run(["infodim", "--config", write_cfg(tmp_path, "kn.json", cfg)]) == 2
+        assert message in capsys.readouterr().err
 
 
 # a prior on [0, 0.5): two symbols, 0 and 0.25, at b=2
@@ -192,7 +216,7 @@ def test_table_kernel_grid_is_the_search_space(tmp_path):
     ("recover", dict(RECOVER_CFG, projector={"kind": "lagrangian"}), "alpha"),
     ("recover", dict(RECOVER_CFG, model={"kind": "spike_slab"}), "p"),
     ("phase", dict(PHASE_CFG, model={"kind": "pc_markov"}), "p"),
-    ("infodim", dict(INFODIM_CFG, model={"kind": "table_markov"}), "path"),
+    ("infodim", dict(INFODIM_CFG, model={"kind": "table_markov"}), "kernel"),
     ("project", dict(PROJECT_CFG, projector={"kind": "constrained"}), "gamma"),
     ("project", dict(PROJECT_CFG, projector={"kind": "lagrangian"}), "alpha"),
 ])
@@ -220,13 +244,15 @@ def test_missing_per_kind_field_is_a_config_error(tmp_path, capsys, command, cfg
     ("recover", dict(RECOVER_CFG, model={"kind": "spike_slab", "p": 0.05, "path": "x"}), "path"),
     ("recover", dict(RECOVER_CFG, model={"kind": "spike_slab", "p": 0.05, "kernel": {}}),
      "kernel"),
-    ("infodim", dict(INFODIM_CFG, model={"kind": "table_markov", "path": "x", "p": 0.1}), "p"),
-    ("infodim", dict(INFODIM_CFG, model={"kind": "table_markov", "path": "x",
-                                         "kernel": {}}), "path"),
+    ("infodim", dict(INFODIM_CFG, model=dict(HALF_TABLE, p=0.1)), "p"),
+    ("infodim", dict(INFODIM_CFG, model=dict(HALF_TABLE, path="x")), "path"),
     ("project", dict(PROJECT_CFG, projector={"kind": "constrained", "gamma": 1.0,
                                              "alpha": 0.1}), "alpha"),
     ("project", dict(PROJECT_CFG, projector={"kind": "lagrangian", "alpha": 0.1,
                                              "gamma": 1.0}), "gamma"),
+    # a constrained budget in recover and phase comes from delta
+    ("recover", dict(RECOVER_CFG, projector={"kind": "constrained", "gamma": 1.0}), "gamma"),
+    ("phase", dict(PHASE_CFG, projector={"kind": "constrained", "gamma": 1.0}), "gamma"),
 ])
 def test_key_the_kind_ignores_is_a_config_error(tmp_path, capsys, command, cfg, key):
     if command == "project":
@@ -257,13 +283,23 @@ def test_k_differing_from_model_order_exits_1(tmp_path, capsys):
         assert "error: ValueError: config k=1 differs from the model's memory order k=0" in err
 
 
-@pytest.mark.parametrize("key,value", [("mu", 0.5), ("max_iters", 5)])
+@pytest.mark.parametrize("key,value", [("max_iters", 5)])
 def test_homotopy_run_with_a_single_schedule_key_exits_1(tmp_path, capsys, key, value):
     for command, cfg in (("recover", RECOVER_CFG), ("phase", PHASE_CFG)):
         path = write_cfg(tmp_path, f"{command}_{key}.json", dict(cfg, **{key: value}))
         assert run([command, "--config", path, "--out", tmp_path / "h.out", "--jobs", 1]) == 1
         err = capsys.readouterr().err
         assert f"error: ValueError: config {key} applies to the single schedule only" in err
+
+
+@pytest.mark.parametrize("command", ["infodim", "project"])
+def test_seed_flag_only_on_commands_that_draw(capsys, command):
+    # infodim and project draw nothing, so --seed would change only the
+    # provenance line
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--config", "c.json", "--jobs", 1, "--seed", 5])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_validate_failure_exits_1(tmp_path, monkeypatch):

@@ -36,7 +36,10 @@ BASES += [
                      projector={"kind": "lagrangian", "alpha": 0.01})),
     ("project", dict(PROJECT_CFG, input="vec.csv",
                      projector={"kind": "constrained", "gamma": 0.5})),
-    ("infodim", dict(INFODIM_CFG, model={"kind": "table_markov", "path": "k.json"})),
+    ("infodim", dict(INFODIM_CFG, model={"kind": "table_markov", "kernel": {
+        "b": 1, "k": 1, "lo": 0.0, "hi": 1.0,
+        "rows": [{"context": [0], "probs": [0.9, 0.1]}, {"context": [1], "probs": [0.2, 0.8]}],
+    }})),
 ]
 # pytest numbers these parameters by position.  The shipped project configs
 # came to configs/ last, so they go last: each earlier number keeps naming
@@ -47,8 +50,8 @@ assert {command for command, _ in BASES} == set(COMMANDS)
 KINDS = ["spike_slab", "pc_markov", "table_markov", "l0", "constrained", "lagrangian",
          "unit", "normalized", "single", "homotopy", "bogus"]
 KEYS = ["bogus", "kind", "p", "path", "kernel", "s", "gamma", "delta", "alpha", "m", "n",
-        "b", "k", "seed", "trials", "sigma", "mu", "lo", "hi", "f_min", "p_grid",
-        "m_over_n", "chi_square", "f_minimax", "g", "epsilon", "alpha_points"]
+        "b", "k", "seed", "trials", "sigma", "mu", "lo", "hi", "rows", "probs", "f_min",
+        "p_grid", "m_over_n", "chi_square", "f_minimax", "g", "epsilon", "alpha_points"]
 VALUES = st.one_of(
     st.sampled_from([None, True, False, 0, 1, 2, 3, -1, 0.0, 0.5, 1.0, 2.0, -0.5, 1.5,
                      1e9, -1e-300, "x", [], [0.5], [0, 2], [0.5, 1.5], {}, {"kind": "l0"}]),
@@ -132,8 +135,10 @@ def test_integer_and_number_semantics(value):
     ("additionalProperties", {"type": "string"}),
     ("enum", ["a", 1]),
     ("type", "int"),
+    ("not", {"type": "string"}),
+    ("else", {"type": "string"}),
 ])
 def test_unsupported_keyword_raises(keyword, arg):
     schema = {"type": "object", "properties": {"a": {"type": "string", keyword: arg}}}
-    with pytest.raises(NotImplementedError, match=keyword):
+    with pytest.raises(NotImplementedError, match=f"keyword '{keyword}'"):
         cli._check_keywords(schema)
