@@ -33,15 +33,15 @@ class ConfigError(Exception):
 # The schema checker.  It implements the draft 2020-12 keywords below with
 # jsonschema's semantics and message wording: 2.0 is an integer, a bool is
 # neither an integer nor a number, numeric bounds apply to numbers only, and
-# unevaluatedProperties counts the properties evaluated through $ref, allOf
-# and if/then.  Errors are (path, message) pairs in jsonschema's order.
+# unevaluatedProperties counts the properties evaluated through properties
+# and $ref (no schema puts it beside allOf or if/then).  Errors are (path,
+# message) pairs in jsonschema's order.
 
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
-    "null": lambda v: v is None,
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
                           or isinstance(v, float) and v.is_integer()),
@@ -172,12 +172,6 @@ def _evaluated(value: dict, schema: dict, doc: dict) -> set:
     keys = value.keys() & schema.get("properties", {}).keys()
     if "$ref" in schema:
         keys |= _evaluated(value, *_resolve(schema["$ref"], doc))
-    for subschema in schema.get("allOf", ()):
-        if _valid(value, subschema, doc):
-            keys |= _evaluated(value, subschema, doc)
-    if "if" in schema and _valid(value, schema["if"], doc):
-        keys |= _evaluated(value, schema["if"], doc)
-        keys |= _evaluated(value, schema.get("then", {}), doc)
     return keys
 
 

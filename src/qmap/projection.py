@@ -261,10 +261,12 @@ def project_constrained(
     the trellis sums it in floats from the back, is least.  Near a midpoint
     that can be the lower neighbour where nearest_index rounds up.  It is
     the alpha = 0 pass whenever that has finite cost, and it is returned if
-    feasible.  Otherwise the search brackets gamma by an infeasible left
-    end L, this first pass, and a feasible right end R: the alpha_max pass
-    is R if feasible, else it is L and the minimum-cost path is R.  Every
-    further pass is at the alpha where L and R tie,
+    feasible.  Otherwise the search brackets gamma between the two limits
+    of alpha: an infeasible left end L, this first pass, and a feasible
+    right end R, the alpha -> inf limit, which is the minimum-cost pass
+    (distortion scaled by 0).  If that pass is infeasible too, no sequence
+    fits and InfeasibleProjection carries its cost.  Every further pass is
+    at the alpha where L and R tie,
 
         alpha = (d_R - d_L) / ((c_L - c_R) * (n - k)),
 
@@ -298,18 +300,12 @@ def project_constrained(
     left = sweep_pass(project_lagrangian(x, allowed, alphabet, alpha=1.0))
     right = left
     if left.cost > gamma:
-        alpha_max = 2.0 * w.max_finite() * len(x)
-        if alpha_max <= 0:
-            alpha_max = 1.0
-        right = sweep_pass(project_lagrangian(x, w, alphabet, alpha_max))
+        # alpha -> inf: the minimum-cost path, distortion ignored
+        right = sweep_pass(project_lagrangian(x, w, alphabet, 1.0, dist_scale=0.0))
         if right.cost > gamma:
-            left = right
-            # the minimum-cost path: distortion ignored
-            right = sweep_pass(project_lagrangian(x, w, alphabet, 1.0, dist_scale=0.0))
-            if right.cost > gamma:
-                raise InfeasibleProjection(
-                    f"no sequence attains cost <= {gamma}", min_cost=right.cost
-                )
+            raise InfeasibleProjection(
+                f"no sequence attains cost <= {gamma}", min_cost=right.cost
+            )
 
     windows = len(x) - w.k
     while right.distortion > left.distortion:

@@ -69,7 +69,7 @@ class QuantKernel:
         bad = (np.abs(sums - 1.0) > _ROW_TOL) & ((sums != 0.0) | (self.marginal != 0.0))
         if np.any(bad):
             ctx = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise ValueError(f"row for context {ctx} sums to {sums[ctx]!r}, not 1")
+            raise ValueError(f"row for context {ctx} sums to {float(sums[ctx])!r}, not 1")
         total = float(self.marginal.sum())
         if abs(total - 1.0) > _ROW_TOL:
             raise ValueError(f"context marginal sums to {total!r}, not 1")
@@ -99,10 +99,6 @@ class WeightTable:
             raise ValueError(f"weight array shape {self.w.shape} != {(s,) * (self.k + 1)}")
         if np.any(self.w[np.isfinite(self.w)] < -1e-12):
             raise ValueError("weights must be nonnegative")
-
-    def max_finite(self) -> float:
-        finite = self.w[np.isfinite(self.w)]
-        return float(finite.max()) if finite.size else 0.0
 
 
 def sample_path(model: SourceModel, n: int, seed: int) -> np.ndarray:

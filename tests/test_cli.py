@@ -272,6 +272,14 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     })
     assert run(["project", "--config", pcfg, "--out", tmp_path / "x.csv"]) == 1
     assert "error" in capsys.readouterr().err
+    # a kernel row that does not sum to 1 names the sum as a number, not as
+    # numpy's repr of a scalar
+    kernel = {"b": 1, "k": 0, "lo": 0.0, "hi": 1.0,
+              "rows": [{"context": [], "probs": [0.5, 0.2]}]}
+    icfg = write_cfg(tmp_path, "i.json", dict(INFODIM_CFG, model={"kind": "table_markov",
+                                                                  "kernel": kernel}))
+    assert run(["infodim", "--config", icfg, "--out", tmp_path / "i.csv"]) == 1
+    assert "error: ValueError: row for context () sums to 0.7, not 1" in capsys.readouterr().err
 
 
 def test_k_differing_from_model_order_exits_1(tmp_path, capsys):

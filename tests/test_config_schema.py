@@ -137,6 +137,7 @@ def test_integer_and_number_semantics(value):
     ("type", "int"),
     ("not", {"type": "string"}),
     ("else", {"type": "string"}),
+    ("type", "null"),
 ])
 def test_unsupported_keyword_raises(keyword, arg):
     schema = {"type": "object", "properties": {"a": {"type": "string", keyword: arg}}}

@@ -21,7 +21,7 @@ from oracles import (
     weight_gap,
 )
 from qmap.empirics import complexity_cost
-from qmap.experiments import build_model
+from qmap.experiments import build_model, run_recover
 from qmap.projection import (
     InfeasibleProjection,
     ProblemTooLarge,
@@ -43,12 +43,13 @@ from qmap.sources import (
 def count_viterbi_passes(monkeypatch) -> list:
     """Count project_lagrangian calls made through qmap.projection: one per
     pass of the constrained breakpoint search.  Returns a list that grows by
-    one entry per call."""
+    one entry per call, the pass's dist_scale (0.0 for the minimum-cost
+    pass)."""
     calls = []
     real = projection.project_lagrangian
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(kwargs.get("dist_scale", 1.0))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(projection, "project_lagrangian", counted)
@@ -178,14 +179,14 @@ def stay_or_jump_cases(draw):
         x = rng.choice(points, n)
     else:
         x = np.full(n, draw(st.sampled_from(points.tolist())))
-    # the last is the alpha_max of the breakpoint search, where most states hold
-    alpha = draw(st.sampled_from([0.0, 0.0625, 0.5, 1.0, 4.0, 2.0 * w.max_finite() * n]))
+    # the last, 2 * jump * n, is large enough that most states hold
+    alpha = draw(st.sampled_from([0.0, 0.0625, 0.5, 1.0, 4.0, 2.0 * jump * n]))
     return x, w, alpha
 
 
 @settings(max_examples=300, deadline=None)
 @given(stay_or_jump_cases(), st.sampled_from([1.0, 0.0]))
-def test_stay_or_jump_pass_matches_dense_and_bruteforce(case, dist_scale):
+def test_lagrangian_on_stay_or_jump_tables_matches_bruteforce(case, dist_scale):
     x, w, alpha = case
     u = project_lagrangian(x, w, w.alphabet, alpha, dist_scale)
     assert u.dtype == np.int64
@@ -337,7 +338,7 @@ def constrained_cases(draw):
     w = random_weight_table(rng, size, k, inf_frac=draw(st.sampled_from([0.0, 0.2, 0.5])))
     # dyadic weights keep every raw cost exact, so the projector's cost and
     # the enumeration's agree to the bit at the budget; small weights put
-    # breakpoints above alpha_max, where the minimum-cost path takes over
+    # breakpoints at large alpha, next to the minimum-cost end of the bracket
     scale = draw(st.sampled_from([4.0, 64.0]))
     w.w[np.isfinite(w.w)] = np.round(w.w[np.isfinite(w.w)] * 4) / scale
     if draw(st.booleans()):
@@ -421,7 +422,9 @@ def test_constrained_pass_count_on_piecewise_constant_path(monkeypatch):
     passes = count_viterbi_passes(monkeypatch)
     u = project_constrained(x, w, w.alphabet, gamma)
     assert complexity_cost(u, w) <= gamma
-    assert len(passes) == 11
+    # the alpha -> 0+ pass, the minimum-cost pass, then bisection passes
+    assert len(passes) == 12
+    assert passes[:2] == [1.0, 0.0] and set(passes[2:]) == {1.0}
     # every pass, the alpha -> 0+ one too, hands each block to the dense step
     blocks = -(-(n - 1) // projection.VITERBI_BLOCK)
     assert len(dense) == len(passes) * blocks
@@ -614,7 +617,7 @@ def test_stay_or_jump_step_hand_cases(case):
     if case == "holds":
         w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), 3))
         x = np.full(100, 0.3) + np.random.default_rng(1).normal(0.0, 0.1, 100)
-        alpha, expect = 2.0 * w.max_finite() * 100, None
+        alpha, expect = 2.0 * w.w.max() * 100, None
     elif case == "must jump":
         # holding 0 through the last three positions costs more than one jump
         w = stay_or_jump_table(4, 0.5, 2.0)
@@ -634,12 +637,12 @@ def test_stay_or_jump_step_hand_cases(case):
         assert len(set(u.tolist())) == 1
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "too far", "n <= k", "too large", "another grid",
-                                 "inf alpha", "alpha overflows a weight"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "too far", "n <= k", "too large", "another grid"])
 def test_closed_form_passes_raise_what_the_trellis_raises(bad, monkeypatch):
-    # the end passes of the breakpoint search are trellis passes, and so
-    # fail as a trellis pass fails.  The search runs on tables that are not
-    # stay-or-jump: here a pc_markov table with one jump weight raised
+    # the end passes of the breakpoint search, its alpha -> 0+ and
+    # minimum-cost passes, are trellis passes, and so fail as a trellis pass
+    # fails.  The search runs on tables that are not stay-or-jump: here a
+    # pc_markov table with one jump weight raised
     w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.3), 2))
     w.w[0, 1] += 1.0
     ab = w.alphabet
@@ -650,21 +653,29 @@ def test_closed_form_passes_raise_what_the_trellis_raises(bad, monkeypatch):
         x = x[:1]
     elif bad == "too large":
         monkeypatch.setattr(projection, "MAX_TRELLIS_CELLS", len(x) * ab.size - 1)
-    elif bad == "another grid":
-        ab = build_alphabet(0, 1, 3)
     else:
-        # a jump weight whose alpha_max, 2 * jump * n, is inf, or scales
-        # the jump weight to inf
-        w = stay_or_jump_table(4, 0.0, 2e307 if bad == "inf alpha" else 1e160)
-        w.w[0, 1] = 1.0
-        ab = w.alphabet
-    alpha_max = 2.0 * w.max_finite() * len(x)
+        ab = build_alphabet(0, 1, 3)
     with pytest.raises(ValueError) as want:
-        project_lagrangian(x, w, ab, alpha_max)
+        project_lagrangian(x, w, ab, 1.0)
     with pytest.raises(type(want.value)) as got:
         project_constrained(x, w, ab, 0.0)
     assert str(got.value) == str(want.value)
-    assert "alpha" in str(got.value) or "alpha" not in bad
+
+
+@pytest.mark.parametrize("jump", [2e307, 1e160])
+def test_search_on_huge_jump_weights_matches_bruteforce(jump, monkeypatch):
+    # every constant sequence costs 0, so a budget of 0 is feasible.  The
+    # search used to take a third end, alpha = 2 * jump * n, which is inf
+    # at 2e307 and scales the jump weight to inf at 1e160: both raised a
+    # ValueError.  Its ends are now the alpha -> 0+ and minimum-cost passes
+    w = stay_or_jump_table(4, 0.0, jump)
+    w.w[0, 1] = 1.0
+    x = np.array([0.1, 0.6, 0.62, 0.3, 0.9, 0.2])
+    passes = count_viterbi_passes(monkeypatch)
+    u = project_constrained(x, w, w.alphabet, 0.0)
+    assert u.tobytes() == project_bruteforce(x, w, w.alphabet, gamma=0.0).tobytes()
+    assert u.tolist() == [2] * 6 and complexity_cost(u, w) == 0.0
+    assert passes[:2] == [1.0, 0.0] and set(passes[2:]) == {1.0}
 
 
 def test_constrained_starts_at_the_nearest_finite_cost_sequence(monkeypatch):
@@ -680,6 +691,16 @@ def test_constrained_starts_at_the_nearest_finite_cost_sequence(monkeypatch):
     u = project_constrained(x, w, w.alphabet, 5.0)
     assert len(passes) == 1
     assert u.dtype == np.int64 and u.tolist() == [1, 2, 2, 1, 1, 2]
+
+
+def test_recover_table_config_pass_count(monkeypatch):
+    # the only shipped config whose table is not stay-or-jump: every PGD
+    # iteration of its constrained projector runs the breakpoint search
+    root = Path(__file__).resolve().parents[1]
+    config = json.loads((root / "configs" / "recover_table.json").read_text("utf-8"))
+    passes = count_viterbi_passes(monkeypatch)
+    run_recover(config, jobs=1)
+    assert len(passes) == 258
 
 
 def test_viterbi_projectors_refuse_a_table_on_another_grid():
