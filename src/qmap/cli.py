@@ -221,7 +221,7 @@ def load_config(path: str, command: str, seed_override: int | None) -> dict:
 def cmd_recover(config: dict, out: str, jobs: int) -> int:
     t0 = time.perf_counter()
     rows = experiments.run_recover(config, jobs=jobs)
-    experiments.write_csv(out, experiments.RECOVER_COLUMNS, rows, config)
+    experiments.write_csv(out, rows, config)
     print(
         f"recover: {len(rows)} trials -> {out} "
         f"({1000 * (time.perf_counter() - t0):.0f} ms wall)",
@@ -232,14 +232,14 @@ def cmd_recover(config: dict, out: str, jobs: int) -> int:
 
 def cmd_phase(config: dict, out: str, jobs: int) -> int:
     rows = experiments.run_phase(config, jobs=jobs)
-    experiments.write_csv(out, experiments.PHASE_COLUMNS, rows, config)
+    experiments.write_csv(out, rows, config)
     print(f"phase: {len(rows)} cells -> {out}", file=sys.stderr)
     return 0
 
 
 def cmd_infodim(config: dict, out: str, jobs: int) -> int:
     rows = experiments.run_infodim(config)
-    experiments.write_csv(out, experiments.INFODIM_COLUMNS, rows, config)
+    experiments.write_csv(out, rows, config)
     for row in rows:
         print(f"b={row['b']:>3}  H/b={row['ratio']!r}")
     if rows and rows[0]["spike_slab_limit"] != "":
@@ -258,7 +258,7 @@ def cmd_validate(config: dict, out: str, jobs: int) -> int:
 
 def cmd_project(config: dict, out: str, jobs: int) -> int:
     rows = experiments.run_project(config)
-    experiments.write_csv(out, experiments.PROJECT_COLUMNS, rows, config)
+    experiments.write_csv(out, rows, config)
     print(f"project: {len(rows)} coordinates -> {out}", file=sys.stderr)
     return 0
 

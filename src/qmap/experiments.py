@@ -6,16 +6,17 @@ derived with SeedSequence([seed, trial_index]), results are gathered in
 trial order, and files are written with locale-free formatting, so outputs
 are byte-identical across reruns and across worker-pool sizes.
 
-Recovery protocol.  The convergence theory pairs the step 1/m with unit
-Gaussian designs but needs many more measurements than the interesting
-desk-scale regime; at m close to n times the information dimension a single
+Recovery protocol.  Every step is a multiple mu of the step the convergence
+theory pairs with the design (SenseMatrix.step_size: 1/m for unit entries,
+n/m for 1/n-variance ones), which needs many more measurements than the
+desk-scale regime; at m near n times the information dimension a single
 constant-step run either cycles (large mu; every iterate is a grid point,
-so no run can diverge) or freezes on the quantization grid (small mu).  The default "homotopy" schedule therefore chains plain
-constant-step PGD runs: the sparsity budget grows stepwise at a fine solve
-grid (where the quantization dead zone is negligible, and which contains
-the target grid), and a short step-size ladder at the target grid snaps the
-estimate onto it.  Every stage is an ordinary PGD run warm-started from the
-previous stage's output.
+so no run can diverge) or freezes on the quantization grid (small mu).
+"single" runs at mu = 1.  The default "homotopy" chains plain PGD runs: the
+sparsity budget grows stepwise at mu = 0.5 on a fine solve grid (where the
+quantization dead zone is negligible, and which contains the target grid),
+then mu = 0.7 and 1.0 on the target grid snap the estimate onto it.  Every
+stage is an ordinary PGD run warm-started from the previous stage's output.
 """
 
 from __future__ import annotations
@@ -112,11 +113,12 @@ def _schedule(config: dict, spec: dict) -> str:
     return config.get("schedule", "homotopy" if spec["kind"] == "l0" else "single")
 
 
-def _stages(config: dict, spec: dict, projector, kernel, m: int) -> list:
-    """The PGD runs of one trial, in order, as (alphabet, PgdConfig) pairs.
+def _stages(config: dict, spec: dict, projector, kernel) -> list:
+    """The PGD runs of one trial, in order, as (alphabet, PgdConfig) pairs;
+    each PgdConfig.mu is a multiple of the design's paired step.
 
     "single" is one run of projector on the target grid, the alphabet of
-    kernel, at the paired step (mu = None).  "homotopy" grows the l0 budget
+    kernel, at the paired step (mu = 1).  "homotopy" grows the l0 budget
     s stepwise on the solve grid (the same range at 12 bits, or b if finer),
     then polishes with projector on the target grid at a rising step size."""
     alphabet = kernel.alphabet
@@ -135,10 +137,10 @@ def _stages(config: dict, spec: dict, projector, kernel, m: int) -> list:
     budgets = [(s, HOMOTOPY_GROW_ITERS) for s in grow] + [(s_final, HOMOTOPY_FINAL_ITERS)]
     stages = [
         (fine, PgdConfig(build_projector({"kind": "l0", "s": s}, kernel, fine),
-                         HOMOTOPY_GROW_MU / m, iters))
+                         HOMOTOPY_GROW_MU, iters))
         for s, iters in budgets
     ]
-    stages += [(alphabet, PgdConfig(projector, mu / m, iters)) for mu, iters in HOMOTOPY_POLISH]
+    stages += [(alphabet, PgdConfig(projector, mu, iters)) for mu, iters in HOMOTOPY_POLISH]
     return stages
 
 
@@ -190,7 +192,7 @@ def run_recovery_trials(config: dict, indices) -> list[dict]:
     iters = [0] * len(designs)
     ests = None
     best = [None] * len(designs)  # (residual, estimate) of the best target-grid stage end
-    for stage_alphabet, cfg in _stages(config, spec, projector, kernel, m):
+    for stage_alphabet, cfg in _stages(config, spec, projector, kernel):
         if ests is not None:
             cfg = replace(cfg, start=nearest_index(stage_alphabet, ests))
         if stacked:
@@ -236,12 +238,6 @@ def run_recover(config: dict, jobs: int = 1) -> list[dict]:
     return [row for rows in blocks for row in rows]
 
 
-RECOVER_COLUMNS = [
-    "trial", "seed", "n", "m", "b", "k", "sigma", "iters",
-    "final_err_quantized", "final_err_analog", "residual",
-]
-
-
 def run_phase(config: dict, jobs: int = 1) -> list[dict]:
     """Success rate per (m/n, model parameter) cell.  The trials of every
     cell run in blocks, and jobs spreads the blocks of all cells over worker
@@ -277,9 +273,6 @@ def run_phase(config: dict, jobs: int = 1) -> list[dict]:
     return rows
 
 
-PHASE_COLUMNS = ["m_over_n", "m", "p", "d_k_ref", "trials", "successes", "success_rate"]
-
-
 def run_infodim(config: dict) -> list[dict]:
     model = build_model(config["model"])
     k = int(config["k"])
@@ -289,9 +282,6 @@ def run_infodim(config: dict) -> list[dict]:
         {"b": b, "ratio": ratio, "k": k, "spike_slab_limit": limit}
         for b, ratio in curve
     ]
-
-
-INFODIM_COLUMNS = ["b", "ratio", "k", "spike_slab_limit"]
 
 
 def run_validate(config: dict) -> dict:
@@ -356,9 +346,6 @@ def run_project(config: dict) -> list[dict]:
     ]
 
 
-PROJECT_COLUMNS = ["i", "x", "value", "symbol"]
-
-
 def _read_vector(path: str) -> np.ndarray:
     values = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -377,9 +364,11 @@ def format_value(v) -> str:
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
-def write_csv(path: str, columns: list[str], rows: list[dict], config: dict) -> None:
-    """UTF-8 CSV with a header row; the originating config is embedded as a
-    leading comment line so every result file carries its provenance."""
+def write_csv(path: str, rows: list[dict], config: dict) -> None:
+    """UTF-8 CSV whose header row is the keys of the rows, in the order of
+    the first; the originating config is embedded as a leading comment line
+    so every result file carries its provenance."""
+    columns = list(rows[0])
     lines = ["# config=" + canonical_json(config), ",".join(columns)]
     lines += [",".join([format_value(row[c]) for c in columns]) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -270,11 +270,13 @@ def project_constrained(
 
         alpha = (d_R - d_L) / ((c_L - c_R) * (n - k)),
 
-    and a result strictly inside the bracket, or of lower distortion at an
-    end's cost, replaces the end on its side of gamma.  Otherwise L-R is a
-    hull edge and R is returned.  Every pass shrinks the bracket, so the
-    search is finite.  When the constrained optimum is not a hull vertex (a
-    duality gap) the best feasible vertex is returned instead.
+    (as distortion / alpha + w where alpha times a finite weight
+    overflows), and a result strictly inside the bracket, or of lower
+    distortion at an end's cost, replaces the end on its side of gamma.
+    Otherwise L-R is a hull edge and R is returned.  Every pass shrinks the
+    bracket, so the search is finite.  When the constrained optimum is not a
+    hull vertex (a duality gap) the best feasible vertex is returned
+    instead.
     """
     _check_same_grid(w, alphabet)
     x = _finite_vector(x)
@@ -308,9 +310,15 @@ def project_constrained(
             )
 
     windows = len(x) - w.k
+    top = float(w.w[np.isfinite(w.w)].max())  # the left end has finite cost
     while right.distortion > left.distortion:
         alpha = (right.distortion - left.distortion) / ((left.cost - right.cost) * windows)
-        point = sweep_pass(project_lagrangian(x, w, alphabet, alpha))
+        if math.isinf(alpha * top):
+            # alpha * w overflows: distortion / alpha + w has the same minimiser
+            u = project_lagrangian(x, w, alphabet, 1.0, dist_scale=1.0 / alpha)
+        else:
+            u = project_lagrangian(x, w, alphabet, alpha)
+        point = sweep_pass(u)
         end = right if point.cost <= gamma else left
         inside = right.cost < point.cost < left.cost
         if not (inside or (point.cost == end.cost and point.distortion < end.distortion)):

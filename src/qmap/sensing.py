@@ -14,8 +14,8 @@ SCALES = ("unit", "normalized")
 class SenseMatrix:
     """Design matrix with i.i.d. normal entries.
 
-    scale 'unit' means N(0,1) entries (step size 1/m); 'normalized' means
-    N(0,1/n) entries (step size n/m).
+    scale 'unit' means N(0,1) entries (paired step 1/m); 'normalized'
+    means N(0,1/n) entries (paired step n/m).
     """
 
     m: int
@@ -29,10 +29,10 @@ class SenseMatrix:
         if self.entries.shape != (self.m, self.n):
             raise ValueError(f"entries shape {self.entries.shape} != ({self.m}, {self.n})")
 
-    @property
-    def paired_step(self) -> float:
-        """Step size the convergence analysis pairs with this scaling."""
-        return 1.0 / self.m if self.scale == "unit" else self.n / self.m
+    def step_size(self, mu: float = 1.0) -> float:
+        """mu times the step the convergence analysis pairs with this scaling,
+        as mu / m or mu * n / m (mu * (1 / m) can round otherwise)."""
+        return mu / self.m if self.scale == "unit" else mu * self.n / self.m
 
 
 def gen_gaussian(m: int, n: int, scale: str, seed: int) -> SenseMatrix:

@@ -2,9 +2,10 @@
 
 One iteration moves the estimate toward the measurement hyperplane,
 
-    S(t+1) = Xhat(t) + mu * A^T (y - A Xhat(t)),
+    S(t+1) = Xhat(t) + step * A^T (y - A Xhat(t)),
 
-then projects S(t+1) back onto the chosen feasible set (hard complexity
+where step is mu times the step paired with the design's scaling, then
+projects S(t+1) back onto the chosen feasible set (hard complexity
 budget, Lagrangian penalty, or sparsity budget).  The projection is one
 fixed map from the step vector to the grid, built by the caller.  The
 iteration starts from the all-zero vector; the first projection restores
@@ -40,14 +41,15 @@ class PgdConfig:
     pgd_solve_stack it maps a (rows, n) stack of step vectors row by row,
     as project_l0 does, and start is a (T, n) array.
 
-    mu = None takes the step size paired with the matrix scaling (1/m for
-    unit-variance entries, n/m for 1/n-variance entries).  There is no
-    stop tolerance: every iterate is a grid point, so a run stops early
-    only when its iterate repeats exactly (see PgdTrace.status).
+    mu is a multiple of the step size paired with each design's scaling
+    (1/m for unit-variance entries, n/m for 1/n-variance entries; see
+    SenseMatrix.step_size).  There is no stop tolerance: every iterate is a
+    grid point, so a run stops early only when its iterate repeats exactly
+    (see PgdTrace.status).
     """
 
     projector: Callable[[np.ndarray], np.ndarray]
-    mu: Optional[float] = None
+    mu: float = 1.0
     max_iters: int = 200
     start: Optional[np.ndarray] = None  # symbol indices; default all-zero values
 
@@ -110,14 +112,15 @@ def pgd_solve_stack(
     """Run PGD on a stack of independent problems; returns ((T, n)
     estimates as grid values, one trace per row).
 
-    Row i fits ys[i] with designs[i] (all of one shape) from cfg.start[i],
-    a (T, n) array of symbol indices, and ends exactly as pgd_solve would
-    on its own: each row keeps its own residuals, status and cycle record,
-    and leaves the stack when it stops.  cfg.projector maps the step
-    vectors of the rows still running, a (rows, n) stack in row order, to
-    symbol indices row by row.  The projector cannot say which row it found
-    infeasible, so an InfeasibleProjection marks every running row
-    "infeasible" and carries the trace of the first one.
+    Row i fits ys[i] with designs[i] (all of one shape, each setting its
+    row's step) from cfg.start[i], a (T, n) array of symbol indices, and
+    ends exactly as pgd_solve would on its own: each row keeps its own
+    residuals, status and cycle record, and leaves the stack when it stops.
+    cfg.projector maps the step vectors of the rows still running, a
+    (rows, n) stack in row order, to symbol indices row by row.  The
+    projector cannot say which row it found infeasible, so an
+    InfeasibleProjection marks every running row "infeasible" and carries
+    the trace of the first one.
     """
     rows_total = len(designs)
     if rows_total < 1:
@@ -130,10 +133,9 @@ def pgd_solve_stack(
         raise ValueError(f"y has shape {ys.shape}, expected ({rows_total}, {m})")
     if not np.isfinite(ys).all():
         raise ValueError("y must be finite: NaN or inf measurements cannot be fitted")
-    mus = [cfg.mu if cfg.mu is not None else A.paired_step for A in designs]
-    for mu in mus:
-        if not (math.isfinite(mu) and mu > 0):
-            raise ValueError(f"mu must be finite and > 0, got {mu}")
+    step = np.array([A.step_size(cfg.mu) for A in designs])[:, None]
+    if not (np.isfinite(step).all() and (step > 0).all()):
+        raise ValueError(f"mu must be finite and > 0, with finite steps, got {cfg.mu}")
     if cfg.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
@@ -155,7 +157,6 @@ def pgd_solve_stack(
     # seen[i] maps each distinct iterate of row i to its first t, in order of t.
     seen = [{row.tobytes(): 0} for row in idx]
     running = list(range(rows_total))  # the rows still in the stack, in order
-    mu = np.array(mus)[:, None]
     est = alphabet.values[idx]
     resid = np.empty(m)
     grad = np.empty((rows_total, n))
@@ -173,7 +174,7 @@ def pgd_solve_stack(
     for j in running:
         record(j, j, True)
     for t in range(1, cfg.max_iters + 1):
-        steps = est + mu * grad
+        steps = est + step * grad
         try:
             # int64 as the start is, so that a repeat of the start is found
             idx = np.asarray(cfg.projector(steps), dtype=np.int64)
@@ -212,5 +213,5 @@ def pgd_solve_stack(
             running = [running[j] for j in keep]
             if not running:
                 break
-            est, grad, mu = est[keep], grad[keep], mu[keep]
+            est, grad, step = est[keep], grad[keep], step[keep]
     return out, traces

@@ -1,11 +1,11 @@
+import json
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qmap.experiments import (
-    INFODIM_COLUMNS,
-    RECOVER_COLUMNS,
     _stages,
     build_model,
     canonical_json,
@@ -21,6 +21,8 @@ from qmap.experiments import (
 from qmap.projection import project_l0
 from qmap.sources import PiecewiseConstant, SpikeSlab, TableMarkov, quantized_kernel
 from qmap.validation import f_minimax
+
+ROOT = Path(__file__).resolve().parents[1]
 
 RECOVER_CFG = {
     "model": {"kind": "spike_slab", "p": 0.05},
@@ -59,7 +61,9 @@ def test_recovery_trial_is_deterministic():
     r2 = trial_row(RECOVER_CFG, 0)
     assert r1 == r2
     assert r1["n"] == 64
-    assert set(r1) == set(RECOVER_COLUMNS)
+    # the row's keys, in order, are the header of the recover CSV
+    assert list(r1) == ["trial", "seed", "n", "m", "b", "k", "sigma", "iters",
+                        "final_err_quantized", "final_err_analog", "residual"]
 
 
 def test_run_recover_parallel_matches_serial():
@@ -86,15 +90,16 @@ def test_single_schedule_and_projectors():
 
 
 def test_homotopy_stages_of_criterion_4():
-    # s=20, b=6, m=128: the budget grows on the 12-bit solve grid, then the
-    # full budget polishes on the 6-bit target grid at a rising step size
-    b, m = 6, 128
+    # s=20, b=6: the budget grows on the 12-bit solve grid, then the full
+    # budget polishes on the 6-bit target grid at a rising step size.  Each
+    # mu is a multiple of the design's paired step
+    b = 6
     spec = {"kind": "l0", "s": 20}
     kernel = quantized_kernel(SpikeSlab(0.05), b)
     projector = partial(project_l0, alphabet=kernel.alphabet, s=20)
-    stages = _stages({"projector": spec}, spec, projector, kernel, m)
-    expected = [(12, s, 0.5 / m, 300) for s in range(2, 21, 2)]
-    expected += [(12, 20, 0.5 / m, 800), (6, 20, 0.7 / m, 60), (6, 20, 1.0 / m, 60)]
+    stages = _stages({"projector": spec}, spec, projector, kernel)
+    expected = [(12, s, 0.5, 300) for s in range(2, 21, 2)]
+    expected += [(12, 20, 0.5, 800), (6, 20, 0.7, 60), (6, 20, 1.0, 60)]
     got = []
     for stage_alphabet, cfg in stages:
         assert cfg.projector.func is project_l0
@@ -102,6 +107,16 @@ def test_homotopy_stages_of_criterion_4():
         assert cfg.start is None
         got.append((stage_alphabet.b, cfg.projector.keywords["s"], cfg.mu, cfg.max_iters))
     assert got == expected
+
+
+def test_normalized_design_homotopy_recovers_as_the_unit_one():
+    # the homotopy's steps are multiples of each design's paired step, so a
+    # 1/n-variance design steps n/m where a unit one steps 1/m.  At 0.5/m
+    # for both, the normalized recover_spike run recovered 0 of 20 trials
+    config = json.loads((ROOT / "configs" / "recover_spike.json").read_text("utf-8"))
+    rows = run_recover(dict(config, scale="normalized"))
+    assert len(rows) == 20
+    assert all(row["final_err_quantized"] == 0.0 for row in rows)
 
 
 @pytest.mark.parametrize("key,value", [("max_iters", 5)])
@@ -113,7 +128,7 @@ def test_homotopy_refuses_the_single_schedule_keys(key, value):
     projector = partial(project_l0, alphabet=kernel.alphabet, s=6)
     config = {"projector": spec, key: value}
     with pytest.raises(ValueError, match=f"config {key} applies to the single schedule only"):
-        _stages(config, spec, projector, kernel, 32)
+        _stages(config, spec, projector, kernel)
     with pytest.raises(ValueError, match=f"config {key} "):
         trial_row(dict(RECOVER_CFG, **{key: value}), 0)
 
@@ -203,7 +218,7 @@ def test_run_infodim_rows():
     assert [r["b"] for r in rows] == [4, 8]
     assert rows[0]["ratio"] > rows[1]["ratio"]
     assert rows[0]["spike_slab_limit"] == 0.1
-    assert set(rows[0]) == set(INFODIM_COLUMNS)
+    assert list(rows[0]) == ["b", "ratio", "k", "spike_slab_limit"]
 
 
 def test_run_validate_report():
@@ -228,7 +243,7 @@ def test_run_validate_report():
 def test_write_csv_embeds_config(tmp_path):
     path = tmp_path / "out.csv"
     rows = [{"a": 1, "b": 0.5}, {"a": 2, "b": float("inf")}]
-    write_csv(str(path), ["a", "b"], rows, {"seed": 3})
+    write_csv(str(path), rows, {"seed": 3})
     text = path.read_text().splitlines()
     assert text[0] == '# config={"seed":3}'
     assert text[1] == "a,b"
@@ -246,7 +261,7 @@ def test_format_value_round_trips(tmp_path):
               np.float64(2.5000000000000004), np.float32(0.25), -0.0]
     columns = [f"c{i}" for i in range(len(values))]
     path = tmp_path / "values.csv"
-    write_csv(str(path), columns, [dict(zip(columns, values))], {})
+    write_csv(str(path), [dict(zip(columns, values))], {})
     cells = path.read_text().splitlines()[2].split(",")
     assert len(cells) == len(values)
     for cell, v in zip(cells, values):

@@ -613,7 +613,7 @@ def test_jump_count_pass_is_no_worse_than_the_search():
 
 
 @pytest.mark.parametrize("case", ["holds", "must jump", "start ties a smaller jump"])
-def test_stay_or_jump_step_hand_cases(case):
+def test_lagrangian_on_stay_or_jump_tables_hand_cases(case):
     if case == "holds":
         w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), 3))
         x = np.full(100, 0.3) + np.random.default_rng(1).normal(0.0, 0.1, 100)
@@ -676,6 +676,31 @@ def test_search_on_huge_jump_weights_matches_bruteforce(jump, monkeypatch):
     assert u.tobytes() == project_bruteforce(x, w, w.alphabet, gamma=0.0).tobytes()
     assert u.tolist() == [2] * 6 and complexity_cost(u, w) == 0.0
     assert passes[:2] == [1.0, 0.0] and set(passes[2:]) == {1.0}
+
+
+def test_search_probe_whose_alpha_overflows_a_weight_matches_bruteforce(monkeypatch):
+    # the ends tie at alpha = 1.25, and 1.25 * 1.7e308 is inf: the probe
+    # minimises distortion / alpha + w, the same sequence, where it raised
+    # "alpha = 1.25 scales a finite weight to inf"
+    w = stay_or_jump_table(4, 0.0, 1.7e308)
+    w.w[0, 1] = 1.0
+    x = np.array([0.0, 0.0, 0.0, 0.75, 0.75, 0.75, 0.75])
+    passes = count_viterbi_passes(monkeypatch)
+    u = project_constrained(x, w, w.alphabet, 0.5 / 6)
+    with np.errstate(over="ignore"):  # the oracle's cost sums overflow
+        expect = project_bruteforce(x, w, w.alphabet, gamma=0.5 / 6)
+    assert u.tobytes() == expect.tobytes() and u.tolist() == [2] * 7
+    # the two ends, a probe at alpha ~ 1.3e-308, then the scaled probe
+    assert passes == [1.0, 0.0, 1.0, 1.0 / 1.25]
+    # n = 400 (alpha = 62.5 at jump 2e307): every jump costs at least
+    # 1 > 0.5 = gamma * 399, so only the constant sequences fit, and the
+    # constants 1 and 2 tie for the least distortion
+    w.w[w.w > 1.0] = 2e307
+    x = np.repeat([0.0, 0.75], 200)
+    u = project_constrained(x, w, w.alphabet, 0.5 / 399)
+    constants = ((w.alphabet.values[:, None] - x) ** 2).sum(axis=1)
+    assert len(set(u.tolist())) == 1
+    assert ((w.alphabet.values[u] - x) ** 2).sum() == constants.min()
 
 
 def test_constrained_starts_at_the_nearest_finite_cost_sequence(monkeypatch):

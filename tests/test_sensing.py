@@ -68,5 +68,12 @@ def test_sigma_max_gaussian_event_rate():
 
 
 def test_paired_steps():
-    assert gen_gaussian(8, 16, "unit", 0).paired_step == pytest.approx(1 / 8)
-    assert gen_gaussian(8, 16, "normalized", 0).paired_step == pytest.approx(2.0)
+    unit, normalized = gen_gaussian(8, 16, "unit", 0), gen_gaussian(8, 16, "normalized", 0)
+    assert unit.step_size() == 1 / 8
+    assert normalized.step_size() == 2.0
+    # a multiple mu is mu / m or mu * n / m, not mu times the rounded 1 / m
+    # (0.7 * (1 / 26) != 0.7 / 26)
+    for mu in (0.5, 0.7, 1.0):
+        assert gen_gaussian(26, 16, "unit", 0).step_size(mu) == mu / 26
+        assert gen_gaussian(26, 16, "normalized", 0).step_size(mu) == mu * 16 / 26
+    assert gen_gaussian(26, 16, "unit", 0).step_size(0.7) != 0.7 * (1 / 26)

@@ -51,7 +51,8 @@ def test_identity_design_recovers_in_one_step():
     x, xq, ab, A, y, w = spike_setup(n, b, p, 7)
     A = SenseMatrix(n, n, np.eye(n), "unit")
     y = A.entries @ xq
-    cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=n), mu=1.0)
+    # n times the paired step 1/n is the step 1
+    cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=n), mu=float(n))
     est, trace = pgd_solve(A, y, ab, cfg)
     assert np.array_equal(est, xq)
     assert trace.residuals[1] == 0.0  # the first step lands on [x]_b
@@ -88,7 +89,7 @@ def test_noiseless_fixed_point_is_stationary():
 def test_residual_mostly_nonincreasing_noiseless():
     n, b, p = 64, 4, 0.1
     x, xq, ab, A, y, w = spike_setup(n, b, p, 31, m=48)
-    cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=12), max_iters=40, mu=0.4 / 48)
+    cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=12), max_iters=40, mu=0.4)
     est, trace = pgd_solve(A, y, ab, cfg)
     drops = sum(
         1 for r0, r1 in zip(trace.residuals[1:], trace.residuals[2:]) if r1 <= r0 + 1e-12
@@ -98,18 +99,22 @@ def test_residual_mostly_nonincreasing_noiseless():
 
 
 def test_default_step_is_the_paired_step():
-    # mu = None takes 1/m for unit entries and n/m for 1/n-variance entries
+    # the default mu = 1 steps 1/m for unit entries and n/m for 1/n-variance
+    # entries, as a plain loop at A.step_size() does
+    n, b, p, max_iters = 8, 2, 0.3, 200
     for scale in ("unit", "normalized"):
-        n, b, p = 8, 2, 0.3
         x, xq, ab, A, y, w = spike_setup(n, b, p, 5, m=4, scale=scale)
         l0 = partial(project_l0, alphabet=ab, s=3)
-        paired = pgd_solve(A, y, ab, PgdConfig(l0, mu=A.paired_step))
-        default = pgd_solve(A, y, ab, PgdConfig(l0))
-        assert np.array_equal(default[0], paired[0])
-        assert default[1] == paired[1]
-    # an explicit step is used as given
-    other = pgd_solve(A, y, ab, PgdConfig(l0, mu=0.123))
+        paired = pgd_solve(A, y, ab, PgdConfig(l0, max_iters=max_iters))
+        plain = plain_residuals(A, y, ab, l0, A.step_size(), max_iters,
+                                quantize_vector(np.zeros(n), ab))
+        assert paired[1].residuals == plain[:len(paired[1].residuals)]
+    # another mu is that multiple of the paired step
+    other = pgd_solve(A, y, ab, PgdConfig(l0, mu=0.123, max_iters=max_iters))
     assert other[1] != paired[1]
+    plain = plain_residuals(A, y, ab, l0, A.step_size(0.123), max_iters,
+                            quantize_vector(np.zeros(n), ab))
+    assert other[1].residuals == plain[:len(other[1].residuals)]
 
 
 def test_infeasible_projection_carries_iteration():
@@ -146,11 +151,13 @@ def test_nonfinite_measurements_are_refused(bad):
         pgd_solve(A, y, ab, cfg)
 
 
-@pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf, 1e308])
 def test_step_size_must_be_finite_and_positive(mu):
     # mu = -1 steps away from the data and mu = 0 never moves; both would
-    # otherwise end as "converged"
-    x, xq, ab, A, y, w = spike_setup(8, 2, 0.3, 3, m=6)
+    # otherwise end as "converged".  mu = 1e308 times the paired step n/m
+    # is inf, which would stop the run at the projector, on a step vector
+    # that is not finite
+    x, xq, ab, A, y, w = spike_setup(8, 2, 0.3, 3, m=6, scale="normalized")
     cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=3), mu=mu)
     with pytest.raises(ValueError, match="mu must be finite and > 0"):
         pgd_solve(A, y, ab, cfg)
@@ -252,7 +259,7 @@ def test_pc_markov_constrained_pgd_runs():
     w = weights_from_kernel(kern)
     gamma = default_gamma(kern, delta=0.4)
     proj = partial(project_constrained, w=w, alphabet=ab, gamma=gamma)
-    cfg = PgdConfig(projector=proj, max_iters=15, mu=0.5 / m)
+    cfg = PgdConfig(projector=proj, max_iters=15, mu=0.5)
     est, trace = pgd_solve(A, y, ab, cfg)
     idx = quantize_vector(est, ab)
     assert complexity_cost(idx, w) <= gamma
@@ -260,9 +267,10 @@ def test_pc_markov_constrained_pgd_runs():
 
 
 def plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol):
-    """PGD with the l0 projector and no cycle short-circuit: every iteration
-    runs until the iterate moves by at most `stop_tol`.  Returns the
-    estimate, the residuals and the iterate changes."""
+    """PGD with the l0 projector and no cycle short-circuit, at mu times the
+    paired step: every iteration runs until the iterate moves by at most
+    `stop_tol`.  Returns the estimate, the residuals and the iterate
+    changes."""
     residuals = []
 
     def record(idx):
@@ -273,7 +281,7 @@ def plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol):
     est = record(np.full(A.n, ab.zero_index(), dtype=np.int64))
     changes = []
     for _ in range(max_iters):
-        s_vec = est + mu * (A.entries.T @ (y - A.entries @ est))
+        s_vec = est + A.step_size(mu) * (A.entries.T @ (y - A.entries @ est))
         new_idx = project_l0(s_vec, ab, s)
         changes.append(float(np.linalg.norm(ab.values[new_idx] - est)))
         est = record(new_idx)
@@ -284,11 +292,11 @@ def plain_l0_pgd(A, y, ab, s, mu, max_iters, stop_tol):
 
 def cycling_grow_stage():
     """A homotopy grow stage of the criterion-6 cell m/n = 0.05 (n=128, p=0.1,
-    b=6, solve grid b=12, step 0.5/m, 300 iterations), where PGD enters an
-    exact 2-cycle within a few iterations."""
+    b=6, solve grid b=12, 0.5 times the paired step 1/m, 300 iterations),
+    where PGD enters an exact 2-cycle within a few iterations."""
     n, m, b, p = 128, 6, 6, 0.1
     _, _, _, A, y, _ = spike_setup(n, b, p, 0, m=m)
-    return A, y, build_alphabet(0, 1, 12), 0.5 / m
+    return A, y, build_alphabet(0, 1, 12), 0.5
 
 
 @pytest.mark.parametrize("s", [4, 20])
@@ -321,14 +329,14 @@ def l0_problem_stacks(draw):
     b = draw(st.integers(1, 3))
     ab = build_alphabet(draw(st.sampled_from([0.0, -1.0])), 1.0, b)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    # a design's scale sets its paired step, so with mu = None the rows' steps differ
+    # a design's scale sets its paired step, so the rows' steps differ
     scales = draw(st.lists(st.sampled_from(["unit", "normalized"]), min_size=rows, max_size=rows))
     designs = [SenseMatrix(m, n, rng.standard_normal((m, n)), scale) for scale in scales]
     truth = ab.values[rng.integers(0, ab.size, (rows, n))]
     ys = np.array([A.entries @ x for A, x in zip(designs, truth)])
     ys += draw(st.sampled_from([0.0, 0.1])) * rng.standard_normal((rows, m))
     start = rng.integers(0, ab.size, (rows, n)) if draw(st.booleans()) else None
-    mu = draw(st.sampled_from([None, 0.3 / m, 2.0 / m]))
+    mu = draw(st.sampled_from([1.0, 0.3, 2.0]))
     cfg = PgdConfig(partial(project_l0, alphabet=ab, s=draw(st.integers(0, n))), mu,
                     draw(st.integers(1, 30)), start)
     return designs, ys, ab, cfg
@@ -375,16 +383,16 @@ def test_stack_rows_stop_each_their_own_way():
         assert len({trace.iters for trace in traces if trace.status != "cycle"}) > 1
 
 
-def plain_residuals(A, y, ab, projector, mu, max_iters, start):
-    """The residual of every iterate of a PGD run that never stops early,
-    each computed afresh from its iterate."""
+def plain_residuals(A, y, ab, projector, step, max_iters, start):
+    """The residual of every iterate of a PGD run at the given step that
+    never stops early, each computed afresh from its iterate."""
     est = ab.values[start]
     residuals = []
     for t in range(max_iters + 1):
         resid = y - A.entries @ est
         residuals.append(math.sqrt(resid @ resid))
         if t < max_iters:
-            est = ab.values[projector(est + mu * (resid @ A.entries))]
+            est = ab.values[projector(est + step * (resid @ A.entries))]
     return residuals
 
 
@@ -405,7 +413,7 @@ def test_repeated_iterates_reuse_their_recorded_residual():
     _, traces = pgd_solve_stack(designs, ys, ab, PgdConfig(projector, mu, max_iters, start))
     assert [trace.status for trace in traces] == ["cycle", "converged", "max_iters"]
     for A_i, y_i, start_i, trace in zip(designs, ys, start, traces):
-        plain = plain_residuals(A_i, y_i, ab, projector, mu, max_iters, start_i)
+        plain = plain_residuals(A_i, y_i, ab, projector, A_i.step_size(mu), max_iters, start_i)
         assert trace.residuals == plain[:len(trace.residuals)]
 
 
