@@ -92,20 +92,20 @@ def build_model(spec: dict) -> SourceModel:
 
 def build_projector(spec: dict, kernel, alphabet):
     """The projection map of a projector config, from a step vector to
-    symbol indices of alphabet.  Only the Viterbi projectors read the weight
-    table of kernel, so an l0 projector builds none."""
+    symbol indices.  An l0 projector indexes alphabet and builds no weight
+    table; the Viterbi projectors index the grid of kernel's weight table."""
     kind = spec["kind"]
     if kind == "l0":
         return partial(project_l0, alphabet=alphabet, s=int(spec["s"]))
     w = weights_from_kernel(kernel)
     if kind == "lagrangian":
-        return partial(project_lagrangian, w=w, alphabet=alphabet, alpha=float(spec["alpha"]))
+        return partial(project_lagrangian, w=w, alpha=float(spec["alpha"]))
     if kind == "constrained":
         if "gamma" in spec:
             gamma = float(spec["gamma"])
         else:
             gamma = default_gamma(kernel, float(spec.get("delta", 0.1)))
-        return partial(project_constrained, w=w, alphabet=alphabet, gamma=gamma)
+        return partial(project_constrained, w=w, gamma=gamma)
     raise ValueError(f"unknown projector kind {kind!r}")
 
 

@@ -15,8 +15,8 @@ feasible Lagrangian solution, which is the constrained optimum only where
 that is a vertex of the (cost, distortion) hull.  project_l0 is the exact
 fast path for memoryless spike-and-slab weights.  Every projector requires
 finite x; the Viterbi projectors also refuse an x with a coordinate 2^52
-grid steps or more from the grid, where squared distances lose its offset,
-and a weight table on another grid than the alphabet.
+grid steps or more from the grid, where squared distances lose its offset.
+A Viterbi projector's grid is its weight table's, w.alphabet.
 
 Ties are always broken toward the lexicographically smallest symbol-index
 sequence: the dynamic program runs backward over suffix costs, keeping for
@@ -99,19 +99,8 @@ def _check_distortion(x: np.ndarray, alphabet: QuantAlphabet) -> None:
         )
 
 
-def _check_same_grid(w: WeightTable, alphabet: QuantAlphabet) -> None:
-    """Refuse a weight table whose symbols index another grid: its windows
-    would be read as windows of the wrong values, or not fit at all."""
-    if not np.array_equal(w.alphabet.values, alphabet.values):
-        raise ValueError(
-            f"the weight table is on another grid (b={w.alphabet.b}, {w.alphabet.size} "
-            f"values from {w.alphabet.values[0]}) than the alphabet (b={alphabet.b}, "
-            f"{alphabet.size} values from {alphabet.values[0]})"
-        )
-
-
-def _check_trellis_input(x: np.ndarray, alphabet: QuantAlphabet, k: int) -> None:
-    n, s = len(x), alphabet.size
+def _check_trellis_input(x: np.ndarray, w: WeightTable) -> None:
+    n, s, k = len(x), w.alphabet.size, w.k
     if n <= k:
         raise ValueError(f"need len(x) > k, got {n} <= {k}")
     if s ** k > MAX_STATES:
@@ -120,13 +109,12 @@ def _check_trellis_input(x: np.ndarray, alphabet: QuantAlphabet, k: int) -> None
         raise ProblemTooLarge(
             f"trellis needs {n} x {s}^{k} back-pointers; limit is {MAX_TRELLIS_CELLS}"
         )
-    _check_distortion(x, alphabet)
+    _check_distortion(x, w.alphabet)
 
 
 def project_lagrangian(
     x: np.ndarray,
     w: WeightTable,
-    alphabet: QuantAlphabet,
     alpha: float,
     dist_scale: float = 1.0,
 ) -> np.ndarray:
@@ -134,14 +122,14 @@ def project_lagrangian(
     weights, as symbol indices.  dist_scale multiplies the distortion term
     (used internally to realize a pure minimum-cost pass with dist_scale=0).
     """
-    _check_same_grid(w, alphabet)
     x = _finite_vector(x)
     n = len(x)
     k = w.k
+    alphabet = w.alphabet
     s = alphabet.size
     if not 0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    _check_trellis_input(x, alphabet, k)
+    _check_trellis_input(x, w)
 
     aw = _scaled_weights(w.w, alpha)
     values = alphabet.values
@@ -237,7 +225,6 @@ class _SweepPoint(NamedTuple):
 def project_constrained(
     x: np.ndarray,
     w: WeightTable,
-    alphabet: QuantAlphabet,
     gamma: float,
 ) -> np.ndarray:
     """Feasible sequence (complexity cost <= gamma) of smallest distortion:
@@ -278,7 +265,6 @@ def project_constrained(
     hull vertex (a duality gap) the best feasible vertex is returned
     instead.
     """
-    _check_same_grid(w, alphabet)
     x = _finite_vector(x)
     if math.isnan(gamma):
         raise ValueError("gamma must not be NaN")
@@ -286,24 +272,24 @@ def project_constrained(
     allowed = WeightTable(w.alphabet, w.k, np.where(np.isinf(w.w), np.inf, 0.0))
     if _is_stay_or_jump(w):
         n = len(x)
-        _check_trellis_input(x, alphabet, w.k)
+        _check_trellis_input(x, w)
         jumps = _jump_budget(w, n, gamma)
         if jumps < 0:
             # every constant sequence has the least cost
             raise InfeasibleProjection(f"no sequence attains cost <= {gamma}",
                                        min_cost=complexity_cost(np.zeros(n, np.int64), w))
         if jumps >= n - 1:  # every sequence fits: the search's first pass
-            return project_lagrangian(x, allowed, alphabet, alpha=1.0)
-        return _project_jumps(x, alphabet, jumps)
+            return project_lagrangian(x, allowed, alpha=1.0)
+        return _project_jumps(x, w.alphabet, jumps)
 
     def sweep_pass(u: np.ndarray) -> _SweepPoint:
-        return _SweepPoint(u, complexity_cost(u, w), _distortion(x, u, alphabet))
+        return _SweepPoint(u, complexity_cost(u, w), _distortion(x, u, w.alphabet))
 
-    left = sweep_pass(project_lagrangian(x, allowed, alphabet, alpha=1.0))
+    left = sweep_pass(project_lagrangian(x, allowed, alpha=1.0))
     right = left
     if left.cost > gamma:
         # alpha -> inf: the minimum-cost path, distortion ignored
-        right = sweep_pass(project_lagrangian(x, w, alphabet, 1.0, dist_scale=0.0))
+        right = sweep_pass(project_lagrangian(x, w, 1.0, dist_scale=0.0))
         if right.cost > gamma:
             raise InfeasibleProjection(
                 f"no sequence attains cost <= {gamma}", min_cost=right.cost
@@ -315,9 +301,9 @@ def project_constrained(
         alpha = (right.distortion - left.distortion) / ((left.cost - right.cost) * windows)
         if math.isinf(alpha * top):
             # alpha * w overflows: distortion / alpha + w has the same minimiser
-            u = project_lagrangian(x, w, alphabet, 1.0, dist_scale=1.0 / alpha)
+            u = project_lagrangian(x, w, 1.0, dist_scale=1.0 / alpha)
         else:
-            u = project_lagrangian(x, w, alphabet, alpha)
+            u = project_lagrangian(x, w, alpha)
         point = sweep_pass(u)
         end = right if point.cost <= gamma else left
         inside = right.cost < point.cost < left.cost

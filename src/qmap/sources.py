@@ -8,6 +8,7 @@ through TableMarkov with explicit per-context rows.  All logarithms are base 2.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -151,16 +152,28 @@ def sample_runs(model: SourceModel, n: int, rows: int, rng: np.random.Generator
 
 
 def _sample_table(kernel: QuantKernel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """rng.choice(p=p) draws one uniform u and returns the first index whose
+    cdf, p.cumsum() over its last entry, exceeds u.  The start context and
+    each next symbol are those draws, taken from one rng.random call."""
     s = kernel.alphabet.size
     mu = kernel.marginal.ravel()
     rows = kernel.cond.reshape(-1, s)
-    code = int(rng.choice(mu.size, p=mu / mu.sum()))  # base-S context code
+    uniforms = rng.random(1 + max(n - kernel.k, 0)).tolist()
+    code = bisect.bisect_right(_cdf(mu / mu.sum()), uniforms[0])  # base-S context code
     symbols = [int(a) for a in np.unravel_index(code, kernel.marginal.shape)][:n]
-    while len(symbols) < n:
-        a = int(rng.choice(s, p=rows[code]))
+    cdfs = {}  # only for the contexts the path reaches: a kernel may hold 2^24 entries
+    for u in uniforms[1:]:
+        if code not in cdfs:
+            cdfs[code] = _cdf(rows[code])
+        a = bisect.bisect_right(cdfs[code], u)
         symbols.append(a)
         code = (code * s + a) % mu.size
     return kernel.alphabet.values[np.asarray(symbols, dtype=np.int64)]
+
+
+def _cdf(p: np.ndarray) -> list[float]:
+    cdf = p.cumsum()
+    return (cdf / cdf[-1]).tolist()
 
 
 def quantized_kernel(model: SourceModel, b: int) -> QuantKernel:

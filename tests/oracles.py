@@ -6,8 +6,8 @@ optimum over every grid sequence at toy scale, k-types and the empirical
 quantities of the cost decomposition, the scalar quantizer the vector one
 must agree with, nearest-grid rounding by distances, the spike-and-slab
 weight gap, the contraction floor of the error recursion, the per-alpha
-scan of the f_minimax exponent, and the error path of a PGD run against the
-quantized truth.
+scan of the f_minimax exponent, a table chain drawn one rng.choice call per
+symbol, and the error path of a PGD run against the quantized truth.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from qmap.projection import InfeasibleProjection, ProblemTooLarge
 from qmap.quantize import QuantAlphabet, quantize_vector
 from qmap.sensing import SenseMatrix
 from qmap.solver import PgdConfig, pgd_solve
-from qmap.sources import WeightTable
+from qmap.sources import QuantKernel, WeightTable
 from qmap.validation import f_exponent
 
 MAX_BRUTEFORCE = 10 ** 6      # alphabet^n sequences
@@ -51,8 +51,8 @@ def sequence_costs(seqs: np.ndarray, w: WeightTable) -> np.ndarray:
     return total
 
 
-def lagrangian_objective(x, u, w, alphabet, alpha):
-    dist = float(((alphabet.values[u] - x) ** 2).sum())
+def lagrangian_objective(x, u, w, alpha):
+    dist = float(((w.alphabet.values[u] - x) ** 2).sum())
     if alpha == 0.0:
         return dist
     raw = sum(float(w.w[tuple(u[i - w.k: i + 1])]) for i in range(w.k, len(u)))
@@ -62,11 +62,11 @@ def lagrangian_objective(x, u, w, alphabet, alpha):
 def project_bruteforce(
     x: np.ndarray,
     w: WeightTable,
-    alphabet: QuantAlphabet,
     gamma: float | None = None,
     alpha: float | None = None,
 ) -> np.ndarray:
-    """Exhaustive constrained (gamma) or Lagrangian (alpha) projection.
+    """Exhaustive constrained (gamma) or Lagrangian (alpha) projection onto
+    the grid of w.
 
     Enumeration is lexicographic with strict-minimum updates, so the
     returned argmin is the lexicographically smallest one.
@@ -75,6 +75,7 @@ def project_bruteforce(
         raise ValueError("pass exactly one of gamma or alpha")
     x = np.asarray(x, dtype=float)
     n = len(x)
+    alphabet = w.alphabet
     seqs = enumerate_sequences(alphabet.size, n)
     dist = ((alphabet.values[seqs] - x[None, :]) ** 2).sum(axis=1)
     raw = sequence_costs(seqs, w)
@@ -117,11 +118,12 @@ def qmap_bruteforce(
     A: SenseMatrix,
     y: np.ndarray,
     w: WeightTable,
-    alphabet: QuantAlphabet,
     gamma: float,
 ) -> np.ndarray:
-    """Exhaustive residual minimizer over sequences with cost <= gamma."""
+    """Exhaustive residual minimizer over the sequences on the grid of w
+    with cost <= gamma."""
     y = np.asarray(y, dtype=float)
+    alphabet = w.alphabet
     seqs = enumerate_sequences(alphabet.size, A.n)
     cost = sequence_costs(seqs, w) / (A.n - w.k)
     feasible = cost <= gamma
@@ -297,6 +299,26 @@ def f_minimax_scan(alpha_points: int = 401, s_points: int = 1000) -> float:
     alpha_grid = np.linspace(-0.999, 0.999, alpha_points)
     s_grid = np.linspace(1e-4, 1.0 - 1e-4, s_points)
     return min(max_over_s(float(a), s_grid) for a in alpha_grid)
+
+
+# ---------------------------------------------------------------- samplers
+
+def sample_table_by_choice(kernel: QuantKernel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A length-n path of a table chain, one rng.choice call per draw: the
+    start context from the stationary law, then each symbol from its
+    context's row.  sources._sample_table must give the same bytes and
+    leave rng in the same state."""
+    s = kernel.alphabet.size
+    mu = kernel.marginal.ravel()
+    rows = kernel.cond.reshape(-1, s)
+    code = int(rng.choice(mu.size, p=mu / mu.sum()))  # base-S context code
+    symbols = [int(a) for a in np.unravel_index(code, kernel.marginal.shape)][:n]
+    while len(symbols) < n:
+        a = int(rng.choice(s, p=rows[code]))
+        symbols.append(a)
+        code = (code * s + a) % mu.size
+    return kernel.alphabet.values[np.asarray(symbols, dtype=np.int64)]
+
 
 # ------------------------------------------------------------- error paths
 

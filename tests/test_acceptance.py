@@ -69,11 +69,11 @@ def test_criterion_01_projection_oracle_equivalence():
         w = random_weight_table(rng, size, k, inf_frac=0.2)
         x = rng.normal(0.3, 0.6, n)
         alpha = float(rng.exponential(0.5))
-        u_dp = project_lagrangian(x, w, w.alphabet, alpha)
-        u_bf = project_bruteforce(x, w, w.alphabet, alpha=alpha)
+        u_dp = project_lagrangian(x, w, alpha)
+        u_bf = project_bruteforce(x, w, alpha=alpha)
         gap = abs(
-            lagrangian_objective(x, u_dp, w, w.alphabet, alpha)
-            - lagrangian_objective(x, u_bf, w, w.alphabet, alpha)
+            lagrangian_objective(x, u_dp, w, alpha)
+            - lagrangian_objective(x, u_bf, w, alpha)
         )
         max_gap = max(max_gap, gap)
         ok = gap < 1e-12 and np.array_equal(u_dp, u_bf)
@@ -274,13 +274,13 @@ def test_criterion_10_bruteforce_qmap_consistency():
     seqs = enumerate_sequences(ab.size, n)
     costs = sequence_costs(seqs, w) / (n - w.k)
     feasible = costs <= gamma
-    projector = partial(project_constrained, w=w, alphabet=ab, gamma=gamma)
+    projector = partial(project_constrained, w=w, gamma=gamma)
     bad = []
     for i in range(50):
         x = sample_path(SpikeSlab(p), n, 1000 + i)
         A = gen_gaussian(m, n, "unit", 2000 + i)
         y = A.entries @ ab.values[quantize_vector(x, ab)]
-        oracle = qmap_bruteforce(A, y, w, ab, gamma)
+        oracle = qmap_bruteforce(A, y, w, gamma)
         r_orc = float(np.linalg.norm(A.entries @ ab.values[oracle] - y))
         resid = np.linalg.norm(ab.values[seqs] @ A.entries.T - y[None, :], axis=1)
         if not np.all(r_orc <= resid[feasible] + 1e-12):

@@ -63,10 +63,10 @@ def test_alpha_zero_is_nearest_rounding(rng):
     w2.w[:] = np.inf  # all transitions forbidden; alpha=0 must not care
     x = np.array([0.1, 0.9, 0.49, 0.26, 0.125])
     expect = nearest_index(ab, x)
-    assert np.array_equal(project_lagrangian(x, w, ab, 0.0), expect)
-    assert np.array_equal(project_lagrangian(x, w2, ab, 0.0), expect)
+    assert np.array_equal(project_lagrangian(x, w, 0.0), expect)
+    assert np.array_equal(project_lagrangian(x, w2, 0.0), expect)
     # exact midpoint ties resolve to the lower value
-    assert project_lagrangian(np.array([0.125, 0.3]), w, ab, 0.0)[0] == 0
+    assert project_lagrangian(np.array([0.125, 0.3]), w, 0.0)[0] == 0
 
 
 def test_zero_weight_pass_may_round_a_nudged_midpoint_down(monkeypatch):
@@ -82,7 +82,7 @@ def test_zero_weight_pass_may_round_a_nudged_midpoint_down(monkeypatch):
     assert nearest_index(ab, x)[[0, 50]].tolist() == [1, 1]
     dense = spy_step(monkeypatch, "_dense_step")
     # alpha = 0, and no budget (J(gamma) >= n - 1): one dense pass each
-    for u in (project_lagrangian(x, w, ab, 0.0), project_constrained(x, w, ab, math.inf)):
+    for u in (project_lagrangian(x, w, 0.0), project_constrained(x, w, math.inf)):
         assert u.dtype == np.int64 and u.tolist() == [0] * 100
     assert len(dense) == 2 * -(-99 // projection.VITERBI_BLOCK)
     # at n = 8 with x[0] and x[4] nudged, three float minimizers differ: the
@@ -92,9 +92,9 @@ def test_zero_weight_pass_may_round_a_nudged_midpoint_down(monkeypatch):
     # oracle reproduces the trellis's sequence on such inputs
     x8 = np.full(8, 0.125)
     x8[[0, 4]] = np.nextafter(0.125, 1.0)
-    u = project_lagrangian(x8, w, ab, 0.0)
+    u = project_lagrangian(x8, w, 0.0)
     assert u.tolist() == [0, 0, 0, 0, 1, 0, 0, 0]
-    assert project_bruteforce(x8, w, ab, alpha=0.0).tolist() == [1, 0, 0, 0, 1, 0, 0, 0]
+    assert project_bruteforce(x8, w, alpha=0.0).tolist() == [1, 0, 0, 0, 1, 0, 0, 0]
     assert project_jumps_bruteforce(x8, ab, 7).tolist() == [0] * 8
     assert nearest_index(ab, x8).tolist() == [1, 0, 0, 0, 1, 0, 0, 0]
     least = ((ab.values[enumerate_sequences(ab.size, 8)] - x8) ** 2).sum(axis=1).min()
@@ -106,7 +106,7 @@ def test_grid_sequence_is_fixed_point_for_small_alpha(rng):
     w = random_weight_table(rng, 4, 1)
     u = rng.integers(0, 4, 12)
     x = ab.values[u]
-    got = project_lagrangian(x, w, ab, 1e-9)
+    got = project_lagrangian(x, w, 1e-9)
     assert np.array_equal(got, u)
 
 
@@ -128,10 +128,10 @@ def test_lagrangian_matches_bruteforce(rng):
             x = w.alphabet.values[rng.integers(0, size, n)] + rng.choice([0.0, 0.125], n)
             w.w[np.isfinite(w.w)] = rng.integers(0, 3, np.isfinite(w.w).sum())
             alpha = float(rng.choice([0.0, 0.125, 0.5, 1.0, 4.0]))
-        u_dp = project_lagrangian(x, w, w.alphabet, alpha)
-        u_bf = project_bruteforce(x, w, w.alphabet, alpha=alpha)
-        o_dp = lagrangian_objective(x, u_dp, w, w.alphabet, alpha)
-        o_bf = lagrangian_objective(x, u_bf, w, w.alphabet, alpha)
+        u_dp = project_lagrangian(x, w, alpha)
+        u_bf = project_bruteforce(x, w, alpha=alpha)
+        o_dp = lagrangian_objective(x, u_dp, w, alpha)
+        o_bf = lagrangian_objective(x, u_bf, w, alpha)
         assert abs(o_dp - o_bf) < 1e-12
         assert np.array_equal(u_dp, u_bf)
 
@@ -188,12 +188,12 @@ def stay_or_jump_cases(draw):
 @given(stay_or_jump_cases(), st.sampled_from([1.0, 0.0]))
 def test_lagrangian_on_stay_or_jump_tables_matches_bruteforce(case, dist_scale):
     x, w, alpha = case
-    u = project_lagrangian(x, w, w.alphabet, alpha, dist_scale)
+    u = project_lagrangian(x, w, alpha, dist_scale)
     assert u.dtype == np.int64
     if w.alphabet.size ** len(x) > 4 ** 8:
         return
     if dist_scale == 1.0:
-        assert u.tobytes() == project_bruteforce(x, w, w.alphabet, alpha=alpha).tobytes()
+        assert u.tobytes() == project_bruteforce(x, w, alpha=alpha).tobytes()
     else:
         # the minimum-cost pass: the lexicographically smallest sequence of
         # least scaled weight, every sum exact on dyadic weights and alpha
@@ -213,25 +213,24 @@ def test_other_k1_tables_take_the_dense_pass(table, monkeypatch):
     for alpha in (0.0, 0.125, 0.5, 2.0):
         for _ in range(5):
             x = rng.choice(np.arange(-1, 7) * 0.125, 7)
-            u = project_lagrangian(x, w, w.alphabet, alpha)
-            assert u.tobytes() == project_bruteforce(x, w, w.alphabet, alpha=alpha).tobytes()
+            u = project_lagrangian(x, w, alpha)
+            assert u.tobytes() == project_bruteforce(x, w, alpha=alpha).tobytes()
 
 
 def test_all_forbidden_raises(rng):
     w = random_weight_table(rng, 3, 1)
     w.w[:] = np.inf
     with pytest.raises(InfeasibleProjection):
-        project_lagrangian(np.array([0.1, 0.2, 0.3]), w, w.alphabet, 0.5)
+        project_lagrangian(np.array([0.1, 0.2, 0.3]), w, 0.5)
 
 
 def test_constrained_returns_rounding_when_feasible(rng):
     p, b = 0.3, 2
     w = weights_from_kernel(quantized_kernel(SpikeSlab(p), b))
-    ab = w.alphabet
     x = rng.uniform(0, 1, 12)
-    u0 = project_lagrangian(x, w, ab, 0.0)
+    u0 = project_lagrangian(x, w, 0.0)
     gamma = complexity_cost(u0, w) + 1e-9
-    assert np.array_equal(project_constrained(x, w, ab, gamma), u0)
+    assert np.array_equal(project_constrained(x, w, gamma), u0)
 
 
 def test_constrained_feasibility_and_sweep_monotonicity(rng):
@@ -242,7 +241,7 @@ def test_constrained_feasibility_and_sweep_monotonicity(rng):
         x = rng.uniform(0, 1, 24)
         gamma = float(rng.uniform(0.3, 1.2))
         try:
-            u = project_constrained(x, w, ab, gamma)
+            u = project_constrained(x, w, gamma)
         except InfeasibleProjection:
             continue
         assert complexity_cost(u, w) <= gamma
@@ -250,7 +249,7 @@ def test_constrained_feasibility_and_sweep_monotonicity(rng):
         alphas = np.linspace(0.0, 2.0, 9)
         dists, costs = [], []
         for a in alphas:
-            ua = project_lagrangian(x, w, ab, float(a))
+            ua = project_lagrangian(x, w, float(a))
             dists.append(float(((ab.values[ua] - x) ** 2).sum()))
             costs.append(complexity_cost(ua, w))
         assert all(d1 <= d2 + 1e-12 for d1, d2 in zip(dists, dists[1:]))
@@ -269,7 +268,7 @@ def test_constrained_matches_l0_on_spike_slab(rng):
         x = rng.uniform(0, 1, n)
         s = int(rng.integers(1, n))
         gamma = (s + 0.5) / n * gap - const
-        u_c = project_constrained(x, w, ab, gamma)
+        u_c = project_constrained(x, w, gamma)
         u_l0 = project_l0(x, ab, s)
         d_c = float(((ab.values[u_c] - x) ** 2).sum())
         d_l0 = float(((ab.values[u_l0] - x) ** 2).sum())
@@ -288,12 +287,12 @@ def test_constrained_vs_exhaustive_at_toy_scale(rng):
         x = rng.normal(0.4, 0.5, n)
         gamma = float(rng.uniform(0.5, 2.0))
         try:
-            u_bf = project_bruteforce(x, w, w.alphabet, gamma=gamma)
+            u_bf = project_bruteforce(x, w, gamma=gamma)
         except InfeasibleProjection:
             with pytest.raises(InfeasibleProjection):
-                project_constrained(x, w, w.alphabet, gamma)
+                project_constrained(x, w, gamma)
             continue
-        u_sw = project_constrained(x, w, w.alphabet, gamma)
+        u_sw = project_constrained(x, w, gamma)
         d_bf = float(((w.alphabet.values[u_bf] - x) ** 2).sum())
         d_sw = float(((w.alphabet.values[u_sw] - x) ** 2).sum())
         assert complexity_cost(u_sw, w) <= gamma
@@ -382,13 +381,13 @@ def test_constrained_is_best_feasible_hull_vertex(case):
     feasible = [d for raw, d in hull if raw / windows <= gamma]
     if not feasible:
         with pytest.raises(InfeasibleProjection) as exc:
-            project_constrained(x, w, w.alphabet, gamma)
+            project_constrained(x, w, gamma)
         assert exc.value.min_cost == float(raws.min()) / windows
         return
     # a function-scoped fixture would span every example of the test
     with pytest.MonkeyPatch.context() as mp:
         passes = count_viterbi_passes(mp)
-        u = project_constrained(x, w, w.alphabet, gamma)
+        u = project_constrained(x, w, gamma)
     cost = complexity_cost(u, w)
     d = float(((w.alphabet.values[u] - x) ** 2).sum())
     assert cost <= gamma
@@ -420,7 +419,7 @@ def test_constrained_pass_count_on_piecewise_constant_path(monkeypatch):
     gamma = complexity_cost(nearest_index(w.alphabet, clean), w) + half_jump
     dense = spy_step(monkeypatch, "_dense_step")
     passes = count_viterbi_passes(monkeypatch)
-    u = project_constrained(x, w, w.alphabet, gamma)
+    u = project_constrained(x, w, gamma)
     assert complexity_cost(u, w) <= gamma
     # the alpha -> 0+ pass, the minimum-cost pass, then bisection passes
     assert len(passes) == 12
@@ -475,18 +474,18 @@ def test_jump_count_pass_is_the_exact_constrained_projection(case):
     jumps = exact_jump_budget(w, n, gamma)
     if jumps < 0:
         with pytest.raises(InfeasibleProjection) as exc:
-            project_constrained(x, w, w.alphabet, gamma)
+            project_constrained(x, w, gamma)
         assert exc.value.min_cost == complexity_cost(np.zeros(n, np.int64), w)
         return
     with pytest.MonkeyPatch.context() as mp:
         passes = count_viterbi_passes(mp)
-        u = project_constrained(x, w, w.alphabet, gamma)
+        u = project_constrained(x, w, gamma)
     assert u.dtype == np.int64
     if jumps >= n - 1:
         # every sequence fits: the search's first pass, all weights 0
         zeroed = WeightTable(w.alphabet, w.k, np.zeros_like(w.w))
         assert len(passes) == 1
-        assert u.tobytes() == project_lagrangian(x, zeroed, w.alphabet, 1.0).tobytes()
+        assert u.tobytes() == project_lagrangian(x, zeroed, 1.0).tobytes()
     else:
         assert passes == []
         assert u.tobytes() == project_jumps_bruteforce(x, w.alphabet, jumps).tobytes()
@@ -546,7 +545,7 @@ def test_jump_count_pass_equals_the_plain_dynamic_program(b, n, budget, ties, se
             == jump_count_reference(x, ab, jumps).tobytes())
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "too far", "n <= k", "too large", "another grid",
+@pytest.mark.parametrize("bad", ["nan", "inf", "too far", "n <= k", "too large",
                                  "NaN gamma", "-inf gamma", "gamma below hold"])
 def test_jump_count_pass_raises_what_the_search_raises(bad, monkeypatch):
     w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.3), 2))
@@ -559,17 +558,15 @@ def test_jump_count_pass_raises_what_the_search_raises(bad, monkeypatch):
         x = x[:1]
     elif bad == "too large":
         monkeypatch.setattr(projection, "MAX_TRELLIS_CELLS", len(x) * ab.size - 1)
-    elif bad == "another grid":
-        ab = build_alphabet(0, 1, 3)
     else:
         gamma = {"NaN gamma": math.nan, "-inf gamma": -math.inf,
                  "gamma below hold": w.w[0, 0] / 2}[bad]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(projection, "_is_stay_or_jump", lambda w: False)  # the search
         with pytest.raises(ValueError) as want:
-            project_constrained(x, w, ab, gamma)
+            project_constrained(x, w, gamma)
     with pytest.raises(type(want.value)) as got:
-        project_constrained(x, w, ab, gamma)
+        project_constrained(x, w, gamma)
     assert str(got.value) == str(want.value)
     if isinstance(want.value, InfeasibleProjection):
         assert got.value.min_cost == want.value.min_cost
@@ -583,13 +580,13 @@ def test_jump_count_pass_refuses_more_flags_than_the_cap(monkeypatch):
     gamma = 2.0
     jumps = exact_jump_budget(w, len(x), gamma)
     assert 0 < jumps < len(x) - 1
-    u = project_constrained(x, w, w.alphabet, gamma)
+    u = project_constrained(x, w, gamma)
     held = (len(x) - 1) * jumps * 2
     monkeypatch.setattr(projection, "MAX_TRELLIS_CELLS", held)
-    assert project_constrained(x, w, w.alphabet, gamma).tobytes() == u.tobytes()
+    assert project_constrained(x, w, gamma).tobytes() == u.tobytes()
     monkeypatch.setattr(projection, "MAX_TRELLIS_CELLS", held - 1)
     with pytest.raises(ProblemTooLarge, match="jump-count pass"):
-        project_constrained(x, w, w.alphabet, gamma)
+        project_constrained(x, w, gamma)
 
 
 def test_jump_count_pass_is_no_worse_than_the_search():
@@ -603,10 +600,10 @@ def test_jump_count_pass_is_no_worse_than_the_search():
         clean = np.repeat(rng.random(n), rng.geometric(0.1, n))[:n]
         x = clean + 0.05 * rng.standard_normal(n)
         gamma = complexity_cost(nearest_index(w.alphabet, clean), w)
-        u = project_constrained(x, w, w.alphabet, gamma)
+        u = project_constrained(x, w, gamma)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(projection, "_is_stay_or_jump", lambda w: False)
-            searched = project_constrained(x, w, w.alphabet, gamma)
+            searched = project_constrained(x, w, gamma)
         assert np.count_nonzero(np.diff(u)) <= exact_jump_budget(w, n, gamma)
         d, d_search = (float(((w.alphabet.values[v] - x) ** 2).sum()) for v in (u, searched))
         assert d <= d_search * (1 + 1e-12)
@@ -630,15 +627,15 @@ def test_lagrangian_on_stay_or_jump_tables_hand_cases(case):
         w = stay_or_jump_table(2, 1.0, 1.0)
         x = np.array([0.25, 0.125])
         alpha, expect = 1.0, [1, 0]
-    u = project_lagrangian(x, w, w.alphabet, alpha)
+    u = project_lagrangian(x, w, alpha)
     if expect is not None:
         assert u.tolist() == expect
     else:
         assert len(set(u.tolist())) == 1
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "too far", "n <= k", "too large", "another grid"])
-def test_closed_form_passes_raise_what_the_trellis_raises(bad, monkeypatch):
+@pytest.mark.parametrize("bad", ["nan", "inf", "too far", "n <= k", "too large"])
+def test_search_end_passes_raise_what_a_trellis_pass_raises(bad, monkeypatch):
     # the end passes of the breakpoint search, its alpha -> 0+ and
     # minimum-cost passes, are trellis passes, and so fail as a trellis pass
     # fails.  The search runs on tables that are not stay-or-jump: here a
@@ -651,14 +648,12 @@ def test_closed_form_passes_raise_what_the_trellis_raises(bad, monkeypatch):
         x[2] = {"nan": math.nan, "inf": math.inf, "too far": 1e16}[bad]
     elif bad == "n <= k":
         x = x[:1]
-    elif bad == "too large":
-        monkeypatch.setattr(projection, "MAX_TRELLIS_CELLS", len(x) * ab.size - 1)
     else:
-        ab = build_alphabet(0, 1, 3)
+        monkeypatch.setattr(projection, "MAX_TRELLIS_CELLS", len(x) * ab.size - 1)
     with pytest.raises(ValueError) as want:
-        project_lagrangian(x, w, ab, 1.0)
+        project_lagrangian(x, w, 1.0)
     with pytest.raises(type(want.value)) as got:
-        project_constrained(x, w, ab, 0.0)
+        project_constrained(x, w, 0.0)
     assert str(got.value) == str(want.value)
 
 
@@ -672,8 +667,8 @@ def test_search_on_huge_jump_weights_matches_bruteforce(jump, monkeypatch):
     w.w[0, 1] = 1.0
     x = np.array([0.1, 0.6, 0.62, 0.3, 0.9, 0.2])
     passes = count_viterbi_passes(monkeypatch)
-    u = project_constrained(x, w, w.alphabet, 0.0)
-    assert u.tobytes() == project_bruteforce(x, w, w.alphabet, gamma=0.0).tobytes()
+    u = project_constrained(x, w, 0.0)
+    assert u.tobytes() == project_bruteforce(x, w, gamma=0.0).tobytes()
     assert u.tolist() == [2] * 6 and complexity_cost(u, w) == 0.0
     assert passes[:2] == [1.0, 0.0] and set(passes[2:]) == {1.0}
 
@@ -686,9 +681,9 @@ def test_search_probe_whose_alpha_overflows_a_weight_matches_bruteforce(monkeypa
     w.w[0, 1] = 1.0
     x = np.array([0.0, 0.0, 0.0, 0.75, 0.75, 0.75, 0.75])
     passes = count_viterbi_passes(monkeypatch)
-    u = project_constrained(x, w, w.alphabet, 0.5 / 6)
+    u = project_constrained(x, w, 0.5 / 6)
     with np.errstate(over="ignore"):  # the oracle's cost sums overflow
-        expect = project_bruteforce(x, w, w.alphabet, gamma=0.5 / 6)
+        expect = project_bruteforce(x, w, gamma=0.5 / 6)
     assert u.tobytes() == expect.tobytes() and u.tolist() == [2] * 7
     # the two ends, a probe at alpha ~ 1.3e-308, then the scaled probe
     assert passes == [1.0, 0.0, 1.0, 1.0 / 1.25]
@@ -697,7 +692,7 @@ def test_search_probe_whose_alpha_overflows_a_weight_matches_bruteforce(monkeypa
     # constants 1 and 2 tie for the least distortion
     w.w[w.w > 1.0] = 2e307
     x = np.repeat([0.0, 0.75], 200)
-    u = project_constrained(x, w, w.alphabet, 0.5 / 399)
+    u = project_constrained(x, w, 0.5 / 399)
     constants = ((w.alphabet.values[:, None] - x) ** 2).sum(axis=1)
     assert len(set(u.tolist())) == 1
     assert ((w.alphabet.values[u] - x) ** 2).sum() == constants.min()
@@ -713,7 +708,7 @@ def test_constrained_starts_at_the_nearest_finite_cost_sequence(monkeypatch):
     x = np.array([0.0, 0.8, 0.8, 0.1, 0.0, 0.9])
     assert math.isinf(complexity_cost(nearest_index(w.alphabet, x), w))
     passes = count_viterbi_passes(monkeypatch)
-    u = project_constrained(x, w, w.alphabet, 5.0)
+    u = project_constrained(x, w, 5.0)
     assert len(passes) == 1
     assert u.dtype == np.int64 and u.tolist() == [1, 2, 2, 1, 1, 2]
 
@@ -728,20 +723,15 @@ def test_recover_table_config_pass_count(monkeypatch):
     assert len(passes) == 258
 
 
-def test_viterbi_projectors_refuse_a_table_on_another_grid():
-    # a table's symbols index its own grid; on another grid of the same
-    # size the trellis read them as the wrong values and returned a wrong
-    # projection, on a larger one it returned an index the table has no
-    # weight for, or failed inside numpy
+def test_viterbi_projectors_take_the_grid_of_their_table():
+    # the grid is w.alphabet; a call that still passes an alphabet binds
+    # nothing silently
+    w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), 3))
     x = np.array([0.1, 0.12, 0.5, 0.52, 0.9])
-    pc = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), 3))
-    spike = weights_from_kernel(quantized_kernel(SpikeSlab(0.1), 3))
-    for w, ab in ((pc, build_alphabet(0, 1, 6)), (pc, build_alphabet(-1, 1, 2)),
-                  (spike, build_alphabet(0, 1, 6))):
-        with pytest.raises(ValueError, match="another grid"):
-            project_lagrangian(x, w, ab, 0.5)
-        with pytest.raises(ValueError, match="another grid"):
-            project_constrained(x, w, ab, 1.0)
+    with pytest.raises(TypeError):
+        project_lagrangian(x, w, w.alphabet, 0.5)
+    with pytest.raises(TypeError):
+        project_constrained(x, w, w.alphabet, 1.0)
 
 
 def test_infeasible_carries_min_cost(rng):
@@ -749,7 +739,7 @@ def test_infeasible_carries_min_cost(rng):
     w = weights_from_kernel(quantized_kernel(SpikeSlab(p), b))
     x = np.full(9, 0.8)
     with pytest.raises(InfeasibleProjection) as exc:
-        project_constrained(x, w, w.alphabet, -1.0)
+        project_constrained(x, w, -1.0)
     assert exc.value.min_cost == pytest.approx(
         -math.log2(1 - p + p * 2.0 ** -b), abs=1e-9
     )
@@ -767,8 +757,8 @@ def test_projectors_reject_non_finite_input(projector, bad):
     for w in (weights_from_kernel(quantized_kernel(SpikeSlab(0.3), 2)),
               weights_from_kernel(quantized_kernel(PiecewiseConstant(0.3), 2))):
         project = {
-            "lagrangian": lambda: project_lagrangian(x, w, w.alphabet, 0.5),
-            "constrained": lambda: project_constrained(x, w, w.alphabet, 0.5),
+            "lagrangian": lambda: project_lagrangian(x, w, 0.5),
+            "constrained": lambda: project_constrained(x, w, 0.5),
             "l0": lambda: project_l0(x, w.alphabet, 3),
         }[projector]
         if projector == "l0" and math.isfinite(bad):
@@ -790,17 +780,17 @@ def test_non_finite_alpha_and_nan_gamma_are_refused(source):
     w = weights_from_kernel(quantized_kernel(source, 2))
     for alpha in (math.nan, math.inf, -math.inf, -0.5, 1e308):
         with pytest.raises(ValueError, match="alpha") as exc:
-            project_lagrangian(x, w, w.alphabet, alpha)
+            project_lagrangian(x, w, alpha)
         assert not isinstance(exc.value, InfeasibleProjection)
     with pytest.raises(ValueError, match="gamma") as exc:
-        project_constrained(x, w, w.alphabet, math.nan)
+        project_constrained(x, w, math.nan)
     assert not isinstance(exc.value, InfeasibleProjection)
     # +inf means no budget: the alpha = 0 pass; -inf is a budget no
     # sequence meets
-    assert np.array_equal(project_constrained(x, w, w.alphabet, math.inf),
-                          project_lagrangian(x, w, w.alphabet, 0.0))
+    assert np.array_equal(project_constrained(x, w, math.inf),
+                          project_lagrangian(x, w, 0.0))
     with pytest.raises(InfeasibleProjection):
-        project_constrained(x, w, w.alphabet, -math.inf)
+        project_constrained(x, w, -math.inf)
 
 
 def test_project_l0_examples(rng):
@@ -938,12 +928,12 @@ def test_lagrangian_refuses_a_coordinate_too_far_from_the_grid():
     # floats, and alpha = 0 rounded coordinate 0 to symbol 0 instead of 3
     w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.3), 2))
     with pytest.raises(ValueError, match="too large") as exc:
-        project_lagrangian(np.array([1e16, 0.5, 0.2, 0.9]), w, w.alphabet, 0.0)
+        project_lagrangian(np.array([1e16, 0.5, 0.2, 0.9]), w, 0.0)
     assert not isinstance(exc.value, InfeasibleProjection)
     # below 2^52 grid steps (2^50 at b = 2) alpha = 0 still is the nearest rounding
     for far in (2.0 ** 46, -2.0 ** 46, 2.0 ** 50 - 2.0 ** 3):
         x = np.array([far, 0.5, 0.2, 0.9])
-        assert np.array_equal(project_lagrangian(x, w, w.alphabet, 0.0),
+        assert np.array_equal(project_lagrangian(x, w, 0.0),
                               nearest_index(w.alphabet, x))
 
 
@@ -953,23 +943,22 @@ def test_bruteforce_guards():
         enumerate_sequences(ab.size, 12)
     w = weights_from_kernel(quantized_kernel(SpikeSlab(0.5), 3))
     with pytest.raises(ValueError):
-        project_bruteforce(np.zeros(3), w, ab)  # neither gamma nor alpha
+        project_bruteforce(np.zeros(3), w)  # neither gamma nor alpha
 
 
 def test_single_coordinate_bruteforce(rng):
     w = weights_from_kernel(quantized_kernel(SpikeSlab(0.5), 2))
     ab = w.alphabet
     x = np.array([0.6])
-    got = project_bruteforce(x, w, ab, gamma=math.inf)
+    got = project_bruteforce(x, w, gamma=math.inf)
     assert ab.values[got[0]] == ab.values[nearest_index(ab, x)[0]]
 
 
 def test_runtime_scales_linearly_in_n(rng):
     w = random_weight_table(rng, 4, 1)
-    ab = w.alphabet
     xs = [rng.normal(0.5, 0.4, n) for n in (2 ** 10, 2 ** 11, 2 ** 12)]
     for x in xs:
-        project_lagrangian(x, w, ab, 0.3)  # warm up allocation paths
+        project_lagrangian(x, w, 0.3)  # warm up allocation paths
     # interleaved rounds; each ratio pairs back-to-back samples of one round,
     # so a slow phase of the host slows both of its sides, and the median
     # over the rounds drops a round that a phase change split.  A sample is
@@ -982,7 +971,7 @@ def test_runtime_scales_linearly_in_n(rng):
         for x in xs:
             t0 = time.perf_counter()
             for _ in range(5):
-                project_lagrangian(x, w, ab, 0.3)
+                project_lagrangian(x, w, 0.3)
             times.append(time.perf_counter() - t0)
         ratios.append([times[1] / times[0], times[2] / times[1]])
     r11, r12 = np.median(ratios, axis=0)
@@ -1003,7 +992,7 @@ def test_one_pass_hands_each_position_to_its_step_once(table, step, n, monkeypat
     ab = w.alphabet
     x = rng.normal(0.5, 0.4, n)
     calls = spy_step(monkeypatch, step)
-    project_lagrangian(x, w, ab, 0.3)
+    project_lagrangian(x, w, 0.3)
     assert all(0 < len(dist) <= projection.VITERBI_BLOCK for dist in calls)
     # blocks come from the back; each row is the distortion of one position
     handed = np.concatenate(calls[::-1])

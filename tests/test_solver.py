@@ -67,7 +67,7 @@ def test_feasibility_invariant_l0_and_constrained():
     assert np.count_nonzero(est) <= 5
     gamma = default_gamma(quantized_kernel(SpikeSlab(p), b), delta=0.15)
     cfg = PgdConfig(
-        projector=partial(project_constrained, w=w, alphabet=ab, gamma=gamma), max_iters=12,
+        projector=partial(project_constrained, w=w, gamma=gamma), max_iters=12,
     )
     est, trace = pgd_solve(A, y, ab, cfg)
     idx = quantize_vector(est, ab)
@@ -124,7 +124,7 @@ def test_infeasible_projection_carries_iteration():
     A = gen_gaussian(4, n, "unit", 2)
     y = A.entries @ np.full(n, 0.75)
     cfg = PgdConfig(
-        projector=partial(project_constrained, w=w, alphabet=ab, gamma=-1.0), max_iters=3,
+        projector=partial(project_constrained, w=w, gamma=-1.0), max_iters=3,
     )
     with pytest.raises(InfeasibleProjection) as exc:
         pgd_solve(A, y, ab, cfg)
@@ -137,7 +137,7 @@ def test_zero_not_in_alphabet_requires_start():
     w = random_weight_table(np.random.default_rng(0), ab.size, 0)
     w2 = type(w)(alphabet=ab, k=0, w=w.w)
     A = gen_gaussian(3, 4, "unit", 0)
-    cfg = PgdConfig(projector=partial(project_lagrangian, w=w2, alphabet=ab, alpha=0.0))
+    cfg = PgdConfig(projector=partial(project_lagrangian, w=w2, alpha=0.0))
     with pytest.raises(ValueError, match="zero"):
         pgd_solve(A, np.zeros(3), ab, cfg)
 
@@ -170,7 +170,7 @@ def test_qmap_bruteforce_unconstrained_square():
     A = gen_gaussian(n, n, "unit", 9)
     u_true = np.array([0, 1, 0, 1])
     y = A.entries @ ab.values[u_true]
-    got = qmap_bruteforce(A, y, w, ab, gamma=math.inf)
+    got = qmap_bruteforce(A, y, w, gamma=math.inf)
     assert np.array_equal(got, u_true)
 
 
@@ -183,7 +183,7 @@ def test_qmap_bruteforce_is_exhaustive_minimum(rng):
         x = sample_path(SpikeSlab(p), n, 200 + seed)
         A = gen_gaussian(m, n, "unit", 300 + seed)
         y = A.entries @ ab.values[quantize_vector(x, ab)]
-        got = qmap_bruteforce(A, y, w, ab, gamma)
+        got = qmap_bruteforce(A, y, w, gamma)
         seqs = enumerate_sequences(ab.size, n)
         costs = sequence_costs(seqs, w) / (n - w.k)
         resid = np.linalg.norm(ab.values[seqs] @ A.entries.T - y, axis=1)
@@ -203,8 +203,8 @@ def test_pgd_feasible_and_dominated_by_oracle():
         A = gen_gaussian(m, n, "unit", 500 + seed)
         xq = ab.values[quantize_vector(x, ab)]
         y = A.entries @ xq
-        oracle = qmap_bruteforce(A, y, w, ab, gamma)
-        proj = partial(project_constrained, w=w, alphabet=ab, gamma=gamma)
+        oracle = qmap_bruteforce(A, y, w, gamma)
+        proj = partial(project_constrained, w=w, gamma=gamma)
         cfg = PgdConfig(projector=proj, max_iters=25)
         est, trace = pgd_solve(A, y, ab, cfg)
         idx = quantize_vector(est, ab)
@@ -258,7 +258,7 @@ def test_pc_markov_constrained_pgd_runs():
     kern = quantized_kernel(model, b)
     w = weights_from_kernel(kern)
     gamma = default_gamma(kern, delta=0.4)
-    proj = partial(project_constrained, w=w, alphabet=ab, gamma=gamma)
+    proj = partial(project_constrained, w=w, gamma=gamma)
     cfg = PgdConfig(projector=proj, max_iters=15, mu=0.5)
     est, trace = pgd_solve(A, y, ab, cfg)
     idx = quantize_vector(est, ab)
@@ -441,7 +441,7 @@ def test_infeasible_projection_stops_the_whole_stack():
     w = weights_from_kernel(quantized_kernel(SpikeSlab(0.3), b))
     designs = [gen_gaussian(4, n, "unit", seed) for seed in (2, 3)]
     ys = np.array([A.entries @ np.full(n, 0.75) for A in designs])
-    infeasible = partial(project_constrained, w=w, alphabet=ab, gamma=-1.0)
+    infeasible = partial(project_constrained, w=w, gamma=-1.0)
     cfg = PgdConfig(projector=lambda steps: np.array([infeasible(s) for s in steps]))
     with pytest.raises(InfeasibleProjection) as exc:
         pgd_solve_stack(designs, ys, ab, cfg)

@@ -1,18 +1,21 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_kernel
-from oracles import weight_gap
+from oracles import sample_table_by_choice, weight_gap
 from qmap.quantize import build_alphabet, quantize_vector
 from qmap.sources import (
     PiecewiseConstant,
+    QuantKernel,
     SpikeSlab,
     TableMarkov,
+    _sample_table,
     cond_entropy,
     info_dimension_curve,
     kernel_from_json,
@@ -20,6 +23,7 @@ from qmap.sources import (
     quantized_kernel,
     sample_path,
     sample_runs,
+    stationary_context_law,
     weights_from_kernel,
 )
 
@@ -89,6 +93,53 @@ def test_sample_runs_block_equals_one_row_calls(kind, rng):
     # sample_path expands one row of runs drawn on its seed's generator
     values, _, lengths = calls[0]
     assert sample_path(model, n, 8).tobytes() == np.repeat(values, lengths).tobytes()
+
+
+RECOVER_TABLE_KERNEL = kernel_from_json(json.loads(
+    (Path(__file__).parent.parent / "configs" / "recover_table.json").read_text("utf-8")
+)["model"]["kernel"])
+
+
+def kernel_with_zeros(seed: int, b: int, k: int) -> QuantKernel:
+    """A random order-k kernel on the b-bit grid whose rows have zero
+    probabilities, but never on repeating the context's last symbol, so
+    every path can reach a constant context, a self-loop, and the chain is
+    aperiodic.  A rare draw still mixes too slowly for stationary_context_law,
+    or its law drifts off a total mass of 1; either raises ValueError."""
+    rng = np.random.default_rng(seed)
+    s = 2 ** b
+    raw = rng.exponential(1.0, (s,) * (k + 1)) * (rng.random((s,) * (k + 1)) < 0.5)
+    if k:
+        for ctx in np.ndindex((s,) * k):
+            raw[ctx + (ctx[-1],)] += 0.1
+    else:
+        raw[int(rng.integers(s))] += 0.1
+    cond = raw / raw.sum(axis=-1, keepdims=True)
+    return QuantKernel(alphabet=build_alphabet(0.0, 1.0, b), k=k, cond=cond,
+                       marginal=stationary_context_law(cond, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.one_of(st.none(), st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(1, 2),
+                                            st.integers(0, 3))),
+       n=st.one_of(st.sampled_from([1, 2, 5, 64]), st.integers(1, 80)),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_table_sampler_equals_one_choice_call_per_symbol(table, n, seed):
+    # one block of uniforms inverted on each row's cdf is the draw of
+    # rng.choice(p=...): the same path, and the same stream consumed (n < k
+    # takes the start context's first n symbols from one draw).  table None
+    # is the kernel of configs/recover_table.json
+    if table is None:
+        kernel = RECOVER_TABLE_KERNEL
+    else:
+        try:
+            kernel = kernel_with_zeros(*table)
+        except ValueError:
+            assume(False)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _sample_table(kernel, n, got_rng)
+    assert got.tobytes() == sample_table_by_choice(kernel, n, want_rng).tobytes()
+    assert got_rng.random() == want_rng.random()
 
 
 def test_pc_sampler_stationary_marginal():
