@@ -11,7 +11,6 @@ from .sources import (
     PiecewiseConstant,
     QuantKernel,
     SpikeSlab,
-    TableMarkov,
     WeightTable,
     cond_entropy,
     info_dimension_curve,
@@ -42,7 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QuantAlphabet", "build_alphabet", "quantize_vector",
-    "SpikeSlab", "PiecewiseConstant", "TableMarkov", "QuantKernel", "WeightTable",
+    "SpikeSlab", "PiecewiseConstant", "QuantKernel", "WeightTable",
     "sample_path", "quantized_kernel", "weights_from_kernel", "cond_entropy",
     "info_dimension_curve",
     "complexity_cost",

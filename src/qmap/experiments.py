@@ -41,7 +41,6 @@ from .sources import (
     PiecewiseConstant,
     SourceModel,
     SpikeSlab,
-    TableMarkov,
     cond_entropy,
     info_dimension_curve,
     kernel_from_json,
@@ -86,17 +85,17 @@ def build_model(spec: dict) -> SourceModel:
     if kind == "pc_markov":
         return PiecewiseConstant(float(spec["p"]))
     if kind == "table_markov":
-        return TableMarkov(kernel_from_json(spec["kernel"]))
+        return kernel_from_json(spec["kernel"])
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def build_projector(spec: dict, kernel, alphabet):
+def build_projector(spec: dict, kernel):
     """The projection map of a projector config, from a step vector to
-    symbol indices.  An l0 projector indexes alphabet and builds no weight
-    table; the Viterbi projectors index the grid of kernel's weight table."""
+    symbol indices on kernel's grid.  An l0 projector builds no weight
+    table."""
     kind = spec["kind"]
     if kind == "l0":
-        return partial(project_l0, alphabet=alphabet, s=int(spec["s"]))
+        return partial(project_l0, alphabet=kernel.alphabet, s=int(spec["s"]))
     w = weights_from_kernel(kernel)
     if kind == "lagrangian":
         return partial(project_lagrangian, w=w, alpha=float(spec["alpha"]))
@@ -136,8 +135,7 @@ def _stages(config: dict, spec: dict, projector, kernel) -> list:
     grow = sorted({max(1, math.ceil(s_final * j / 10)) for j in range(1, 11)})
     budgets = [(s, HOMOTOPY_GROW_ITERS) for s in grow] + [(s_final, HOMOTOPY_FINAL_ITERS)]
     stages = [
-        (fine, PgdConfig(build_projector({"kind": "l0", "s": s}, kernel, fine),
-                         HOMOTOPY_GROW_MU, iters))
+        (fine, PgdConfig(partial(project_l0, alphabet=fine, s=s), HOMOTOPY_GROW_MU, iters))
         for s, iters in budgets
     ]
     stages += [(alphabet, PgdConfig(projector, mu, iters)) for mu, iters in HOMOTOPY_POLISH]
@@ -187,7 +185,7 @@ def run_recovery_trials(config: dict, indices) -> list[dict]:
     ys = np.array(ys)
 
     spec = config["projector"]
-    projector = build_projector(spec, kernel, alphabet)
+    projector = build_projector(spec, kernel)
     stacked = _schedule(config, spec) == "homotopy"
     iters = [0] * len(designs)
     ests = None
@@ -338,7 +336,7 @@ def run_project(config: dict) -> list[dict]:
     x = _read_vector(config["input"])
     kernel = quantized_kernel(build_model(config["model"]), int(config["b"]))
     alphabet = kernel.alphabet
-    u = build_projector(config["projector"], kernel, alphabet)(x)
+    u = build_projector(config["projector"], kernel)(x)
     return [
         {"i": i, "x": xi, "value": value, "symbol": symbol}
         for i, (xi, value, symbol) in enumerate(

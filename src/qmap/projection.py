@@ -18,10 +18,13 @@ finite x; the Viterbi projectors also refuse an x with a coordinate 2^52
 grid steps or more from the grid, where squared distances lose its offset.
 A Viterbi projector's grid is its weight table's, w.alphabet.
 
-Ties are always broken toward the lexicographically smallest symbol-index
-sequence: the dynamic program runs backward over suffix costs, keeping for
-every (position, context) the smallest optimal symbol as a back-pointer,
-and the path is rebuilt forward by following them.
+The Viterbi projectors break ties toward the lexicographically smallest
+symbol-index sequence: the dynamic program runs backward over suffix costs,
+keeping for every (position, context) the smallest optimal symbol as a
+back-pointer, and the path is rebuilt forward by following them.
+project_l0 is the exception: of tied gains it keeps the earlier index, so
+for x = [0.5, 0.5] on the grid {0, 0.5} with s = 1 it returns [1, 0], where
+the lexicographically smallest optimum is [0, 1].
 
 Every pass with k >= 1 forms the distortion a block of positions at a
 time, from the back, and hands each block to the dense step, which writes
@@ -144,13 +147,13 @@ def project_lagrangian(
     # after symbol a the next state is (state mod s^(k-1)) * s + a
     states = s ** k
     low_states = s ** (k - 1)
-    step = _dense_step(aw.reshape(states, s))  # cost of (state, symbol)
+    aw = aw.reshape(states, s)  # cost of (state, symbol)
 
     # backward pass: suffix[state] is the best cost of positions i..n-1 after
     # the context state; back[i - k, state] is the first (smallest) symbol
-    # attaining it.  step(dist, back, suffix) takes a block's distortion,
-    # fills its rows of back and returns the suffix before the block.  No
-    # (n, S) distortion array is held beside the back-pointers
+    # attaining it.  _dense_step takes a block's distortion, fills its rows
+    # of back and returns the suffix before the block.  No (n, S)
+    # distortion array is held beside the back-pointers
     suffix = np.zeros(states)
     back = np.empty((n - k, states), dtype=np.min_scalar_type(s - 1))
     for end in range(n, k, -VITERBI_BLOCK):
@@ -158,7 +161,7 @@ def project_lagrangian(
         dist = (values[None, :] - x[start:end, None]) ** 2
         if dist_scale != 1.0:  # 1.0 * dist is dist: no product to form
             dist *= dist_scale
-        suffix = step(dist, back[start - k:end - k], suffix)
+        suffix = _dense_step(dist, aw, back[start - k:end - k], suffix)
 
     # fold the first k (distortion-only) positions into the initial context,
     # summed from the first: appending symbol a to context c gives c * s + a
@@ -179,26 +182,24 @@ def project_lagrangian(
     return np.array(path, dtype=np.int64)
 
 
-def _dense_step(aw: np.ndarray):
-    """The step of the dense trellis, O(S^(k+1)) a position, for the
-    (state, symbol) costs aw.  A cell is (dist + aw) + suffix[next state],
-    summed in that order; a state's next-state row depends on its low k-1
-    digits only."""
+def _dense_step(dist: np.ndarray, aw: np.ndarray, back: np.ndarray,
+                suffix: np.ndarray) -> np.ndarray:
+    """The step of the dense trellis, O(S^(k+1)) a position, over a block
+    of distortion rows from the back, for the (state, symbol) costs aw.  A
+    cell is (dist + aw) + suffix[next state], summed in that order; a
+    state's next-state row depends on its low k-1 digits only."""
     states, s = aw.shape
     low_states = states // s
     rows = np.arange(states)
     total = np.empty((states, s))
     by_low_digits = total.reshape(s, low_states, s)
-
-    def step(dist: np.ndarray, back: np.ndarray, suffix: np.ndarray) -> np.ndarray:
-        for r in range(len(dist) - 1, -1, -1):
-            np.add(dist[r], aw, out=total)
-            np.add(by_low_digits, suffix.reshape(low_states, s), out=by_low_digits)
-            best_symbol = total.argmin(axis=1)
-            back[r] = best_symbol
-            suffix = total[rows, best_symbol]
-        return suffix
-    return step
+    for r in range(len(dist) - 1, -1, -1):
+        np.add(dist[r], aw, out=total)
+        np.add(by_low_digits, suffix.reshape(low_states, s), out=by_low_digits)
+        best_symbol = total.argmin(axis=1)
+        back[r] = best_symbol
+        suffix = total[rows, best_symbol]
+    return suffix
 
 
 def _is_stay_or_jump(w: WeightTable) -> bool:

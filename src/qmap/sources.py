@@ -2,8 +2,9 @@
 and information-dimension curves.
 
 Built-in models fix the slab distribution to Unif[0,1) (density floor 1), so
-their quantized kernels have closed forms.  Arbitrary quantized chains enter
-through TableMarkov with explicit per-context rows.  All logarithms are base 2.
+their quantized kernels have closed forms.  An arbitrary quantized chain is
+its own model: a QuantKernel with explicit per-context rows, as
+kernel_from_json builds it.  All logarithms are base 2.
 """
 
 from __future__ import annotations
@@ -76,14 +77,7 @@ class QuantKernel:
             raise ValueError(f"context marginal sums to {total!r}, not 1")
 
 
-@dataclass(frozen=True)
-class TableMarkov:
-    """Source given directly by an explicit quantized kernel."""
-
-    kernel: QuantKernel
-
-
-SourceModel = Union[SpikeSlab, PiecewiseConstant, TableMarkov]
+SourceModel = Union[SpikeSlab, PiecewiseConstant, QuantKernel]
 
 
 @dataclass(frozen=True)
@@ -142,10 +136,10 @@ def sample_runs(model: SourceModel, n: int, rows: int, rng: np.random.Generator
     if isinstance(model, SpikeSlab):
         u = rng.random((rows, 2 * n))
         values = np.where(u[:, n:] < model.p, u[:, :n], 0.0).ravel()
-    elif isinstance(model, TableMarkov):
+    elif isinstance(model, QuantKernel):
         values = np.empty(rows * n)
         for r in range(rows):
-            values[r * n: (r + 1) * n] = _sample_table(model.kernel, n, rng)
+            values[r * n: (r + 1) * n] = _sample_table(model, n, rng)
     else:
         raise TypeError(f"unsupported model {model!r}")
     return values, np.arange(rows * n), np.ones(rows * n, dtype=np.intp)
@@ -191,12 +185,10 @@ def quantized_kernel(model: SourceModel, b: int) -> QuantKernel:
         cond = np.full((s, s), model.p * 2.0 ** -b)
         cond[np.diag_indices(s)] += 1.0 - model.p
         return QuantKernel(alphabet=alphabet, k=1, cond=cond, marginal=np.full(s, 2.0 ** -b))
-    if isinstance(model, TableMarkov):
-        if model.kernel.alphabet.b != b:
-            raise ValueError(
-                f"table kernel was built at b={model.kernel.alphabet.b}, requested b={b}"
-            )
-        return model.kernel
+    if isinstance(model, QuantKernel):
+        if model.alphabet.b != b:
+            raise ValueError(f"table kernel was built at b={model.alphabet.b}, requested b={b}")
+        return model
     raise TypeError(f"unsupported model {model!r}")
 
 
@@ -269,7 +261,8 @@ def stationary_context_law(cond: np.ndarray, k: int) -> np.ndarray:
     an array of shape (S,) * k.
 
     Power iteration from the uniform law over the contexts with a nonzero
-    row; mass that flows into a context without one is an error.
+    row, divided by its sum at the end, since the iteration lets the mass
+    drift; mass that flows into a context without one is an error.
     """
     if k == 0:
         return np.ones(())
@@ -287,7 +280,7 @@ def stationary_context_law(cond: np.ndarray, k: int) -> np.ndarray:
             break
     else:
         raise ValueError("context chain did not reach a stationary law")
-    return mu
+    return mu / mu.sum()
 
 
 def kernel_from_json(doc: dict) -> QuantKernel:

@@ -19,7 +19,7 @@ from qmap.experiments import (
     write_csv,
 )
 from qmap.projection import project_l0
-from qmap.sources import PiecewiseConstant, SpikeSlab, TableMarkov, quantized_kernel
+from qmap.sources import PiecewiseConstant, QuantKernel, SpikeSlab, quantized_kernel
 from qmap.validation import f_minimax
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,7 +43,7 @@ def test_build_model_kinds():
         "b": 1, "k": 0, "lo": 0.0, "hi": 1.0,
         "rows": [{"context": [], "probs": [0.75, 0.25]}],
     }
-    assert isinstance(build_model({"kind": "table_markov", "kernel": doc}), TableMarkov)
+    assert isinstance(build_model({"kind": "table_markov", "kernel": doc}), QuantKernel)
     with pytest.raises(ValueError):
         build_model({"kind": "bogus"})
 

@@ -144,19 +144,15 @@ def stay_or_jump_table(size: int, hold: float, jump: float) -> WeightTable:
 
 def spy_step(mp, name: str) -> list:
     """Record a copy of the distortion block handed to each call of the
-    Viterbi step that projection.<name> builds, one list entry per call."""
+    Viterbi step projection.<name>, one list entry per call."""
     calls = []
-    build = getattr(projection, name)
+    step = getattr(projection, name)
 
-    def spied_build(*args):
-        step = build(*args)
+    def counted(dist, aw, back, suffix):
+        calls.append(dist.copy())
+        return step(dist, aw, back, suffix)
 
-        def counted(dist, back, suffix):
-            calls.append(dist.copy())
-            return step(dist, back, suffix)
-        return counted
-
-    mp.setattr(projection, name, spied_build)
+    mp.setattr(projection, name, counted)
     return calls
 
 

@@ -21,3 +21,13 @@ def test_readme_library_example_runs():
                             env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("converged")
+
+
+def test_public_names_resolve_and_star_import_binds_exactly_them():
+    assert len(set(qmap.__all__)) == len(qmap.__all__)
+    missing = [name for name in qmap.__all__ if not hasattr(qmap, name)]
+    assert missing == []
+    namespace = {}
+    exec("from qmap import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(qmap.__all__)

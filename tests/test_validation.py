@@ -14,7 +14,6 @@ from qmap.quantize import quantize_vector
 from qmap.sources import (
     PiecewiseConstant,
     SpikeSlab,
-    TableMarkov,
     ktuple_law,
     quantized_kernel,
     sample_runs,
@@ -336,7 +335,7 @@ def test_mc_empirical_deviation_decreases_with_n():
 
 
 # a 3-symbol table chain: an alphabet size that is not a power of 2
-TABLE = TableMarkov(random_kernel(np.random.default_rng(5), 3, 1))
+TABLE = random_kernel(np.random.default_rng(5), 3, 1)
 MODELS = {
     "spike_slab": (SpikeSlab(0.3), 2),
     "pc_p0": (PiecewiseConstant(0.0), 2),
