@@ -270,7 +270,7 @@ def project_constrained(
     if math.isnan(gamma):
         raise ValueError("gamma must not be NaN")
     # alpha -> 0+: every finite weight set to 0
-    allowed = WeightTable(w.alphabet, w.k, np.where(np.isinf(w.w), np.inf, 0.0))
+    allowed = WeightTable(w.alphabet, np.where(np.isinf(w.w), np.inf, 0.0))
     if _is_stay_or_jump(w):
         n = len(x)
         _check_trellis_input(x, w)

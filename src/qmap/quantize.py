@@ -16,20 +16,27 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QuantAlphabet:
-    """Ordered grid of b-bit quantized values covering [lo, hi).
+    """Ordered grid of b-bit quantized values, values[j] = (i0 + j) * 2**-b.
 
-    Cells are half-open [j*2**-b, (j+1)*2**-b); the right endpoint hi
-    belongs to the last cell, so no zero-mass endpoint symbol exists.
+    Cells are half-open [v, v + 2**-b); their union is the range [lo, hi]
+    = [values[0], values[-1] + 2**-b], whose right endpoint hi belongs to
+    the last cell, so no zero-mass endpoint symbol exists.
     """
 
     b: int
-    lo: float
-    hi: float
     values: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.values)
+
+    @property
+    def lo(self) -> float:
+        return float(self.values[0])
+
+    @property
+    def hi(self) -> float:
+        return float(self.values[-1]) + 2.0 ** -self.b
 
     def zero_index(self) -> int | None:
         """Index of the value 0.0, or None when the grid does not hold it."""
@@ -42,7 +49,8 @@ def build_alphabet(lo: float, hi: float, b: int) -> QuantAlphabet:
     """Enumerate the grid points [x]_b for x in [lo, hi).
 
     lo and hi may be off-grid; lo is snapped down and hi acts as an
-    exclusive upper edge for the grid points themselves.
+    exclusive upper edge for the grid points themselves, so the alphabet's
+    own range snaps outward to cell edges.
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
@@ -57,29 +65,27 @@ def build_alphabet(lo: float, hi: float, b: int) -> QuantAlphabet:
     if hb == i1:
         i1 -= 1  # hi on the grid: last cell starts one step below it
     values = np.arange(i0, i1 + 1) / scale
-    return QuantAlphabet(b=b, lo=lo, hi=hi, values=values)
+    return QuantAlphabet(b=b, values=values)
 
 
 def quantize_vector(x: np.ndarray, alphabet: QuantAlphabet) -> np.ndarray:
     """Quantize each coordinate and return symbol indices into the alphabet.
 
-    Every coordinate must lie in [lo, hi]; hi itself maps to the last cell.
+    Every coordinate must lie in the union of the cells, [lo, hi] =
+    [values[0], values[-1] + 2**-b]; hi itself maps to the last cell.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("expected a 1-D vector")
     # min and max are NaN if any coordinate is, and NaN fails both bounds;
     # only then is every coordinate scanned, to name the first bad one
-    if x.size and not (alphabet.lo <= x.min() and x.max() <= alphabet.hi):
-        i = int(np.flatnonzero(~((x >= alphabet.lo) & (x <= alphabet.hi)))[0])
-        raise ValueError(
-            f"coordinate {i} = {float(x[i])!r} outside alphabet range "
-            f"[{alphabet.lo}, {alphabet.hi}]"
-        )
+    lo, hi = alphabet.lo, alphabet.hi
+    if x.size and not (lo <= x.min() and x.max() <= hi):
+        i = int(np.flatnonzero(~((x >= lo) & (x <= hi)))[0])
+        raise ValueError(f"coordinate {i} = {float(x[i])!r} outside alphabet range [{lo}, {hi}]")
     scale = float(2 ** alphabet.b)
-    i0 = math.floor(alphabet.lo * scale)
     scaled = x * scale
     idx = np.floor(scaled, out=scaled).astype(np.int64)
-    idx -= i0
+    idx -= int(lo * scale)
     # the closed right endpoint folds into the final half-open cell
     return np.minimum(idx, alphabet.size - 1, out=idx)

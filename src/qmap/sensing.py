@@ -12,22 +12,29 @@ SCALES = ("unit", "normalized")
 
 @dataclass(frozen=True)
 class SenseMatrix:
-    """Design matrix with i.i.d. normal entries.
+    """Design matrix with i.i.d. normal entries, SenseMatrix(entries, scale).
 
+    entries is the m x n array; m and n are read from its shape.
     scale 'unit' means N(0,1) entries (paired step 1/m); 'normalized'
     means N(0,1/n) entries (paired step n/m).
     """
 
-    m: int
-    n: int
     entries: np.ndarray
     scale: str
 
     def __post_init__(self):
         if self.scale not in SCALES:
             raise ValueError(f"scale must be one of {SCALES}, got {self.scale!r}")
-        if self.entries.shape != (self.m, self.n):
-            raise ValueError(f"entries shape {self.entries.shape} != ({self.m}, {self.n})")
+        if self.entries.ndim != 2:
+            raise ValueError(f"entries must be a 2-D array, got shape {self.entries.shape}")
+
+    @property
+    def m(self) -> int:
+        return self.entries.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[1]
 
     def step_size(self, mu: float = 1.0) -> float:
         """mu times the step the convergence analysis pairs with this scaling,
@@ -45,7 +52,7 @@ def gen_gaussian(m: int, n: int, scale: str, seed: int) -> SenseMatrix:
     entries = np.random.default_rng(seed).standard_normal((m, n))
     if scale == "normalized":
         entries = entries / math.sqrt(n)
-    return SenseMatrix(m=m, n=n, entries=entries, scale=scale)
+    return SenseMatrix(entries=entries, scale=scale)
 
 
 def measure(A: SenseMatrix, x: np.ndarray, sigma: float, seed: int) -> np.ndarray:

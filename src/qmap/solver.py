@@ -39,7 +39,10 @@ class PgdConfig:
     raise InfeasibleProjection.  Bind its alphabet, weights and budget in
     beforehand, e.g. partial(project_l0, alphabet=alphabet, s=8).  For
     pgd_solve_stack it maps a (rows, n) stack of step vectors row by row,
-    as project_l0 does, and start is a (T, n) array.
+    as project_l0 does, and start is a (T, n) array.  A symbol outside
+    [0, alphabet.size) raises ValueError, but a projector on another grid
+    whose symbols fall inside it cannot be caught: a 2-bit projector given
+    a 6-bit alphabet "converges" on values such as 0.015625 and 0.046875.
 
     mu is a multiple of the step size paired with each design's scaling
     (1/m for unit-variance entries, n/m for 1/n-variance entries; see
@@ -184,6 +187,11 @@ def pgd_solve_stack(
             exc.iteration = t
             exc.trace = traces[running[0]]
             raise
+        # as unsigned, a negative symbol is above every valid one
+        if idx.view(np.uint64).max() >= alphabet.size:
+            bad = idx[(idx < 0) | (idx >= alphabet.size)][0]
+            raise ValueError(f"projector returned symbol {bad}, outside [0, {alphabet.size}) "
+                             f"of the solver's {alphabet.b}-bit alphabet: bound to another grid?")
         est = alphabet.values[idx]
         keep = []
         for j, i in enumerate(running):

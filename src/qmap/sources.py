@@ -3,8 +3,10 @@ and information-dimension curves.
 
 Built-in models fix the slab distribution to Unif[0,1) (density floor 1), so
 their quantized kernels have closed forms.  An arbitrary quantized chain is
-its own model: a QuantKernel with explicit per-context rows, as
-kernel_from_json builds it.  All logarithms are base 2.
+its own model: a QuantKernel(alphabet, cond, marginal) with explicit
+per-context rows, as kernel_from_json builds it.  Its order k, as that of a
+WeightTable(alphabet, w), is the number of axes of its array less one.
+All logarithms are base 2.
 """
 
 from __future__ import annotations
@@ -48,22 +50,22 @@ class QuantKernel:
     """Order-k conditional law of a quantized chain over its own alphabet.
 
     cond[a_1..a_k, a] = q(a | a_1..a_k) is a dense array of shape
-    (S,) * (k + 1); marginal[a_1..a_k] is the stationary context law, of
-    shape (S,) * k (np.ones(()) at k = 0).  A context of marginal 0 may have
-    an all-zero row: the chain never reaches it.
+    (S,) * (k + 1), so k is cond.ndim - 1; marginal[a_1..a_k] is the
+    stationary context law, of shape cond.shape[:-1] (np.ones(()) at k = 0).
+    A context of marginal 0 may have an all-zero row: the chain never
+    reaches it.
     """
 
     alphabet: QuantAlphabet
-    k: int
     cond: np.ndarray = field(repr=False)
     marginal: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         s = self.alphabet.size
-        if self.cond.shape != (s,) * (self.k + 1) or self.marginal.shape != (s,) * self.k:
+        if set(self.cond.shape) != {s} or self.marginal.shape != self.cond.shape[:-1]:
             raise ValueError(
                 f"cond {self.cond.shape} and marginal {self.marginal.shape} do not fit "
-                f"S={s}, k={self.k}"
+                f"S={s}: they need (S,) * (k + 1) and (S,) * k"
             )
         if np.any(self.cond < 0) or np.any(self.marginal < 0):
             raise ValueError("kernel probabilities must be nonnegative")
@@ -76,24 +78,32 @@ class QuantKernel:
         if abs(total - 1.0) > _ROW_TOL:
             raise ValueError(f"context marginal sums to {total!r}, not 1")
 
+    @property
+    def k(self) -> int:
+        return self.cond.ndim - 1
+
 
 SourceModel = Union[SpikeSlab, PiecewiseConstant, QuantKernel]
 
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Dense table w[a_1..a_{k+1}] = -log2 q(a_{k+1} | a_1..a_k), +inf on zeros."""
+    """Dense table w[a_1..a_{k+1}] = -log2 q(a_{k+1} | a_1..a_k), +inf on
+    zeros, of shape (S,) * (k + 1), so k is w.ndim - 1."""
 
     alphabet: QuantAlphabet
-    k: int
-    w: np.ndarray  # shape (S,) * (k + 1)
+    w: np.ndarray
 
     def __post_init__(self):
         s = self.alphabet.size
-        if self.w.shape != (s,) * (self.k + 1):
-            raise ValueError(f"weight array shape {self.w.shape} != {(s,) * (self.k + 1)}")
+        if set(self.w.shape) != {s}:
+            raise ValueError(f"weight array shape {self.w.shape} is not (S,) * (k + 1) for S={s}")
         if np.any(self.w[np.isfinite(self.w)] < -1e-12):
             raise ValueError("weights must be nonnegative")
+
+    @property
+    def k(self) -> int:
+        return self.w.ndim - 1
 
 
 def sample_path(model: SourceModel, n: int, seed: int) -> np.ndarray:
@@ -176,7 +186,7 @@ def quantized_kernel(model: SourceModel, b: int) -> QuantKernel:
         alphabet = build_alphabet(0.0, 1.0, b)
         cond = np.full(alphabet.size, model.p * 2.0 ** -b)
         cond[0] += 1.0 - model.p
-        return QuantKernel(alphabet=alphabet, k=0, cond=cond, marginal=np.ones(()))
+        return QuantKernel(alphabet=alphabet, cond=cond, marginal=np.ones(()))
     if isinstance(model, PiecewiseConstant):
         alphabet = build_alphabet(0.0, 1.0, b)
         s = alphabet.size
@@ -184,7 +194,7 @@ def quantized_kernel(model: SourceModel, b: int) -> QuantKernel:
             raise ValueError(f"piecewise-constant kernel with b={b} needs {s}x{s} rows; too large")
         cond = np.full((s, s), model.p * 2.0 ** -b)
         cond[np.diag_indices(s)] += 1.0 - model.p
-        return QuantKernel(alphabet=alphabet, k=1, cond=cond, marginal=np.full(s, 2.0 ** -b))
+        return QuantKernel(alphabet=alphabet, cond=cond, marginal=np.full(s, 2.0 ** -b))
     if isinstance(model, QuantKernel):
         if model.alphabet.b != b:
             raise ValueError(f"table kernel was built at b={model.alphabet.b}, requested b={b}")
@@ -196,7 +206,7 @@ def weights_from_kernel(kernel: QuantKernel) -> WeightTable:
     """w[a^{k+1}] = -log2 of the conditional; zero conditionals map to +inf."""
     with np.errstate(divide="ignore"):
         w = -np.log2(kernel.cond)
-    return WeightTable(alphabet=kernel.alphabet, k=kernel.k, w=w)
+    return WeightTable(alphabet=kernel.alphabet, w=w)
 
 
 def cond_entropy(kernel: QuantKernel) -> float:
@@ -306,4 +316,4 @@ def kernel_from_json(doc: dict) -> QuantKernel:
             raise ValueError(f"row for context {list(ctx)} has {probs.size} probs, not S={s}")
         cond[ctx] = probs
     marginal = stationary_context_law(cond, k)
-    return QuantKernel(alphabet=alphabet, k=k, cond=cond, marginal=marginal)
+    return QuantKernel(alphabet=alphabet, cond=cond, marginal=marginal)

@@ -43,7 +43,7 @@ def random_weight_table(rng: np.random.Generator, size: int, k: int,
         for row in range(flat.shape[0]):
             if not np.isfinite(flat[row]).any():
                 flat[row, int(rng.integers(size))] = float(rng.exponential(1.0))
-    return WeightTable(alphabet=alphabet, k=k, w=w)
+    return WeightTable(alphabet=alphabet, w=w)
 
 
 def random_kernel(rng: np.random.Generator, size: int, k: int) -> QuantKernel:
@@ -51,7 +51,7 @@ def random_kernel(rng: np.random.Generator, size: int, k: int) -> QuantKernel:
     alphabet = build_alphabet(0.0, size * 0.25, 2)
     raw = rng.exponential(1.0, (size,) * (k + 1)) + 0.05
     cond = raw / raw.sum(axis=-1, keepdims=True)
-    return QuantKernel(alphabet=alphabet, k=k, cond=cond,
+    return QuantKernel(alphabet=alphabet, cond=cond,
                        marginal=stationary_context_law(cond, k))
 
 

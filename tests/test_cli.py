@@ -211,6 +211,37 @@ def test_table_kernel_grid_is_the_search_space(tmp_path):
     assert set(values) <= {0.0, 0.25}
 
 
+def table_config_with_lo(lo):
+    """configs/recover_table.json with its kernel's lo set to lo."""
+    config = json.loads((ROOT / "configs" / "recover_table.json").read_text("utf-8"))
+    config["model"]["kernel"]["lo"] = lo
+    return config
+
+
+def test_off_grid_lo_recovers_on_the_grid_it_snaps_to(tmp_path):
+    # lo = 0.1 snaps down to the 2-bit cell edge 0.0: the same grid as
+    # recover_table's, so the same rows, and the sampled 0.0 is in range
+    cfg = write_cfg(tmp_path, "r.json", table_config_with_lo(0.1))
+    out = tmp_path / "r.csv"
+    assert run(["recover", "--config", cfg, "--out", out, "--jobs", 1]) == 0
+    golden = (ROOT / "tests" / "golden" / "recover_table.csv").read_text("utf-8")
+    assert out.read_text("utf-8").splitlines()[1:] == golden.splitlines()[1:]
+
+
+def test_off_grid_lo_validates_on_the_grid_it_snaps_to(tmp_path):
+    reports = []
+    for lo in (0.1, 0.0):
+        entry = {"model": table_config_with_lo(lo)["model"], "n": 64, "k": 1, "b": 2,
+                 "epsilon": 0.5, "trials": 200}
+        cfg = write_cfg(tmp_path, "v.json", {
+            "seed": 3, "suites": {"empirical_deviation": [entry]},
+        })
+        out = tmp_path / f"v{lo}.json"
+        assert run(["validate", "--config", cfg, "--out", out]) == 0
+        reports.append(json.loads(out.read_text("utf-8"))["results"])
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("command, cfg, key", [
     ("recover", dict(RECOVER_CFG, projector={"kind": "l0"}), "s"),
     ("recover", dict(RECOVER_CFG, projector={"kind": "lagrangian"}), "alpha"),

@@ -19,6 +19,7 @@ from qmap.experiments import (
     write_csv,
 )
 from qmap.projection import project_l0
+from qmap.quantize import build_alphabet
 from qmap.sources import PiecewiseConstant, QuantKernel, SpikeSlab, quantized_kernel
 from qmap.validation import f_minimax
 
@@ -107,6 +108,23 @@ def test_homotopy_stages_of_criterion_4():
         assert cfg.start is None
         got.append((stage_alphabet.b, cfg.projector.keywords["s"], cfg.mu, cfg.max_iters))
     assert got == expected
+
+
+@pytest.mark.parametrize("b, lo, hi", [(2, 0.1, 1.0), (3, -0.3, 0.7), (6, 0.37, 1.9)])
+def test_homotopy_solve_grid_holds_the_target_grid(b, lo, hi):
+    # off-grid edges snap outward to the target grid's cell edges, and the
+    # solve grid spans the same cells at 12 bits
+    size = build_alphabet(lo, hi, b).size
+    kernel = build_model({"kind": "table_markov", "kernel": {
+        "b": b, "k": 0, "lo": lo, "hi": hi,
+        "rows": [{"context": [], "probs": [1.0] + [0.0] * (size - 1)}],
+    }})
+    spec = {"kind": "l0", "s": 4}
+    projector = partial(project_l0, alphabet=kernel.alphabet, s=4)
+    fine = _stages({"projector": spec}, spec, projector, kernel)[0][0]
+    assert fine.b == 12
+    assert np.isin(kernel.alphabet.values, fine.values).all()
+    assert (fine.lo, fine.hi) == (kernel.alphabet.lo, kernel.alphabet.hi)
 
 
 def test_normalized_design_homotopy_recovers_as_the_unit_one():

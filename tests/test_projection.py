@@ -139,7 +139,7 @@ def test_lagrangian_matches_bruteforce(rng):
 def stay_or_jump_table(size: int, hold: float, jump: float) -> WeightTable:
     w = np.full((size, size), jump)
     np.fill_diagonal(w, hold)
-    return WeightTable(alphabet=build_alphabet(0.0, size * 0.25, 2), k=1, w=w)
+    return WeightTable(alphabet=build_alphabet(0.0, size * 0.25, 2), w=w)
 
 
 def spy_step(mp, name: str) -> list:
@@ -204,7 +204,7 @@ def test_lagrangian_on_stay_or_jump_tables_matches_bruteforce(case, dist_scale):
     np.array([[0.5, 2.0, np.inf], [2.0, 0.5, 2.0], [2.0, 2.0, 0.5]]),  # a forbidden jump
 ])
 def test_other_k1_tables_take_the_dense_pass(table, monkeypatch):
-    w = WeightTable(alphabet=build_alphabet(0.0, 0.75, 2), k=1, w=table)
+    w = WeightTable(alphabet=build_alphabet(0.0, 0.75, 2), w=table)
     rng = np.random.default_rng(5)
     for alpha in (0.0, 0.125, 0.5, 2.0):
         for _ in range(5):
@@ -360,7 +360,7 @@ def constrained_cases(draw):
 @given(constrained_cases())
 @example((  # the rounding [0, 1, 1] uses the forbidden window (1, 1)
     np.array([0.0, 0.25, 0.25]),
-    WeightTable(build_alphabet(0.0, 0.5, 2), 1, np.array([[0.0, 1.0], [0.5, np.inf]])),
+    WeightTable(build_alphabet(0.0, 0.5, 2), np.array([[0.0, 1.0], [0.5, np.inf]])),
     0.5,
 ))
 def test_constrained_is_best_feasible_hull_vertex(case):
@@ -479,7 +479,7 @@ def test_jump_count_pass_is_the_exact_constrained_projection(case):
     assert u.dtype == np.int64
     if jumps >= n - 1:
         # every sequence fits: the search's first pass, all weights 0
-        zeroed = WeightTable(w.alphabet, w.k, np.zeros_like(w.w))
+        zeroed = WeightTable(w.alphabet, np.zeros_like(w.w))
         assert len(passes) == 1
         assert u.tobytes() == project_lagrangian(x, zeroed, 1.0).tobytes()
     else:

@@ -85,6 +85,12 @@ def test_alphabet_structure(rng):
             assert ab.values[zero] == 0.0
         else:
             assert zero is None
+        # the range is the union of the cells, whatever edges built the grid:
+        # every grid value quantizes to itself, and a finer grid over the
+        # range holds the grid
+        assert (ab.lo, ab.hi) == (ab.values[0], ab.values[-1] + 2.0 ** -b)
+        assert quantize_vector(ab.values, ab).tolist() == list(range(ab.size))
+        assert np.isin(ab.values, build_alphabet(ab.lo, ab.hi, 12).values).all()
 
 
 def test_build_alphabet_rejects_bad_range():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmap.sensing import gen_gaussian, measure
+from qmap.sensing import SenseMatrix, gen_gaussian, measure
 
 
 def test_generation_is_reproducible():
@@ -77,3 +77,11 @@ def test_paired_steps():
         assert gen_gaussian(26, 16, "unit", 0).step_size(mu) == mu / 26
         assert gen_gaussian(26, 16, "normalized", 0).step_size(mu) == mu * 16 / 26
     assert gen_gaussian(26, 16, "unit", 0).step_size(0.7) != 0.7 * (1 / 26)
+
+
+def test_design_dimensions_come_from_its_entries():
+    A = gen_gaussian(3, 5, "unit", 0)
+    assert (A.m, A.n) == (3, 5)
+    for entries in (np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="2-D"):
+            SenseMatrix(entries, "unit")

@@ -49,7 +49,7 @@ def spike_setup(n, b, p, seed, m=None, sigma=0.0, scale="unit"):
 def test_identity_design_recovers_in_one_step():
     n, b, p = 16, 4, 0.3
     x, xq, ab, A, y, w = spike_setup(n, b, p, 7)
-    A = SenseMatrix(n, n, np.eye(n), "unit")
+    A = SenseMatrix(np.eye(n), "unit")
     y = A.entries @ xq
     # n times the paired step 1/n is the step 1
     cfg = PgdConfig(projector=partial(project_l0, alphabet=ab, s=n), mu=float(n))
@@ -135,11 +135,23 @@ def test_infeasible_projection_carries_iteration():
 def test_zero_not_in_alphabet_requires_start():
     ab = build_alphabet(0.5, 1.0, 2)
     w = random_weight_table(np.random.default_rng(0), ab.size, 0)
-    w2 = type(w)(alphabet=ab, k=0, w=w.w)
+    w2 = type(w)(alphabet=ab, w=w.w)
     A = gen_gaussian(3, 4, "unit", 0)
     cfg = PgdConfig(projector=partial(project_lagrangian, w=w2, alpha=0.0))
     with pytest.raises(ValueError, match="zero"):
         pgd_solve(A, np.zeros(3), ab, cfg)
+
+
+@pytest.mark.parametrize("symbol", [16, -1])
+def test_symbol_off_the_solver_alphabet_is_refused(symbol):
+    # a projector bound to a 6-bit grid, given a 2-bit alphabet, returns
+    # symbols such as 16; -1 would index the grid from its end
+    ab = build_alphabet(0.0, 1.0, 2)
+    A = gen_gaussian(3, 4, "unit", 0)
+    fine = partial(project_l0, alphabet=build_alphabet(0.0, 1.0, 6), s=4)
+    for projector in (fine, lambda x: np.full(len(x), symbol)):
+        with pytest.raises(ValueError, match=r"outside \[0, 4\) of the solver's 2-bit alphabet"):
+            pgd_solve(A, A.entries @ np.full(4, 0.25), ab, PgdConfig(projector))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -331,7 +343,7 @@ def l0_problem_stacks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     # a design's scale sets its paired step, so the rows' steps differ
     scales = draw(st.lists(st.sampled_from(["unit", "normalized"]), min_size=rows, max_size=rows))
-    designs = [SenseMatrix(m, n, rng.standard_normal((m, n)), scale) for scale in scales]
+    designs = [SenseMatrix(rng.standard_normal((m, n)), scale) for scale in scales]
     truth = ab.values[rng.integers(0, ab.size, (rows, n))]
     ys = np.array([A.entries @ x for A, x in zip(designs, truth)])
     ys += draw(st.sampled_from([0.0, 0.1])) * rng.standard_normal((rows, m))

@@ -14,6 +14,7 @@ from qmap.sources import (
     PiecewiseConstant,
     QuantKernel,
     SpikeSlab,
+    WeightTable,
     _sample_table,
     cond_entropy,
     info_dimension_curve,
@@ -114,7 +115,7 @@ def kernel_with_zeros(seed: int, b: int, k: int) -> QuantKernel:
     else:
         raw[int(rng.integers(s))] += 0.1
     cond = raw / raw.sum(axis=-1, keepdims=True)
-    return QuantKernel(alphabet=build_alphabet(0.0, 1.0, b), k=k, cond=cond,
+    return QuantKernel(alphabet=build_alphabet(0.0, 1.0, b), cond=cond,
                        marginal=stationary_context_law(cond, k))
 
 
@@ -339,3 +340,18 @@ def test_table_sampler_uses_kernel(rng):
 def test_quantized_kernel_rejects_unknown_model():
     with pytest.raises(TypeError):
         quantized_kernel(object(), 2)
+
+
+def test_orders_come_from_the_arrays_and_misfits_are_refused():
+    ab = build_alphabet(0.0, 1.0, 2)
+    assert WeightTable(ab, np.zeros((4, 4, 4))).k == 2
+    uniform = np.full((4, 4), 0.25)
+    assert QuantKernel(ab, uniform, np.full(4, 0.25)).k == 1
+    for w in (np.zeros(()), np.zeros((4, 3)), np.zeros((3, 3))):
+        with pytest.raises(ValueError, match="weight array shape"):
+            WeightTable(ab, w)
+    for marginal in (np.ones(()), np.full(3, 1 / 3), np.full((4, 4), 1 / 16)):
+        with pytest.raises(ValueError, match="do not fit"):
+            QuantKernel(ab, uniform, marginal)
+    with pytest.raises(ValueError, match="do not fit"):
+        QuantKernel(ab, np.ones(()), np.ones(()))
