@@ -12,13 +12,14 @@ from .sources import (
     QuantKernel,
     SpikeSlab,
     WeightTable,
+    complexity_cost,
     cond_entropy,
+    default_gamma,
     info_dimension_curve,
     quantized_kernel,
     sample_path,
     weights_from_kernel,
 )
-from .empirics import complexity_cost
 from .projection import (
     InfeasibleProjection,
     ProblemTooLarge,
@@ -27,7 +28,7 @@ from .projection import (
     project_lagrangian,
 )
 from .sensing import SenseMatrix, gen_gaussian, measure
-from .solver import PgdConfig, PgdTrace, default_gamma, pgd_solve, pgd_solve_stack
+from .solver import PgdConfig, PgdTrace, pgd_solve, pgd_solve_stack
 from .validation import (
     TailEstimate,
     chi_square_tail,
@@ -43,12 +44,11 @@ __all__ = [
     "QuantAlphabet", "build_alphabet", "quantize_vector",
     "SpikeSlab", "PiecewiseConstant", "QuantKernel", "WeightTable",
     "sample_path", "quantized_kernel", "weights_from_kernel", "cond_entropy",
-    "info_dimension_curve",
-    "complexity_cost",
+    "default_gamma", "complexity_cost", "info_dimension_curve",
     "InfeasibleProjection", "ProblemTooLarge", "project_lagrangian",
     "project_constrained", "project_l0",
     "SenseMatrix", "gen_gaussian", "measure",
-    "PgdConfig", "PgdTrace", "pgd_solve", "pgd_solve_stack", "default_gamma",
+    "PgdConfig", "PgdTrace", "pgd_solve", "pgd_solve_stack",
     "TailEstimate", "mc_empirical_deviation", "chi_square_tail",
     "inner_product_tail", "f_minimax", "gaussian_projection_check",
     "__version__",

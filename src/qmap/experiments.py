@@ -36,12 +36,13 @@ from .projection import (
 )
 from .quantize import build_alphabet, quantize_vector
 from .sensing import gen_gaussian, measure
-from .solver import PgdConfig, default_gamma, pgd_solve, pgd_solve_stack
+from .solver import PgdConfig, pgd_solve, pgd_solve_stack
 from .sources import (
     PiecewiseConstant,
     SourceModel,
     SpikeSlab,
     cond_entropy,
+    default_gamma,
     info_dimension_curve,
     kernel_from_json,
     quantized_kernel,

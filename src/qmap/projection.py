@@ -43,9 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .empirics import complexity_cost
 from .quantize import QuantAlphabet
-from .sources import WeightTable
+from .sources import WeightTable, complexity_cost
 
 MAX_STATES = 2 ** 20          # alphabet^k context states
 MAX_TRELLIS_CELLS = 2 ** 24   # n * alphabet^k back-pointers kept alive

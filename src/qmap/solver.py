@@ -9,7 +9,9 @@ projects S(t+1) back onto the chosen feasible set (hard complexity
 budget, Lagrangian penalty, or sparsity budget).  The projection is one
 fixed map from the step vector to the grid, built by the caller.  The
 iteration starts from the all-zero vector; the first projection restores
-feasibility even when the zero vector itself is infeasible.
+feasibility even when the zero vector itself is infeasible.  The solver
+knows only the projector's contract, the grid and the design; the source
+model, its weights and the budget are bound into the projector.
 
 pgd_solve_stack runs this loop on a stack of independent problems at once,
 one projector call per iteration for the whole stack; pgd_solve is its
@@ -27,7 +29,6 @@ import numpy as np
 from .projection import InfeasibleProjection
 from .quantize import QuantAlphabet
 from .sensing import SenseMatrix
-from .sources import QuantKernel, cond_entropy
 
 
 @dataclass
@@ -80,11 +81,6 @@ class PgdTrace:
     @property
     def iters(self) -> int:
         return len(self.residuals) - 1
-
-
-def default_gamma(kernel: QuantKernel, delta: float = 0.1) -> float:
-    """Complexity budget b * (H/b + delta) from the exact kernel entropy."""
-    return cond_entropy(kernel) + delta * kernel.alphabet.b
 
 
 def pgd_solve(

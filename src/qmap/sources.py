@@ -1,5 +1,8 @@
 """Stationary source models: samplers, exact quantized kernels, weight tables,
-and information-dimension curves.
+and information-dimension curves, with the two halves of Q-MAP's complexity
+budget read off them: the weighted cost c_w(u) of a symbol sequence
+(complexity_cost) and the budget gamma = H + delta * b it is held to
+(default_gamma).
 
 Built-in models fix the slab distribution to Unif[0,1) (density floor 1), so
 their quantized kernels have closed forms.  An arbitrary quantized chain is
@@ -104,6 +107,39 @@ class WeightTable:
     @property
     def k(self) -> int:
         return self.w.ndim - 1
+
+
+def complexity_cost(u: np.ndarray, w: WeightTable) -> float:
+    """Weighted empirical cost sum_w w[a^{k+1}] * phat(a^{k+1} | u).
+
+    Any window with infinite weight makes the cost +inf; that marks the
+    sequence infeasible for the projector and solver rather than erroring.
+    The distinct windows are summed in order of first occurrence, strictly
+    left to right, so the value is the same float as a running total over
+    the window counts kept in order of first occurrence; the projectors
+    compare it against the budget exactly.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    n = len(u)
+    k = w.k
+    s = w.alphabet.size
+    if n <= k:
+        raise ValueError(f"sequence of length {n} has no windows of order k={k}")
+    if u.min() < 0 or u.max() >= s:
+        raise ValueError(f"symbols must lie in [0, {s})")
+    # window code in base s, first symbol most significant: the C-order
+    # position of the window in the weight array
+    codes = u[k:].copy()
+    for j in range(1, k + 1):
+        codes += u[k - j: n - j] * s ** j
+    distinct, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    weights = w.w.ravel()[distinct[order]]
+    if np.isinf(weights).any():
+        return math.inf
+    # cumsum adds sequentially; the leading 0.0 matches a running total
+    terms = np.concatenate(([0.0], weights * counts[order]))
+    return float(np.cumsum(terms)[-1]) / (n - k)
 
 
 def sample_path(model: SourceModel, n: int, seed: int) -> np.ndarray:
@@ -220,6 +256,11 @@ def cond_entropy(kernel: QuantKernel) -> float:
     return float(total)
 
 
+def default_gamma(kernel: QuantKernel, delta: float) -> float:
+    """Complexity budget b * (H/b + delta) from the exact kernel entropy."""
+    return cond_entropy(kernel) + delta * kernel.alphabet.b
+
+
 def ktuple_law(kernel: QuantKernel, j: int) -> np.ndarray:
     """Exact law of j consecutive quantized symbols of the stationary chain,
     as an array of shape (S,) * j."""
@@ -284,7 +325,9 @@ def stationary_context_law(cond: np.ndarray, k: int) -> np.ndarray:
     mu = np.where(has_row, 1.0 / np.count_nonzero(has_row), 0.0)
     for _ in range(100_000):
         nxt = (mu[..., None] * cond).sum(axis=0)
-        delta = sum(np.abs(nxt - mu).ravel().tolist())  # left to right, in context order
+        # cumsum adds left to right, in context order; the builtin sum of
+        # floats is compensated from Python 3.12 on
+        delta = float(np.cumsum(np.abs(nxt - mu).ravel())[-1])
         mu = nxt
         if delta < 1e-14:
             break

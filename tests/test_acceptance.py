@@ -11,16 +11,17 @@ from functools import partial
 import numpy as np
 
 from qmap.cli import main as cli_main
-from qmap.empirics import complexity_cost
 from qmap.experiments import run_phase
 from qmap.projection import project_constrained, project_lagrangian
 from qmap.quantize import build_alphabet, quantize_vector
 from qmap.sensing import gen_gaussian
-from qmap.solver import PgdConfig, default_gamma, pgd_solve
+from qmap.solver import PgdConfig, pgd_solve
 from qmap.sources import (
     PiecewiseConstant,
     SpikeSlab,
+    complexity_cost,
     cond_entropy,
+    default_gamma,
     quantized_kernel,
     sample_path,
     weights_from_kernel,

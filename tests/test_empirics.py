@@ -13,11 +13,11 @@ from oracles import (
     kl_divergence,
     weight_gap,
 )
-from qmap.empirics import complexity_cost
 from qmap.quantize import quantize_vector
 from qmap.sources import (
     PiecewiseConstant,
     SpikeSlab,
+    complexity_cost,
     cond_entropy,
     quantized_kernel,
     sample_path,

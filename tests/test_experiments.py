@@ -1,4 +1,5 @@
 import json
+import os
 from functools import partial
 from pathlib import Path
 
@@ -8,10 +9,12 @@ import pytest
 from qmap.experiments import (
     _stages,
     build_model,
+    build_projector,
     canonical_json,
     format_value,
     run_infodim,
     run_phase,
+    run_project,
     run_recover,
     run_recovery_trials,
     run_validate,
@@ -285,3 +288,15 @@ def test_format_value_round_trips(tmp_path):
     for cell, v in zip(cells, values):
         assert "np." not in cell
         assert (int(cell) if isinstance(v, np.integer) else float(cell)) == v
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: build_projector({"kind": "ridge"}, quantized_kernel(SpikeSlab(0.1), 2)),
+                 "unknown projector kind 'ridge'", id="projector-kind"),
+    pytest.param(lambda: run_project({"input": os.devnull}),
+                 f"no values found in {os.devnull}", id="empty-input"),
+])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

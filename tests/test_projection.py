@@ -20,7 +20,6 @@ from oracles import (
     sequence_costs,
     weight_gap,
 )
-from qmap.empirics import complexity_cost
 from qmap.experiments import build_model, run_recover
 from qmap.projection import (
     InfeasibleProjection,
@@ -35,6 +34,7 @@ from qmap.sources import (
     PiecewiseConstant,
     SpikeSlab,
     WeightTable,
+    complexity_cost,
     quantized_kernel,
     weights_from_kernel,
 )
@@ -80,7 +80,7 @@ def test_zero_weight_pass_may_round_a_nudged_midpoint_down(monkeypatch):
     x = np.full(100, 0.125)
     x[[0, 50]] = np.nextafter(0.125, 1.0)
     assert nearest_index(ab, x)[[0, 50]].tolist() == [1, 1]
-    dense = spy_step(monkeypatch, "_dense_step")
+    dense = spy_step(monkeypatch)
     # alpha = 0, and no budget (J(gamma) >= n - 1): one dense pass each
     for u in (project_lagrangian(x, w, 0.0), project_constrained(x, w, math.inf)):
         assert u.dtype == np.int64 and u.tolist() == [0] * 100
@@ -142,17 +142,17 @@ def stay_or_jump_table(size: int, hold: float, jump: float) -> WeightTable:
     return WeightTable(alphabet=build_alphabet(0.0, size * 0.25, 2), w=w)
 
 
-def spy_step(mp, name: str) -> list:
+def spy_step(mp) -> list:
     """Record a copy of the distortion block handed to each call of the
-    Viterbi step projection.<name>, one list entry per call."""
+    Viterbi step projection._dense_step, one list entry per call."""
     calls = []
-    step = getattr(projection, name)
+    step = projection._dense_step
 
     def counted(dist, aw, back, suffix):
         calls.append(dist.copy())
         return step(dist, aw, back, suffix)
 
-    mp.setattr(projection, name, counted)
+    mp.setattr(projection, "_dense_step", counted)
     return calls
 
 
@@ -413,7 +413,7 @@ def test_constrained_pass_count_on_piecewise_constant_path(monkeypatch):
     w.w[0, 1] += 1.0
     half_jump = 0.5 * (w.w[1, 0] - w.w[0, 0]) / (n - 1)
     gamma = complexity_cost(nearest_index(w.alphabet, clean), w) + half_jump
-    dense = spy_step(monkeypatch, "_dense_step")
+    dense = spy_step(monkeypatch)
     passes = count_viterbi_passes(monkeypatch)
     u = project_constrained(x, w, gamma)
     assert complexity_cost(u, w) <= gamma
@@ -976,20 +976,45 @@ def test_runtime_scales_linearly_in_n(rng):
 
 
 @pytest.mark.parametrize("n", [2 ** 10, 2 ** 11, 2 ** 12])
-@pytest.mark.parametrize("table,step", [
-    ("dense k=1", "_dense_step"),
-    ("dense k=2", "_dense_step"),
+@pytest.mark.parametrize("table", [
+    pytest.param(f"dense k={k}", id=f"dense k={k}-_dense_step") for k in (1, 2)
 ])
-def test_one_pass_hands_each_position_to_its_step_once(table, step, n, monkeypatch):
+def test_one_pass_hands_each_position_to_its_step_once(table, n, monkeypatch):
     # the deterministic side of test_runtime_scales_linearly_in_n: the work
     # of one pass is its step's work on positions k..n-1, each taken once
     rng = np.random.default_rng(n)
     w = random_weight_table(rng, 4, int(table[-1]))
     ab = w.alphabet
     x = rng.normal(0.5, 0.4, n)
-    calls = spy_step(monkeypatch, step)
+    calls = spy_step(monkeypatch)
     project_lagrangian(x, w, 0.3)
     assert all(0 < len(dist) <= projection.VITERBI_BLOCK for dist in calls)
     # blocks come from the back; each row is the distortion of one position
     handed = np.concatenate(calls[::-1])
     assert handed.tobytes() == ((ab.values[None, :] - x[w.k:, None]) ** 2).tobytes()
+
+
+HALVES = build_alphabet(0.0, 1.0, 1)  # {0, 0.5}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: project_lagrangian(np.zeros(3), WeightTable(HALVES, np.zeros((2,) * 3)),
+                                            1.0),
+                 ProblemTooLarge, "trellis needs 2^2 states; limit is 2", id="states"),
+    # alpha > 0 keeps the +inf weights; alpha = 0 erases them
+    pytest.param(lambda: project_lagrangian(np.zeros(2), WeightTable(HALVES, np.full(2, math.inf)),
+                                            1.0),
+                 InfeasibleProjection, "every symbol is forbidden at some position",
+                 id="forbidden"),
+    pytest.param(lambda: project_l0(np.zeros(3), HALVES, 4), ValueError,
+                 "need 0 <= s <= 3, got 4", id="l0-s"),
+    pytest.param(lambda: project_l0(np.zeros(3), build_alphabet(0.5, 1.0, 2), 1), ValueError,
+                 "alphabet does not contain 0", id="l0-zero"),
+])
+def test_refusals_name_their_cause(call, error, message, monkeypatch):
+    # a limit the 4 states of a binary k=2 table exceed, so the refusal
+    # needs no table of 2^21 states; no other case reaches it
+    monkeypatch.setattr(projection, "MAX_STATES", 2)
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

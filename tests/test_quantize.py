@@ -142,3 +142,16 @@ def test_quantize_vector_matches_scalar(rng):
     idx = quantize_vector(x, ab)
     for xi, ii in zip(x, idx):
         assert ab.values[ii] == quantize_scalar(float(xi), 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: build_alphabet(0.0, 1.0, 0), "b must be >= 1, got 0", id="b"),
+    pytest.param(lambda: build_alphabet(0.0, math.inf, 2), "lo and hi must be finite",
+                 id="range"),
+    pytest.param(lambda: quantize_vector(np.zeros((2, 2)), build_alphabet(0.0, 1.0, 2)),
+                 "expected a 1-D vector", id="vector"),
+])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -85,3 +85,21 @@ def test_design_dimensions_come_from_its_entries():
     for entries in (np.zeros(4), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError, match="2-D"):
             SenseMatrix(entries, "unit")
+
+
+@pytest.mark.parametrize("call, message", [
+    # the design checks the scale, whichever way it is built
+    pytest.param(lambda: SenseMatrix(np.zeros((2, 2)), "unit-variance"),
+                 "scale must be one of ('unit', 'normalized'), got 'unit-variance'",
+                 id="design-scale"),
+    pytest.param(lambda: gen_gaussian(2, 2, "unit-variance", 0),
+                 "scale must be one of ('unit', 'normalized'), got 'unit-variance'",
+                 id="generated-scale"),
+    pytest.param(lambda: gen_gaussian(0, 2, "unit", 0), "m and n must be >= 1", id="m"),
+    pytest.param(lambda: measure(gen_gaussian(2, 2, "unit", 0), np.zeros(2), -1.0, 0),
+                 "sigma must be >= 0", id="sigma"),
+])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -15,7 +15,6 @@ from oracles import (
     qmap_bruteforce,
     sequence_costs,
 )
-from qmap.empirics import complexity_cost
 from qmap.projection import (
     InfeasibleProjection,
     project_constrained,
@@ -24,11 +23,13 @@ from qmap.projection import (
 )
 from qmap.quantize import build_alphabet, quantize_vector
 from qmap.sensing import SenseMatrix, gen_gaussian, measure
-from qmap.solver import PgdConfig, default_gamma, pgd_solve, pgd_solve_stack
+from qmap.solver import PgdConfig, pgd_solve, pgd_solve_stack
 from qmap.sources import (
     PiecewiseConstant,
     SpikeSlab,
+    complexity_cost,
     cond_entropy,
+    default_gamma,
     quantized_kernel,
     sample_path,
     weights_from_kernel,
@@ -472,3 +473,20 @@ def test_stack_refuses_mismatched_shapes():
     with pytest.raises(ValueError, match="start"):
         pgd_solve_stack([A, A], np.zeros((2, 3)), ab,
                         replace(cfg, start=np.zeros(5, dtype=np.int64)))
+
+
+HALVES = build_alphabet(0.0, 1.0, 1)  # {0, 0.5}
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: pgd_solve_stack([], np.zeros((0, 2)), HALVES,
+                                         PgdConfig(projector=np.zeros_like)),
+                 "need at least one problem", id="empty-stack"),
+    pytest.param(lambda: pgd_solve(SenseMatrix(np.eye(2), "unit"), np.zeros(2), HALVES,
+                                   PgdConfig(projector=np.zeros_like, max_iters=0)),
+                 "max_iters must be >= 1", id="max_iters"),
+])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -355,3 +355,37 @@ def test_orders_come_from_the_arrays_and_misfits_are_refused():
             QuantKernel(ab, uniform, marginal)
     with pytest.raises(ValueError, match="do not fit"):
         QuantKernel(ab, np.ones(()), np.ones(()))
+
+
+HALVES = build_alphabet(0.0, 1.0, 1)  # {0, 0.5}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: SpikeSlab(1.5), ValueError, "p must be in [0, 1], got 1.5",
+                 id="spike-slab-p"),
+    pytest.param(lambda: PiecewiseConstant(-0.1), ValueError, "p must be in [0, 1], got -0.1",
+                 id="pc-p"),
+    pytest.param(lambda: QuantKernel(HALVES, np.array([1.5, -0.5]), np.ones(())), ValueError,
+                 "kernel probabilities must be nonnegative", id="negative-probability"),
+    pytest.param(lambda: QuantKernel(HALVES, np.eye(2), np.array([0.5, 0.6])), ValueError,
+                 "context marginal sums to 1.1, not 1", id="marginal-sum"),
+    pytest.param(lambda: WeightTable(HALVES, np.array([1.0, -1.0])), ValueError,
+                 "weights must be nonnegative", id="negative-weight"),
+    pytest.param(lambda: sample_runs(SpikeSlab(0.5), 0, 1, np.random.default_rng(0)),
+                 ValueError, "n must be >= 1, got 0", id="sample-n"),
+    pytest.param(lambda: sample_runs("spike", 4, 1, np.random.default_rng(0)), TypeError,
+                 "unsupported model 'spike'", id="sample-model"),
+    pytest.param(lambda: quantized_kernel(PiecewiseConstant(0.1), 13), ValueError,
+                 "piecewise-constant kernel with b=13 needs 8192x8192 rows; too large",
+                 id="pc-kernel-size"),
+    pytest.param(lambda: ktuple_law(quantized_kernel(SpikeSlab(0.1), 1), -1), ValueError,
+                 "j must be >= 0", id="ktuple-j"),
+    pytest.param(lambda: ktuple_law(quantized_kernel(SpikeSlab(0.1), 1), 21), ValueError,
+                 "law over 2^21 tuples is too large", id="ktuple-size"),
+    pytest.param(lambda: kernel_from_json({"b": 1, "k": 24, "lo": 0.0, "hi": 1.0, "rows": []}),
+                 ValueError, "dense kernel with 2^25 entries is too large", id="json-kernel-size"),
+])
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -500,3 +500,23 @@ def test_sampler_holds_its_stream_arrays_and_a_few_blocks(name):
     finally:
         tracemalloc.stop()
     assert peak <= forced + 3 * 8 * validation._BLOCK, peak
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: mc_empirical_deviation(SpikeSlab(0.1), 2, 2, 2, 0.1, 10, 0),
+                 "need n > k and trials >= 1", id="empirical-deviation"),
+    pytest.param(lambda: chi_square_tail(0, 0.5, 10, 0),
+                 "need m >= 1, tau > 0, trials >= 1", id="chi-square"),
+    pytest.param(lambda: inner_product_tail(0.0, 0, 0.5, 10, 0),
+                 "need m >= 1, tau > 0, trials >= 1", id="inner-product"),
+])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_non_finite_param_is_written_as_null():
+    est = TailEstimate("t", trials=10, hits=0, estimate=0.0, ci_low=0.0, ci_high=0.3,
+                       bound=0.5, params={"epsilon": math.inf, "m": 4})
+    assert est.to_json()["params"] == {"epsilon": None, "m": 4}
