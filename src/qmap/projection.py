@@ -33,7 +33,10 @@ symbols, whatever the table; one start cost and one forward rebuild
 follow.  A budget of fewer than n - 1 jumps on a stay-or-jump table (a
 k=1 table with one weight on its diagonal, hold, and one off it, jump,
 both finite and hold <= jump, as every pc_markov table is) takes the
-jump-count pass instead, in O((jumps + 1) * S) a position.
+jump-count pass instead, in O((jumps + 1) * S) a position.  That pass keeps
+no back-pointer per value: for each (position, jumps left) it keeps the
+row's least cost and first argmin, about 9 bytes whatever S, and its
+forward rebuild re-derives the cost of holding its own value from those.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .quantize import QuantAlphabet
 from .sources import WeightTable, complexity_cost
 
 MAX_STATES = 2 ** 20          # alphabet^k context states
-MAX_TRELLIS_CELLS = 2 ** 24   # n * alphabet^k back-pointers kept alive
+MAX_TRELLIS_CELLS = 2 ** 24   # n * alphabet^k back-pointers, or jump-count pass bytes, kept alive
 VITERBI_BLOCK = 64            # positions whose distortion a pass forms at once
 
 
@@ -341,53 +344,61 @@ def _project_jumps(x: np.ndarray, alphabet: QuantAlphabet, jumps: int) -> np.nda
     changes, 0 <= jumps < n - 1, as symbol indices: Bellman's segmented
     least squares on the grid, O(n * (jumps + 1) * S).
 
-    G[r, a] is the least distortion of the positions after i, given value a
-    at i and r jumps left; H = G + d_i is the same from i on, summed from
-    the back as the trellis sums it.  Going back a position, from value a
-    with r jumps left the next value either holds, at H[r, a], or jumps to
-    j1, the first argmin of row r - 1 of H, at its minimum M[r - 1]; so
-    G[r] = min(H[r], M[r - 1]), and G[0] = H[0].  The value holds iff
-    (H[r, a], a) <= (M[r - 1], j1) lexicographically: every choice takes
-    the smallest optimal next value, keeping a jump when the next value is
-    a itself, so the rebuild from the first argmin of d_0 + G[jumps] gives
-    the lexicographically smallest optimal sequence, as the trellis does.
+    G_i[r, a] is the least distortion of the positions after i, given value
+    a at i and r jumps left, and G_{n-1} = 0; H_i = G_i + d_i is the same
+    from i on, summed from the back as the trellis sums it.  Going back a
+    position, from value a with r jumps left the next value either holds,
+    at H_i[r, a], or jumps to j1, the first argmin of row r - 1 of H_i, at
+    its minimum M_i[r - 1]; so G_{i-1}[r] = min(H_i[r], M_i[r - 1]), and
+    G_{i-1}[0] = H_i[0].  The value holds iff (H_i[r, a], a) <= (M_i[r - 1],
+    j1) lexicographically: every choice takes the smallest optimal next
+    value, keeping a jump when the next value is a itself, so the rebuild
+    from the first argmin of d_0 + G_0[jumps] gives the lexicographically
+    smallest optimal sequence, as the trellis does.
 
     Two kinds of row are not formed.  The start has i windows behind it at
-    position i, so it reaches no row r < jumps - i + 1 of the G before i;
-    and a row with more jumps left than windows ahead equals the row with
-    as many, so the rebuild reads that one.  The hold flags are kept
-    packed, eight values to a byte, beside j1 of every row.
+    position i, so it reaches no row r < jumps - i + 1 of G_{i-1}; and a row
+    with more jumps left than windows ahead equals the row with as many, so
+    position t reads row min(r, n - t).
+
+    The backward pass keeps only M and j1 of every (position, row), 8 bytes
+    and one target.  The rebuild re-derives H_i[r, a] for its own (r, a)
+    by the scalar recurrence G_{t-1} = min(G_t + d_t(a), M_t[r - 1]), the
+    same float operations as the pass and so the same bits.  It need not start at the end.  A row
+    with more jumps left costs no more, G[r] <= G[r - 1] and so
+    M[r] <= M[r - 1], and float sums and minima keep that order; so
+    G_t[r, a] = min(H_{t+1}[r, a], M_{t+1}[r - 1]) >= M_{t+1}[r].  At the
+    first t >= i with M_{t+1}[r] + d_t(a) > M_t[r - 1], then, the pass
+    certainly took the jump, G_{t-1}[r, a] = M_t[r - 1], and the recurrence
+    starts there (at G_{n-1} = 0 if there is no such t).  Its values depend
+    on r only through min(r, n - t), so they stay valid while the value
+    holds and are kept until the next jump.
     """
     n, s = len(x), alphabet.size
     values = alphabet.values
-    flag_bytes = -(-s // 8)
     target_type = np.min_scalar_type(s - 1)
-    held = (n - 1) * jumps * (flag_bytes + target_type.itemsize)
+    width = jumps + 1
+    held = (n - 1) * width * (8 + target_type.itemsize)
     if held > MAX_TRELLIS_CELLS:
         raise ProblemTooLarge(
-            f"jump-count pass needs {held} bytes of hold flags and jump targets for "
+            f"jump-count pass needs {held} bytes of row minima and jump targets for "
             f"{n} positions, {jumps} jumps and {s} values; limit is {MAX_TRELLIS_CELLS}"
         )
-    # for position i: flags[i - 1, r - 1] (bit a) holds at a with r jumps
-    # left, targets[i - 1, r] is j1 of row r
-    flags = np.empty((n - 1, jumps, flag_bytes), dtype=np.uint8)
-    targets = np.empty((n - 1, jumps), dtype=target_type)
-    g = np.zeros((jumps + 1, s))
+    # for position i: minima[i - 1, r] is M_i[r], targets[i - 1, r] is j1 of
+    # row r of H_i
+    minima = np.empty((n - 1, width))
+    targets = np.empty((n - 1, width), dtype=target_type)
+    g = np.zeros((width, s))
     g_flat = g.reshape(-1)
-    row_starts = np.arange(jumps + 1) * s
-    symbols = np.arange(s)
-    block_flags = np.zeros((VITERBI_BLOCK, jumps, s), dtype=bool)
-    block_targets = np.zeros((VITERBI_BLOCK, jumps + 1), dtype=np.intp)
-    # M[r - 1] spread across row r: numpy compares same-shape rows faster
-    # than it broadcasts a column
-    jump_in = np.empty((jumps, s))
-    ties = np.empty((jumps, s), dtype=bool)
+    row_starts = np.arange(width) * s
+    cells = np.empty(width, dtype=np.intp)
+    block_targets = np.zeros((VITERBI_BLOCK, width), dtype=np.intp)  # argmin writes intp
     for end in range(n, 1, -VITERBI_BLOCK):
         start = max(end - VITERBI_BLOCK, 1)
         dist = (values[None, :] - x[start:end, None]) ** 2
         for i in range(end - 1, start - 1, -1):
-            # the rows of H that the rows jumps - i + 1 .. hi of the next G
-            # read; row n - i of that G is new and starts as row n - i - 1
+            # the rows of H_i that the rows jumps - i + 1 .. hi of G_{i-1}
+            # read; row n - i of G_i is new and starts as row n - i - 1
             lo, hi = max(jumps - i, 0), min(jumps, n - i)
             if hi == n - i:
                 g[hi] = g[hi - 1]
@@ -395,30 +406,60 @@ def _project_jumps(x: np.ndarray, alphabet: QuantAlphabet, jumps: int) -> np.nda
             h += dist[i - start]
             j1 = block_targets[i - start, lo:hi + 1]
             h.argmin(axis=1, out=j1)
-            jump = jump_in[lo:hi]
-            np.copyto(jump, g_flat[row_starts[lo:hi] + j1[:-1]][:, None])
-            hold = block_flags[i - start, lo:hi]
-            stay = h[1:]
-            np.less(stay, jump, out=hold)
-            if np.equal(stay, jump, out=ties[lo:hi]).any():
-                hold |= ties[lo:hi] & (symbols <= j1[:-1, None])
-            np.minimum(stay, jump, out=stay)
-        rows = end - start
-        flags[start - 1:end - 1] = np.packbits(block_flags[:rows], axis=-1, bitorder="little")
-        targets[start - 1:end - 1] = block_targets[:rows, :jumps]
+            m = minima[i - 1, lo:hi + 1]
+            g_flat.take(np.add(row_starts[lo:hi + 1], j1, out=cells[lo:hi + 1]),
+                        out=m, mode="clip")
+            np.minimum(h[1:], m[:-1, None], out=h[1:])
+        targets[start - 1:end - 1] = block_targets[:end - start]
 
     a = int(((values - x[0]) ** 2 + g[jumps]).argmin())
     path = [a]
     r = jumps
-    # a flag byte or a target read as an int, with no numpy call
-    flag_view, target_view = memoryview(flags.reshape(-1)), memoryview(targets.reshape(-1))
-    for row in range(n - 1):
-        r = min(r, n - 1 - row)  # no more jumps left than windows ahead
-        if r and not flag_view[(row * jumps + r - 1) * flag_bytes + (a >> 3)] >> (a & 7) & 1:
-            r -= 1
-            a = target_view[row * jumps + r]
+    xs, vs = x.tolist(), values.tolist()
+    # a row minimum or a target read as a Python scalar, with no numpy call
+    m_view, target_view = memoryview(minima.reshape(-1)), memoryview(targets.reshape(-1))
+    chain: list[float] = []  # G_t[r, a] of the held value, the next t last
+    for i in range(1, n):
+        r = min(r, n - i)  # no more jumps left than windows ahead
+        if r:
+            if not chain:
+                chain = _held_chain(xs, vs[a], m_view, width, i, r)
+            cell = (i - 1) * width + r - 1  # row r - 1 of H_i
+            holds = False
+            if chain:
+                d = vs[a] - xs[i]
+                stay = chain.pop() + d * d
+                holds = stay < m_view[cell] or (stay == m_view[cell] and a <= target_view[cell])
+            if not holds:
+                r -= 1
+                a = target_view[cell]
+                chain = []
         path.append(a)
     return np.array(path, dtype=np.int64)
+
+
+def _held_chain(xs: list, value: float, m_view: memoryview, width: int,
+                i: int, r: int) -> list:
+    """G_t[r, a] for t from the last position the recurrence needs down to
+    i, for the value a (grid value `value`) held at i with r jumps left;
+    empty when H_i[r, a] > M_i[r - 1] is certain, so the value jumps at i.
+    See _project_jumps: position t reads row min(r, n - t), and minima row
+    t - 1 holds M_t."""
+    n = len(xs)
+    g, start = 0.0, n  # G_{n-1} = 0 when no jump is certain
+    for t in range(i, n - 1):
+        d = value - xs[t]
+        jump = m_view[(t - 1) * width + min(r, n - t) - 1]
+        if m_view[t * width + min(r, n - t - 1)] + d * d > jump:
+            if t == i:
+                return []
+            g, start = jump, t
+            break
+    chain = [g]  # G_{start-1}
+    for t in range(start - 1, i, -1):
+        d = value - xs[t]
+        chain.append(min(chain[-1] + d * d, m_view[(t - 1) * width + min(r, n - t) - 1]))
+    return chain
 
 
 def _distortion(x: np.ndarray, u: np.ndarray, alphabet: QuantAlphabet) -> float:

@@ -526,7 +526,7 @@ def jump_count_reference(x: np.ndarray, alphabet, jumps: int) -> np.ndarray:
        st.floats(0.0, 1.0), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_jump_count_pass_equals_the_plain_dynamic_program(b, n, budget, ties, seed):
     # over several distortion blocks, with the unreachable and saturated
-    # rows the pass leaves out, and its packed flags
+    # rows the pass leaves out, and the held costs its rebuild re-derives
     rng = np.random.default_rng(seed)
     w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), b))
     ab = w.alphabet
@@ -568,21 +568,73 @@ def test_jump_count_pass_raises_what_the_search_raises(bad, monkeypatch):
         assert got.value.min_cost == want.value.min_cost
 
 
+def jump_count_bytes(n: int, jumps: int, size: int) -> int:
+    """What the jump-count pass holds: for n - 1 positions and jumps + 1
+    rows, a row minimum (float64) and a jump target (uint8 up to 256
+    values)."""
+    return (n - 1) * (jumps + 1) * (8 + (1 if size <= 256 else 2))
+
+
 def test_jump_count_pass_refuses_more_flags_than_the_cap(monkeypatch):
-    # n - 1 positions of packed hold flags (one byte for 8 values) and jump
-    # targets (one byte each) for J(gamma) rows
+    # it runs at exactly the cap and refuses one byte under it
     w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), 3))
     x = np.random.default_rng(3).random(40)
     gamma = 2.0
     jumps = exact_jump_budget(w, len(x), gamma)
     assert 0 < jumps < len(x) - 1
     u = project_constrained(x, w, gamma)
-    held = (len(x) - 1) * jumps * 2
+    held = jump_count_bytes(len(x), jumps, w.alphabet.size)
     monkeypatch.setattr(projection, "MAX_TRELLIS_CELLS", held)
     assert project_constrained(x, w, gamma).tobytes() == u.tobytes()
     monkeypatch.setattr(projection, "MAX_TRELLIS_CELLS", held - 1)
     with pytest.raises(ProblemTooLarge, match="jump-count pass"):
         project_constrained(x, w, gamma)
+
+
+def test_jump_count_pass_holds_no_flag_per_value(monkeypatch):
+    # one hold flag per value would take 32 bytes a (position, row) at b=8
+    # beside the target; a row minimum takes 8 whatever the alphabet, so
+    # the pass runs under a cap between the two counts
+    w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), 8))
+    ab = w.alphabet
+    assert ab.size == 256
+    rng = np.random.default_rng(8)
+    n, jumps = 150, 20
+    x = np.repeat(rng.random(n), rng.geometric(0.1, n))[:n] + 0.05 * rng.standard_normal(n)
+    held = jump_count_bytes(n, jumps, ab.size)
+    flags = (n - 1) * jumps * (ab.size // 8 + 1)
+    assert held < flags
+    monkeypatch.setattr(projection, "MAX_TRELLIS_CELLS", (held + flags) // 2)
+    assert (projection._project_jumps(x, ab, jumps).tobytes()
+            == jump_count_reference(x, ab, jumps).tobytes())
+
+
+@pytest.mark.parametrize("n", [2, 3, projection.VITERBI_BLOCK, projection.VITERBI_BLOCK + 2,
+                               2 * projection.VITERBI_BLOCK + 1, 3 * projection.VITERBI_BLOCK + 7,
+                               4 * projection.VITERBI_BLOCK + 1])
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("kind", ["constant on a grid value", "one midpoint", "midpoints",
+                                  "jumps in the tail"])
+def test_jump_count_pass_equals_the_plain_dynamic_program_on_hand_inputs(kind, b, n):
+    # the rebuild re-derives each held cost from the row minima: inputs
+    # whose costs tie everywhere, with no jump, with every jump and with
+    # jumps where the rows saturate, within `jumps` positions of the end
+    ab = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), b)).alphabet
+    values, step = ab.values, ab.values[1] - ab.values[0]
+    rng = np.random.default_rng([b, n])
+    if kind == "constant on a grid value":
+        x = np.full(n, values[ab.size // 2])
+    elif kind == "one midpoint":
+        x = np.full(n, values[0] + step / 2)
+    elif kind == "midpoints":
+        x = values[0] + (2 * rng.integers(0, ab.size - 1, n) + 1) * (step / 2)
+    else:
+        x = np.full(n, values[0])
+        x[n // 2::2] = values[-1]
+        x[n // 2 + 1::4] += step / 2
+    for jumps in sorted({0, 1, n // 2, n - 2} & set(range(n - 1))):
+        assert (projection._project_jumps(x, ab, jumps).tobytes()
+                == jump_count_reference(x, ab, jumps).tobytes()), jumps
 
 
 def test_jump_count_pass_is_no_worse_than_the_search():
