@@ -28,12 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .projection import (
-    nearest_index,
-    project_constrained,
-    project_l0,
-    project_lagrangian,
-)
+from .projection import nearest_index, project_constrained, project_l0
 from .quantize import build_alphabet, quantize_vector
 from .sensing import gen_gaussian, measure
 from .solver import PgdConfig, pgd_solve, pgd_solve_stack
@@ -92,20 +87,19 @@ def build_model(spec: dict) -> SourceModel:
 
 def build_projector(spec: dict, kernel):
     """The projection map of a projector config, from a step vector to
-    symbol indices on kernel's grid.  An l0 projector builds no weight
-    table."""
+    symbol indices on kernel's grid: project_l0 at budget s, or
+    project_constrained on the kernel's weight table at budget gamma, which
+    recover and phase derive from delta (default_gamma).  Only the
+    constrained projector builds a weight table."""
     kind = spec["kind"]
     if kind == "l0":
         return partial(project_l0, alphabet=kernel.alphabet, s=int(spec["s"]))
-    w = weights_from_kernel(kernel)
-    if kind == "lagrangian":
-        return partial(project_lagrangian, w=w, alpha=float(spec["alpha"]))
     if kind == "constrained":
         if "gamma" in spec:
             gamma = float(spec["gamma"])
         else:
             gamma = default_gamma(kernel, float(spec.get("delta", 0.1)))
-        return partial(project_constrained, w=w, gamma=gamma)
+        return partial(project_constrained, w=weights_from_kernel(kernel), gamma=gamma)
     raise ValueError(f"unknown projector kind {kind!r}")
 
 
@@ -196,7 +190,7 @@ def run_recovery_trials(config: dict, indices) -> list[dict]:
             cfg = replace(cfg, start=nearest_index(stage_alphabet, ests))
         if stacked:
             ests, traces = pgd_solve_stack(designs, ys, stage_alphabet, cfg)
-        else:  # one stage, whose Viterbi projectors take one vector at a time
+        else:  # one stage; the constrained projector takes one vector at a time
             ests, traces = zip(*(pgd_solve(A, y, stage_alphabet, cfg)
                                  for A, y in zip(designs, ys)))
         for i, trace in enumerate(traces):

@@ -41,6 +41,9 @@ _F_CELLS = _BLOCK // 4
 # trials, then its normals.  It fixes the stream format, not the memory use:
 # changing it changes the hits above this many trials.
 _INNER_PRODUCT_PERIOD = 2 ** 18
+# inner_product_bound minimises its exponent over this many evenly spaced
+# interior points of the s domain
+_INNER_PRODUCT_S_POINTS = 2000
 
 
 @dataclass
@@ -305,12 +308,12 @@ def chi_square_tail(m: int, tau: float, trials: int, seed: int
     return upper, lower
 
 
-def inner_product_bound(alpha: float, tau: float, m: int,
-                        s_points: int = 2000) -> float:
+def inner_product_bound(alpha: float, tau: float, m: int) -> float:
     """min over s in (0, 1/(1-alpha)) of the Chernoff exponent bound
     exp(m (alpha - tau) s - (m/2) ln((1 + s alpha)^2 - s^2))."""
     s_hi = 1.0 / (1.0 - alpha)
-    s = np.linspace(s_hi / s_points, s_hi * (1.0 - 1.0 / s_points), s_points)
+    points = _INNER_PRODUCT_S_POINTS
+    s = np.linspace(s_hi / points, s_hi * (1.0 - 1.0 / points), points)
     arg = (1.0 + s * alpha) ** 2 - s ** 2
     ok = arg > 0
     exponent = m * (alpha - tau) * s[ok] - 0.5 * m * np.log(arg[ok])

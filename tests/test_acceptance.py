@@ -321,7 +321,7 @@ def test_criterion_11_cli_determinism(tmp_path):
     vec.write_text("0.1\n0.4\n0.42\n0.9\n")
     configs["project"] = {
         "input": str(vec), "model": {"kind": "pc_markov", "p": 0.25}, "b": 3,
-        "projector": {"kind": "lagrangian", "alpha": 0.01},
+        "projector": {"kind": "constrained", "gamma": 5.0},
     }
     mismatches = []
     for command, cfg in configs.items():

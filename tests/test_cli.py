@@ -62,7 +62,7 @@ def test_infodim_and_validate_and_project(tmp_path, capsys):
     vec.write_text("0.1\n0.6\n0.62\n")
     pcfg = write_cfg(tmp_path, "pr.json", {
         "input": str(vec), "model": {"kind": "pc_markov", "p": 0.3}, "b": 2,
-        "projector": {"kind": "lagrangian", "alpha": 0.01},
+        "projector": {"kind": "constrained", "gamma": 3.0},
     })
     pout = tmp_path / "p.csv"
     assert run(["project", "--config", pcfg, "--out", pout]) == 0
@@ -110,13 +110,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert run(["recover", "--config", listed, "--seed", 3]) == 2
     assert "[1] is not of type 'object'" in capsys.readouterr().err
 
-    # json.loads takes NaN and +-Infinity, and 1e400 overflows to inf; a
-    # lagrangian alpha of NaN used to write an all-zero projection
+    # json.loads takes NaN and +-Infinity, and 1e400 overflows to inf; the
+    # config load refuses each, so none reaches a projector's budget
     vec = tmp_path / "vec.csv"
     vec.write_text("0.1\n0.6\n")
     for constant in ("NaN", "Infinity", "-Infinity", "1e400"):
         text = json.dumps({"input": str(vec), "model": {"kind": "pc_markov", "p": 0.3},
-                           "b": 2, "projector": {"kind": "lagrangian", "alpha": 0.5}})
+                           "b": 2, "projector": {"kind": "constrained", "gamma": 0.5}})
         path = tmp_path / "nan.json"
         path.write_text(text.replace("0.5", constant))
         out = tmp_path / "nan.csv"
@@ -162,7 +162,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     vec.write_text("0.1\n0.6\n")
     for key in ("lo", "hi", "seed"):
         cfg = {"input": str(vec), "model": {"kind": "pc_markov", "p": 0.3}, "b": 2,
-               "projector": {"kind": "lagrangian", "alpha": 0.01}, key: 0.0}
+               "projector": {"kind": "constrained", "gamma": 0.5}, key: 0.0}
         assert run(["project", "--config", write_cfg(tmp_path, "lh.json", cfg)]) == 2
         assert f"'{key}' was unexpected" in capsys.readouterr().err
 
@@ -203,7 +203,7 @@ def test_table_kernel_grid_is_the_search_space(tmp_path):
     vec.write_text("0.1\n0.6\n0.2\n")
     pcfg = write_cfg(tmp_path, "p.json", {
         "input": str(vec), "model": HALF_TABLE, "b": 2,
-        "projector": {"kind": "lagrangian", "alpha": 0.01},
+        "projector": {"kind": "constrained", "gamma": 3.0},
     })
     pout = tmp_path / "p.csv"
     assert run(["project", "--config", pcfg, "--out", pout]) == 0
@@ -244,12 +244,11 @@ def test_off_grid_lo_validates_on_the_grid_it_snaps_to(tmp_path):
 
 @pytest.mark.parametrize("command, cfg, key", [
     ("recover", dict(RECOVER_CFG, projector={"kind": "l0"}), "s"),
-    ("recover", dict(RECOVER_CFG, projector={"kind": "lagrangian"}), "alpha"),
+    ("phase", dict(PHASE_CFG, projector={"kind": "l0"}), "s"),
     ("recover", dict(RECOVER_CFG, model={"kind": "spike_slab"}), "p"),
     ("phase", dict(PHASE_CFG, model={"kind": "pc_markov"}), "p"),
     ("infodim", dict(INFODIM_CFG, model={"kind": "table_markov"}), "kernel"),
     ("project", dict(PROJECT_CFG, projector={"kind": "constrained"}), "gamma"),
-    ("project", dict(PROJECT_CFG, projector={"kind": "lagrangian"}), "alpha"),
 ])
 def test_missing_per_kind_field_is_a_config_error(tmp_path, capsys, command, cfg, key):
     if command == "project":
@@ -265,11 +264,10 @@ def test_missing_per_kind_field_is_a_config_error(tmp_path, capsys, command, cfg
     ("recover", dict(RECOVER_CFG, projector={"kind": "l0", "s": 5, "gamma": 1.0}), "gamma"),
     ("recover", dict(RECOVER_CFG, projector={"kind": "l0", "s": 5, "alpha": 0.1}), "alpha"),
     ("recover", dict(RECOVER_CFG, projector={"kind": "l0", "s": 5, "delta": 0.1}), "delta"),
-    ("recover", dict(RECOVER_CFG, projector={"kind": "lagrangian", "alpha": 0.1, "s": 5}), "s"),
-    ("recover", dict(RECOVER_CFG, projector={"kind": "lagrangian", "alpha": 0.1,
+    ("recover", dict(RECOVER_CFG, projector={"kind": "constrained", "delta": 0.1, "s": 5}), "s"),
+    ("recover", dict(RECOVER_CFG, projector={"kind": "constrained", "delta": 0.1,
                                              "gamma": 1.0}), "gamma"),
-    ("recover", dict(RECOVER_CFG, projector={"kind": "lagrangian", "alpha": 0.1,
-                                             "delta": 0.1}), "delta"),
+    ("recover", dict(RECOVER_CFG, projector={"kind": "l0", "delta": 0.1}), "delta"),
     ("recover", dict(RECOVER_CFG, projector={"kind": "constrained", "s": 5}), "s"),
     ("recover", dict(RECOVER_CFG, projector={"kind": "constrained", "alpha": 0.1}), "alpha"),
     ("recover", dict(RECOVER_CFG, model={"kind": "spike_slab", "p": 0.05, "path": "x"}), "path"),
@@ -279,8 +277,7 @@ def test_missing_per_kind_field_is_a_config_error(tmp_path, capsys, command, cfg
     ("infodim", dict(INFODIM_CFG, model=dict(HALF_TABLE, path="x")), "path"),
     ("project", dict(PROJECT_CFG, projector={"kind": "constrained", "gamma": 1.0,
                                              "alpha": 0.1}), "alpha"),
-    ("project", dict(PROJECT_CFG, projector={"kind": "lagrangian", "alpha": 0.1,
-                                             "gamma": 1.0}), "gamma"),
+    ("phase", dict(PHASE_CFG, projector={"kind": "l0", "s": 6, "alpha": 0.1}), "alpha"),
     # a constrained budget in recover and phase comes from delta
     ("recover", dict(RECOVER_CFG, projector={"kind": "constrained", "gamma": 1.0}), "gamma"),
     ("phase", dict(PHASE_CFG, projector={"kind": "constrained", "gamma": 1.0}), "gamma"),
@@ -295,11 +292,27 @@ def test_key_the_kind_ignores_is_a_config_error(tmp_path, capsys, command, cfg, 
     assert f"'{key}' is not one of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["recover", "phase", "project"])
+def test_lagrangian_projector_is_a_config_error(tmp_path, capsys, command):
+    # every config runs the budgeted projection or its l0 surrogate;
+    # project_lagrangian is a library function only
+    vec = tmp_path / "vec.csv"
+    vec.write_text("0.1\n0.6\n")
+    cfg = {"recover": RECOVER_CFG, "phase": PHASE_CFG,
+           "project": dict(PROJECT_CFG, input=str(vec))}[command]
+    projector = {"kind": "lagrangian", "alpha": 0.01}
+    path = write_cfg(tmp_path, "c.json", dict(cfg, projector=projector))
+    out = tmp_path / "c.out"
+    assert run([command, "--config", path, "--out", out, "--jobs", 1]) == 2
+    assert "'lagrangian' is not one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_runtime_errors_exit_1(tmp_path, capsys):
     pcfg = write_cfg(tmp_path, "pr.json", {
         "input": str(tmp_path / "missing_vec.csv"),
         "model": {"kind": "pc_markov", "p": 0.3}, "b": 2,
-        "projector": {"kind": "lagrangian", "alpha": 0.01},
+        "projector": {"kind": "constrained", "gamma": 0.5},
     })
     assert run(["project", "--config", pcfg, "--out", tmp_path / "x.csv"]) == 1
     assert "error" in capsys.readouterr().err

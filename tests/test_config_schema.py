@@ -32,8 +32,8 @@ BASES += [
     ("phase", PHASE_CFG),
     ("infodim", INFODIM_CFG),
     ("validate", VALIDATE_CFG),
-    ("project", dict(PROJECT_CFG, input="vec.csv",
-                     projector={"kind": "lagrangian", "alpha": 0.01})),
+    ("project", dict(PROJECT_CFG, input="vec.csv", model={"kind": "spike_slab", "p": 0.1},
+                     b=3, projector={"kind": "constrained", "gamma": 2})),
     ("project", dict(PROJECT_CFG, input="vec.csv",
                      projector={"kind": "constrained", "gamma": 0.5})),
     ("infodim", dict(INFODIM_CFG, model={"kind": "table_markov", "kernel": {
