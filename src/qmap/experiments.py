@@ -45,6 +45,7 @@ from .sources import (
     weights_from_kernel,
 )
 from .validation import (
+    FLAT_RATE,
     chi_square_tail,
     f_minimax,
     gaussian_projection_check,
@@ -321,8 +322,8 @@ def run_validate(config: dict) -> dict:
     if "f_minimax" in suites:
         entry = suites["f_minimax"]
         value = f_minimax(**{key: int(count) for key, count in entry.items()})
-        report["f_minimax"] = {"value": value, "threshold": 0.05}
-        report["ok"] = report["ok"] and value >= 0.05
+        report["f_minimax"] = {"value": value, "threshold": FLAT_RATE}
+        report["ok"] = report["ok"] and value >= FLAT_RATE
     return report
 
 

@@ -37,6 +37,10 @@ jump-count pass instead, in O((jumps + 1) * S) a position.  That pass keeps
 no back-pointer per value: for each (position, jumps left) it keeps the
 row's least cost and first argmin, about 9 bytes whatever S, and its
 forward rebuild re-derives the cost of holding its own value from those.
+A pass refuses only by what it holds: the dense pass caps its S^k states
+at MAX_STATES and its n * S^k back-pointers at MAX_TRELLIS_CELLS, the
+jump-count pass its bytes at MAX_TRELLIS_CELLS, and a k=0 pass, which
+holds one block of costs and its output, checks neither.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .quantize import QuantAlphabet
 from .sources import WeightTable, complexity_cost
 
 MAX_STATES = 2 ** 20          # alphabet^k context states
-MAX_TRELLIS_CELLS = 2 ** 24   # n * alphabet^k back-pointers, or jump-count pass bytes, kept alive
+MAX_TRELLIS_CELLS = 2 ** 24   # dense pass back-pointers, or jump-count pass bytes, kept alive
 VITERBI_BLOCK = 64            # positions whose distortion a pass forms at once
 
 
@@ -88,33 +92,23 @@ def _finite_vector(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_distortion(x: np.ndarray, alphabet: QuantAlphabet) -> None:
-    """Refuse an x with a coordinate 2^52 grid steps or more from a grid
-    end.  There the squared distances to adjacent grid values can round to
-    one value, so the trellis would lose the coordinate's offset, and far
-    enough out they overflow to a cost that reads as forbidden.  Below the
-    bound no distortion sum can overflow."""
+def _check_input(x: np.ndarray, w: WeightTable) -> None:
+    """Refuse an x no longer than a context, or with a coordinate 2^52
+    grid steps or more from a grid end.  There the squared distances to
+    adjacent grid values can round to one value, so a pass would lose the
+    coordinate's offset, and far enough out they overflow to a cost that
+    reads as forbidden.  Below the bound no distortion sum can overflow."""
+    if len(x) <= w.k:
+        raise ValueError(f"need len(x) > k, got {len(x)} <= {w.k}")
+    values = w.alphabet.values
     with np.errstate(over="ignore"):
-        far = np.maximum(np.abs(x - alphabet.values[0]), np.abs(x - alphabet.values[-1]))
-    if far.max() >= 2.0 ** (52 - alphabet.b):
+        far = np.maximum(np.abs(x - values[0]), np.abs(x - values[-1]))
+    if far.max() >= 2.0 ** (52 - w.alphabet.b):
         raise ValueError(
             "x is too large to project: a coordinate lies 2^52 grid steps or more from "
             "the grid, where its squared distances to the grid round together or are "
             "not finite"
         )
-
-
-def _check_trellis_input(x: np.ndarray, w: WeightTable) -> None:
-    n, s, k = len(x), w.alphabet.size, w.k
-    if n <= k:
-        raise ValueError(f"need len(x) > k, got {n} <= {k}")
-    if s ** k > MAX_STATES:
-        raise ProblemTooLarge(f"trellis needs {s}^{k} states; limit is {MAX_STATES}")
-    if n * s ** k > MAX_TRELLIS_CELLS:
-        raise ProblemTooLarge(
-            f"trellis needs {n} x {s}^{k} back-pointers; limit is {MAX_TRELLIS_CELLS}"
-        )
-    _check_distortion(x, w.alphabet)
 
 
 def project_lagrangian(
@@ -134,16 +128,25 @@ def project_lagrangian(
     s = alphabet.size
     if not 0 <= alpha < math.inf:
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-    _check_trellis_input(x, w)
+    _check_input(x, w)
 
     aw = _scaled_weights(w.w, alpha)
     values = alphabet.values
     if k == 0:
-        # decoupled: per-position minimum, argmin toward the smallest index
-        stage = dist_scale * (values[None, :] - x[:, None]) ** 2 + aw[None, :]
-        if np.isinf(stage.min(axis=1)).any():
-            raise InfeasibleProjection("every symbol is forbidden at some position")
-        return np.argmin(stage, axis=1).astype(np.int64)
+        # decoupled: per-position argmin toward the smallest index, a block at a time
+        u = np.empty(n, dtype=np.int64)
+        for start in range(0, n, VITERBI_BLOCK):
+            stage = dist_scale * (values - x[start:start + VITERBI_BLOCK, None]) ** 2 + aw
+            if np.isinf(stage.min(axis=1)).any():
+                raise InfeasibleProjection("every symbol is forbidden at some position")
+            u[start:start + VITERBI_BLOCK] = stage.argmin(axis=1)
+        return u
+    if s ** k > MAX_STATES:
+        raise ProblemTooLarge(f"trellis needs {s}^{k} states; limit is {MAX_STATES}")
+    if n * s ** k > MAX_TRELLIS_CELLS:
+        raise ProblemTooLarge(
+            f"trellis needs {n} x {s}^{k} back-pointers; limit is {MAX_TRELLIS_CELLS}"
+        )
 
     # state id encodes the context base-s, most recent symbol in the low digit;
     # after symbol a the next state is (state mod s^(k-1)) * s + a
@@ -275,7 +278,7 @@ def project_constrained(
     allowed = WeightTable(w.alphabet, np.where(np.isinf(w.w), np.inf, 0.0))
     if _is_stay_or_jump(w):
         n = len(x)
-        _check_trellis_input(x, w)
+        _check_input(x, w)
         jumps = _jump_budget(w, n, gamma)
         if jumps < 0:
             # every constant sequence has the least cost

@@ -6,10 +6,10 @@ One iteration moves the estimate toward the measurement hyperplane,
 
 where step is mu times the step paired with the design's scaling, then
 projects S(t+1) back onto the chosen feasible set (hard complexity
-budget, Lagrangian penalty, or sparsity budget).  The projection is one
-fixed map from the step vector to the grid, built by the caller.  The
-iteration starts from the all-zero vector; the first projection restores
-feasibility even when the zero vector itself is infeasible.  The solver
+budget or sparsity budget).  The projection is one fixed map from the
+step vector to the grid, built by the caller.  The iteration starts from
+the all-zero vector; the first projection restores feasibility even when
+the zero vector itself is infeasible.  The solver
 knows only the projector's contract, the grid and the design; the source
 model, its weights and the budget are bound into the projector.
 
@@ -118,8 +118,8 @@ def pgd_solve_stack(
     cfg.projector maps the step vectors of the rows still running, a
     (rows, n) stack in row order, to symbol indices row by row.  The
     projector cannot say which row it found infeasible, so an
-    InfeasibleProjection marks every running row "infeasible" and carries
-    the trace of the first one.
+    InfeasibleProjection carries the trace of the first running row,
+    marked "infeasible"; no other trace leaves the call.
     """
     rows_total = len(designs)
     if rows_total < 1:
@@ -178,10 +178,9 @@ def pgd_solve_stack(
             # int64 as the start is, so that a repeat of the start is found
             idx = np.asarray(cfg.projector(steps), dtype=np.int64)
         except InfeasibleProjection as exc:
-            for i in running:
-                traces[i].status = "infeasible"
             exc.iteration = t
             exc.trace = traces[running[0]]
+            exc.trace.status = "infeasible"
             raise
         # as unsigned, a negative symbol is above every valid one
         if idx.view(np.uint64).max() >= alphabet.size:

@@ -44,6 +44,10 @@ _INNER_PRODUCT_PERIOD = 2 ** 18
 # inner_product_bound minimises its exponent over this many evenly spaced
 # interior points of the s domain
 _INNER_PRODUCT_S_POINTS = 2000
+# the flat inner-product tail bound: for tau >= FLAT_TAU the tail is at most
+# 2^(-FLAT_RATE m), which holds while f_minimax stays >= FLAT_RATE
+FLAT_TAU = 0.45
+FLAT_RATE = 0.05
 
 
 @dataclass
@@ -373,23 +377,23 @@ def inner_product_tail(alpha: float, m: int, tau: float, trials: int,
         trials,
         inner_product_bound(alpha, tau, m),
         {"alpha": alpha, "m": m, "tau": tau, "seed": seed,
-         "flat_bound": 2.0 ** (-0.05 * m) if tau >= 0.45 else None},
+         "flat_bound": 2.0 ** (-FLAT_RATE * m) if tau >= FLAT_TAU else None},
     )
 
 
 def f_exponent(alpha: np.ndarray | float, s: np.ndarray | float) -> np.ndarray:
-    """Per-measurement exponent (log2 e) (0.5 ln((1+s a)^2 - s^2) - (a - 0.45) s)."""
+    """Per-measurement exponent (log2 e) (0.5 ln((1+s a)^2 - s^2) - (a - FLAT_TAU) s)."""
     alpha = np.asarray(alpha, dtype=float)
     s = np.asarray(s, dtype=float)
     arg = (1.0 + s * alpha) ** 2 - s ** 2
     with np.errstate(invalid="ignore", divide="ignore"):
-        val = math.log2(math.e) * (0.5 * np.log(arg) - (alpha - 0.45) * s)
+        val = math.log2(math.e) * (0.5 * np.log(arg) - (alpha - FLAT_TAU) * s)
     return np.where(arg > 0, val, -np.inf)
 
 
 def f_minimax(alpha_points: int = 401, s_points: int = 1000) -> float:
-    """min over alpha of max over s of the exponent; the flat 2^{-0.05 m}
-    tail bound holds when this stays >= 0.05.
+    """min over alpha of max over s of the exponent; the flat
+    2^{-FLAT_RATE m} tail bound holds when this stays >= FLAT_RATE.
 
     alpha runs over alpha_points evenly spaced values in [-0.999, 0.999], and
     s over s_points evenly spaced fractions in [1e-4, 1 - 1e-4] of the

@@ -563,9 +563,37 @@ def test_jump_count_pass_raises_what_the_search_raises(bad, monkeypatch):
             project_constrained(x, w, gamma)
     with pytest.raises(type(want.value)) as got:
         project_constrained(x, w, gamma)
-    assert str(got.value) == str(want.value)
+    if bad == "too large":
+        # each pass refuses by what it holds: the search by its trellis's
+        # back-pointers, the jump-count pass by its own bytes
+        assert isinstance(want.value, ProblemTooLarge)
+        assert str(got.value).startswith("jump-count pass needs")
+    else:
+        assert str(got.value) == str(want.value)
     if isinstance(want.value, InfeasibleProjection):
         assert got.value.min_cost == want.value.min_cost
+
+
+def test_jump_count_pass_is_not_refused_by_the_trellis_caps(monkeypatch):
+    # a cap below the n * S back-pointers of a trellis but above the bytes
+    # the jump-count pass holds: the pass runs.  A budget of every jump
+    # takes a trellis pass, which the cap still refuses
+    w = weights_from_kernel(quantized_kernel(PiecewiseConstant(0.1), 6))
+    ab = w.alphabet
+    rng = np.random.default_rng(6)
+    n, jumps = 100, 2
+    x = np.repeat(rng.random(n), rng.geometric(0.05, n))[:n] + 0.05 * rng.standard_normal(n)
+    hold, jump = w.w[0, 0], w.w[0, 1]
+    gamma = (hold * (n - 1 - jumps) + jump * jumps) / (n - 1)
+    assert exact_jump_budget(w, n, gamma) == jumps
+    assert jump_count_bytes(n, jumps, ab.size) < 4000 < n * ab.size
+    monkeypatch.setattr(projection, "MAX_TRELLIS_CELLS", 4000)
+    assert (project_constrained(x, w, gamma).tobytes()
+            == jump_count_reference(x, ab, jumps).tobytes())
+    assert exact_jump_budget(w, n, jump) == n - 1
+    with pytest.raises(ProblemTooLarge) as exc:
+        project_constrained(x, w, jump)
+    assert str(exc.value) == "trellis needs 100 x 64^1 back-pointers; limit is 4000"
 
 
 def jump_count_bytes(n: int, jumps: int, size: int) -> int:
@@ -1044,6 +1072,60 @@ def test_one_pass_hands_each_position_to_its_step_once(table, n, monkeypatch):
     # blocks come from the back; each row is the distortion of one position
     handed = np.concatenate(calls[::-1])
     assert handed.tobytes() == ((ab.values[None, :] - x[w.k:, None]) ** 2).tobytes()
+
+
+def per_position_reference(x: np.ndarray, w: WeightTable, alpha: float,
+                           dist_scale: float) -> np.ndarray:
+    """The k=0 pass as one (n, S) array: every position's costs at once."""
+    stage = (dist_scale * (w.alphabet.values[None, :] - x[:, None]) ** 2
+             + projection._scaled_weights(w.w, alpha)[None, :])
+    if np.isinf(stage.min(axis=1)).any():
+        raise InfeasibleProjection("every symbol is forbidden at some position")
+    return np.argmin(stage, axis=1).astype(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, projection.VITERBI_BLOCK - 1, projection.VITERBI_BLOCK,
+                               projection.VITERBI_BLOCK + 1, 2 * projection.VITERBI_BLOCK + 2])
+def test_k0_pass_equals_the_whole_array_argmin(n):
+    # the k=0 pass forms its costs a block of positions at a time; the
+    # last case forbids every symbol at the last position only, where
+    # dist_scale * distance overflows
+    rng = np.random.default_rng(n)
+    w = random_weight_table(rng, 4, 0, inf_frac=0.5)
+    mids = w.alphabet.values[rng.integers(0, 3, n)] + 0.125  # ties between neighbours
+    for x in (rng.uniform(-0.2, 1.2, n), mids):
+        for alpha, dist_scale in ((0.0, 1.0), (0.7, 1.0), (0.7, 0.3), (1.0, 0.0)):
+            assert (project_lagrangian(x, w, alpha, dist_scale=dist_scale).tobytes()
+                    == per_position_reference(x, w, alpha, dist_scale).tobytes())
+    x = np.full(n, 0.5)
+    x[-1] = 3.0
+    with np.errstate(over="ignore"):
+        for call in (lambda: project_lagrangian(x, w, 0.7, dist_scale=1e308),
+                     lambda: per_position_reference(x, w, 0.7, 1e308)):
+            with pytest.raises(InfeasibleProjection,
+                               match="every symbol is forbidden at some position"):
+                call()
+
+
+def test_k0_pass_holds_one_block_of_costs():
+    # n = 20000 positions of S = 256 costs take 41 MB as one array; the
+    # pass holds its output, the input checks' n-float temporaries and a
+    # few (VITERBI_BLOCK, S) blocks
+    import tracemalloc
+
+    w = weights_from_kernel(quantized_kernel(SpikeSlab(0.1), 8))
+    n, s = 20000, w.alphabet.size
+    assert w.k == 0 and s == 256
+    x = np.random.default_rng(0).random(n)
+    project_lagrangian(x, w, 0.5)  # leave first-call allocations out of the trace
+    tracemalloc.start()
+    try:
+        u = project_lagrangian(x, w, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.tobytes() == per_position_reference(x, w, 0.5, 1.0).tobytes()
+    assert peak <= 4 * 8 * n + 3 * 8 * projection.VITERBI_BLOCK * s, peak
 
 
 HALVES = build_alphabet(0.0, 1.0, 1)  # {0, 0.5}
